@@ -26,15 +26,15 @@ from fpfusion.pairing import (
     compute_n_p,
 )
 from fpfusion.relaxation import RelaxationParams, pair_compatibility, relax, match_score
-from fpfusion.fusion import (
-    FusionConfig,
-    MatchResult,
-    match_single,
-    match_feature_fusion,
-    match_score_fusion,
+from fpfusion.fusion import FusionConfig, MatchResult, match_all_channels
+from fpfusion.evaluation import (
+    Gallery,
+    IdentificationResult,
+    CmcCurve,
+    cmc,
     fuse_ranks,
+    identify_all,
 )
-from fpfusion.evaluation import Gallery, IdentificationResult, CmcCurve, cmc, rank_level_cmc
 
 __all__ = [
     "Minutia",
@@ -64,13 +64,11 @@ __all__ = [
     "match_score",
     "FusionConfig",
     "MatchResult",
-    "match_single",
-    "match_feature_fusion",
-    "match_score_fusion",
-    "fuse_ranks",
+    "match_all_channels",
     "Gallery",
     "IdentificationResult",
     "CmcCurve",
     "cmc",
-    "rank_level_cmc",
+    "fuse_ranks",
+    "identify_all",
 ]

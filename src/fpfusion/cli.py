@@ -19,22 +19,8 @@ from fpfusion.embedding import (
     load_embeddings,
     save_embeddings,
 )
-from fpfusion.evaluation import (
-    Gallery,
-    cmc,
-    fused_rank_results,
-    identify,
-    identify_all,
-    write_cmc,
-    write_results,
-)
-from fpfusion.fusion import (
-    CHANNELS,
-    FusionConfig,
-    match_feature_fusion,
-    match_score_fusion,
-    match_single,
-)
+from fpfusion.evaluation import Gallery, cmc, fuse_ranks, identify_all, write_cmc, write_results
+from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
 from fpfusion.templates import TemplateFormatError, load_template
@@ -225,15 +211,7 @@ def _load_pair_inputs(args, cfg: PipelineConfig):
 
 def cmd_match(args) -> int:
     cfg = build_pipeline_config(args)
-    ta, tb, mcc_a, mcc_b, emb_a, emb_b = _load_pair_inputs(args, cfg)
-    if args.matcher == "mcc":
-        result = match_single(ta, tb, mcc_a, mcc_b, True, cfg.fusion, "mcc")
-    elif args.matcher == "emb":
-        result = match_single(ta, tb, emb_a, emb_b, False, cfg.fusion, "emb")
-    elif args.matcher == "feature":
-        result = match_feature_fusion(ta, tb, mcc_a, mcc_b, emb_a, emb_b, cfg.fusion)
-    else:
-        result = match_score_fusion(ta, tb, mcc_a, mcc_b, emb_a, emb_b, cfg.fusion)
+    result = match_all_channels(*_load_pair_inputs(args, cfg), cfg.fusion)[args.matcher]
     print(f"score={result.score:.6f} raw_sum={result.raw_sum:.6f} pairs={result.n_pairs_used}")
     return EXIT_OK
 
@@ -252,7 +230,7 @@ def cmd_identify(args) -> int:
     cfg = build_pipeline_config(args)
     gallery = _load_gallery(args.gallery_dir, cfg)
     query = gallery.prepare_query(load_template(args.query))
-    result = identify(gallery, query, args.matcher, cfg.fusion, mate_id=args.mate)
+    result = identify_all(gallery, query, cfg.fusion, mate_id=args.mate)[args.matcher]
     if args.out:
         write_results([result], args.out)
     if args.mate:
@@ -281,8 +259,7 @@ def cmd_benchmark(args) -> int:
 
     k_max = min(args.k_max, len(gallery))
     curves = {ch: cmc(per_channel[ch], k_max) for ch in CHANNELS}
-    rank_results = fused_rank_results(per_channel["mcc"], per_channel["emb"])
-    curves["rank"] = cmc(rank_results, k_max)
+    curves["rank"] = cmc(fuse_ranks(per_channel["mcc"], per_channel["emb"]), k_max)
 
     for ch in CHANNELS:
         write_results(per_channel[ch], out_dir / f"results_{ch}.csv")

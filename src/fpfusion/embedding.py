@@ -2,8 +2,8 @@
 
 Real embeddings produced offline are loaded from a small binary format
 (magic ``EMB1``, little-endian u32 count, u32 dim, then count x dim f32).
-Synthetic mode builds a deterministic log-polar neighborhood signature so
-the full fusion pipeline runs without any neural network.
+Without a file, a deterministic log-polar neighborhood signature stands in
+so the full fusion pipeline runs without any neural network.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ class EmbeddingConfig:
     """Embedding dimension and synthetic-signature binning."""
 
     dim: int = 256
-    mode: str = "synthetic"  # "synthetic" or "file"
     synth_radius: float = 96.0
     radial_bins: int = 4
     angular_bins: int = 8
     direction_bins: int = 8
 
     def __post_init__(self):
-        if self.mode not in ("synthetic", "file"):
-            raise ValueError(f"unknown embedding mode {self.mode!r}")
         if self.radial_bins * self.angular_bins * self.direction_bins > self.dim:
             raise ValueError("histogram bins exceed embedding dimension")
 
@@ -138,15 +135,3 @@ def build_synthetic_embeddings(
         vectors[i, : flat.size] = flat / np.linalg.norm(flat)
         valid[i] = True
     return DescriptorSet(template_id=t.id, vectors=vectors, valid=valid)
-
-
-def build_embeddings(
-    t: MinutiaeTemplate, cfg: EmbeddingConfig | None = None, path=None
-) -> DescriptorSet:
-    """Dispatch on mode: load from ``path`` or synthesize from the template."""
-    cfg = cfg or EmbeddingConfig()
-    if cfg.mode == "file":
-        if path is None:
-            raise ValueError("file mode requires an embedding path")
-        return load_embeddings(path, expected_count=len(t), template_id=t.id)
-    return build_synthetic_embeddings(t, cfg)

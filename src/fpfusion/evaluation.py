@@ -7,7 +7,7 @@ from pathlib import Path
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
-from fpfusion.fusion import CHANNELS, FusionConfig, fuse_ranks, match_all_channels
+from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.templates import MinutiaeTemplate
 
@@ -64,35 +64,15 @@ class Gallery:
     def __contains__(self, template_id: str) -> bool:
         return template_id in self._entries
 
-    def ids(self) -> list[str]:
-        return list(self._entries)
-
     def entry(self, template_id: str) -> GalleryEntry:
         return self._entries[template_id]
 
     def entries(self):
         return self._entries.values()
 
-    def enroll(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None = None) -> None:
-        """Add a template; embeddings default to the synthetic stand-in."""
-        if t.id in self._entries:
-            raise ValueError(f"template id {t.id!r} already enrolled")
+    def _build_entry(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None) -> GalleryEntry:
         if embeddings is not None and len(embeddings) != len(t):
-            raise ValueError(
-                f"embedding count {len(embeddings)} != template size {len(t)}"
-            )
-        self._entries[t.id] = GalleryEntry(
-            template=t,
-            mcc=build_mcc_set(t, self.cylinder_cfg),
-            embedding=embeddings
-            if embeddings is not None
-            else build_synthetic_embeddings(t, self.embedding_cfg),
-        )
-
-    def prepare_query(
-        self, t: MinutiaeTemplate, embeddings: DescriptorSet | None = None
-    ) -> GalleryEntry:
-        """Build query-side descriptors with the gallery's configs."""
+            raise ValueError(f"embedding count {len(embeddings)} != template size {len(t)}")
         return GalleryEntry(
             template=t,
             mcc=build_mcc_set(t, self.cylinder_cfg),
@@ -100,6 +80,18 @@ class Gallery:
             if embeddings is not None
             else build_synthetic_embeddings(t, self.embedding_cfg),
         )
+
+    def enroll(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None = None) -> None:
+        """Add a template; embeddings default to the synthetic stand-in."""
+        if t.id in self._entries:
+            raise ValueError(f"template id {t.id!r} already enrolled")
+        self._entries[t.id] = self._build_entry(t, embeddings)
+
+    def prepare_query(
+        self, t: MinutiaeTemplate, embeddings: DescriptorSet | None = None
+    ) -> GalleryEntry:
+        """Build query-side descriptors with the gallery's configs."""
+        return self._build_entry(t, embeddings)
 
 
 def _rank_candidates(scored: list, mate_id: str | None):
@@ -121,8 +113,8 @@ def identify_all(
 ) -> dict[str, IdentificationResult]:
     """Rank the whole gallery for every matcher in one sweep.
 
-    Similarity matrices are shared across the four matchers per candidate,
-    so this is the preferred entry point for benchmarks.
+    Each candidate is scored once by ``match_all_channels``, which serves
+    all four matchers.
     """
     cfg = cfg or FusionConfig()
     if len(gallery) == 0:
@@ -147,19 +139,6 @@ def identify_all(
     return out
 
 
-def identify(
-    gallery: Gallery,
-    query: GalleryEntry,
-    matcher: str,
-    cfg: FusionConfig | None = None,
-    mate_id: str | None = None,
-) -> IdentificationResult:
-    """Rank the gallery for one matcher ('mcc', 'emb', 'feature' or 'score')."""
-    if matcher not in CHANNELS:
-        raise ValueError(f"unknown matcher {matcher!r}; expected one of {CHANNELS}")
-    return identify_all(gallery, query, cfg, mate_id)[matcher]
-
-
 def cmc(results: list, k_max: int) -> CmcCurve:
     """Cumulative rank-k accuracy over identification results.
 
@@ -175,33 +154,21 @@ def cmc(results: list, k_max: int) -> CmcCurve:
     return CmcCurve(tuple(accuracies))
 
 
-def rank_level_cmc(results_a: list, results_b: list, k_max: int) -> CmcCurve:
-    """CMC of the per-query minimum rank across two matchers."""
-    ranks_a = {r.query_id: r.rank_of_mate for r in results_a}
-    ranks_b = {r.query_id: r.rank_of_mate for r in results_b}
-    big = max(len(results_a), len(results_b)) + k_max + 1  # stands in for "missed"
-    fused = fuse_ranks(
-        {q: (v if v is not None else big) for q, v in ranks_a.items()},
-        {q: (v if v is not None else big) for q, v in ranks_b.items()},
-    )
-    merged = [
-        IdentificationResult(q, (), rank if rank < big else None)
-        for q, rank in sorted(fused.items())
-    ]
-    return cmc(merged, k_max)
+def fuse_ranks(results_a: list, results_b: list) -> list[IdentificationResult]:
+    """Rank-level fusion: per query, the better mate rank of two channels.
 
-
-def fused_rank_results(results_a: list, results_b: list) -> list:
-    """Per-query min-rank results, for CMC or summary tables."""
+    A missing rank (None) loses to any found one. The output is sorted by
+    query id; the two lists must cover the same queries.
+    """
     ranks_a = {r.query_id: r.rank_of_mate for r in results_a}
     ranks_b = {r.query_id: r.rank_of_mate for r in results_b}
     if set(ranks_a) != set(ranks_b):
-        raise ValueError("rank-level fusion needs identical query sets")
+        differ = sorted(set(ranks_a) ^ set(ranks_b))
+        raise ValueError(f"rank lists cover different queries: {differ}")
     out = []
     for q in sorted(ranks_a):
-        va, vb = ranks_a[q], ranks_b[q]
-        both = [v for v in (va, vb) if v is not None]
-        out.append(IdentificationResult(q, (), min(both) if both else None))
+        found = [r for r in (ranks_a[q], ranks_b[q]) if r is not None]
+        out.append(IdentificationResult(q, (), min(found, default=None)))
     return out
 
 

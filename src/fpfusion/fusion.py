@@ -1,10 +1,10 @@
-"""Matchers: single-channel plus feature-, score- and rank-level fusion.
+"""The matcher: both channels plus feature- and score-level fusion.
 
 Channel names: ``mcc`` (angle-gated cylinder channel), ``emb`` (ungated
 embedding channel), ``feature`` (union of both channels' selected pairs
 before relaxation), ``score`` (weighted sum of the two similarity
 matrices before pair selection). Rank-level fusion operates on gallery
-ranks, not scores, and lives in fuse_ranks.
+ranks, not scores, and lives in ``evaluation.fuse_ranks``.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class MatchResult:
     channel: str
 
 
-def _empty_result(ta: MinutiaeTemplate, tb: MinutiaeTemplate, channel: str) -> MatchResult:
-    return MatchResult(ta.id, tb.id, 0.0, 0.0, 0, channel)
-
-
 def _score_pairs(
     pairs: PairSet,
     ta: MinutiaeTemplate,
@@ -68,48 +64,12 @@ def _score_pairs(
     params: RelaxationParams,
     channel: str,
 ) -> MatchResult:
-    if len(pairs) == 0 or n_p == 0:
-        return _empty_result(ta, tb, channel)
+    if len(pairs) == 0:
+        return MatchResult(ta.id, tb.id, 0.0, 0.0, 0, channel)
     relaxed = relax(pairs, ta, tb, params)
     score, top = match_score(relaxed, n_p)
     raw = sum(max(p.relaxed, 0.0) for p in top)
     return MatchResult(ta.id, tb.id, score, raw, len(top), channel)
-
-
-def match_single(
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    da: DescriptorSet,
-    db: DescriptorSet,
-    gate_with_templates: bool,
-    cfg: FusionConfig | None = None,
-    channel: str = "mcc",
-) -> MatchResult:
-    """Full single-channel pipeline: similarity, selection, relaxation, score."""
-    cfg = cfg or FusionConfig()
-    if len(ta) == 0 or len(tb) == 0:
-        return _empty_result(ta, tb, channel)
-    s = sim_score(
-        da,
-        db,
-        ta if gate_with_templates else None,
-        tb if gate_with_templates else None,
-        cfg.delta_theta,
-    )
-    return _match_from_matrix(s, ta, tb, cfg, channel)
-
-
-def _match_from_matrix(
-    s: SimilarityMatrix,
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    cfg: FusionConfig,
-    channel: str,
-) -> MatchResult:
-    n_r = compute_n_r(len(ta), len(tb))
-    n_p = compute_n_p(len(ta), len(tb))
-    pairs = lsa_select(s, n_r, source=channel)
-    return _score_pairs(pairs, ta, tb, n_p, cfg.relaxation, channel)
 
 
 def _union_pairs(pairs_a: PairSet, pairs_b: PairSet) -> PairSet:
@@ -129,39 +89,6 @@ def _union_pairs(pairs_a: PairSet, pairs_b: PairSet) -> PairSet:
             merged[key] = Pair(p.row, p.col, max(old.score, p.score), source)
     ordered = sorted(merged.values(), key=lambda p: (p.row, p.col))
     return PairSet(tuple(ordered))
-
-
-def match_feature_fusion(
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    mcc_a: DescriptorSet,
-    mcc_b: DescriptorSet,
-    emb_a: DescriptorSet,
-    emb_b: DescriptorSet,
-    cfg: FusionConfig | None = None,
-) -> MatchResult:
-    """Union the pairs selected by both channels, then relax jointly."""
-    cfg = cfg or FusionConfig()
-    if len(ta) == 0 or len(tb) == 0:
-        return _empty_result(ta, tb, "feature")
-    s_mcc = sim_score(mcc_a, mcc_b, ta, tb, cfg.delta_theta)
-    s_emb = sim_score(emb_a, emb_b)
-    return _feature_fusion_from_matrices(s_mcc, s_emb, ta, tb, cfg)
-
-
-def _feature_fusion_from_matrices(
-    s_mcc: SimilarityMatrix,
-    s_emb: SimilarityMatrix,
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    cfg: FusionConfig,
-) -> MatchResult:
-    n_r = compute_n_r(len(ta), len(tb))
-    n_p = compute_n_p(len(ta), len(tb))
-    pairs = _union_pairs(
-        lsa_select(s_mcc, n_r, source="mcc"), lsa_select(s_emb, n_r, source="emb")
-    )
-    return _score_pairs(pairs, ta, tb, n_p, cfg.relaxation, "feature")
 
 
 def _fused_matrix(
@@ -185,24 +112,6 @@ def _fused_matrix(
     return SimilarityMatrix(values=cfg.w1 * v_mcc + cfg.w2 * v_emb, gated=gated)
 
 
-def match_score_fusion(
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    mcc_a: DescriptorSet,
-    mcc_b: DescriptorSet,
-    emb_a: DescriptorSet,
-    emb_b: DescriptorSet,
-    cfg: FusionConfig | None = None,
-) -> MatchResult:
-    """Weighted-sum the similarity matrices, then run the usual pipeline."""
-    cfg = cfg or FusionConfig()
-    if len(ta) == 0 or len(tb) == 0:
-        return _empty_result(ta, tb, "score")
-    s_mcc = sim_score(mcc_a, mcc_b, ta, tb, cfg.delta_theta)
-    s_emb = sim_score(emb_a, emb_b)
-    return _match_from_matrix(_fused_matrix(s_mcc, s_emb, cfg), ta, tb, cfg, "score")
-
-
 def match_all_channels(
     ta: MinutiaeTemplate,
     tb: MinutiaeTemplate,
@@ -212,27 +121,24 @@ def match_all_channels(
     emb_b: DescriptorSet,
     cfg: FusionConfig | None = None,
 ) -> dict[str, MatchResult]:
-    """All four matchers sharing one pass over the similarity matrices.
+    """Score one template pair on every channel.
 
-    Produces results identical to calling the individual matchers; used by
-    the identification harness to avoid recomputing matrices per channel.
+    Both similarity matrices are computed once. Pairs are selected three
+    times, on the cylinder, embedding and fused matrices; the feature
+    channel relaxes the union of the first two selections. Either template
+    being empty scores 0 on every channel.
     """
     cfg = cfg or FusionConfig()
     if len(ta) == 0 or len(tb) == 0:
-        return {ch: _empty_result(ta, tb, ch) for ch in CHANNELS}
+        return {ch: MatchResult(ta.id, tb.id, 0.0, 0.0, 0, ch) for ch in CHANNELS}
     s_mcc = sim_score(mcc_a, mcc_b, ta, tb, cfg.delta_theta)
     s_emb = sim_score(emb_a, emb_b)
-    return {
-        "mcc": _match_from_matrix(s_mcc, ta, tb, cfg, "mcc"),
-        "emb": _match_from_matrix(s_emb, ta, tb, cfg, "emb"),
-        "feature": _feature_fusion_from_matrices(s_mcc, s_emb, ta, tb, cfg),
-        "score": _match_from_matrix(_fused_matrix(s_mcc, s_emb, cfg), ta, tb, cfg, "score"),
+    n_r = compute_n_r(len(ta), len(tb))
+    pairs = {
+        "mcc": lsa_select(s_mcc, n_r, source="mcc"),
+        "emb": lsa_select(s_emb, n_r, source="emb"),
+        "score": lsa_select(_fused_matrix(s_mcc, s_emb, cfg), n_r, source="score"),
     }
-
-
-def fuse_ranks(ranks_a: dict, ranks_b: dict) -> dict:
-    """Per-query minimum of two rank maps (rank-level fusion)."""
-    if set(ranks_a) != set(ranks_b):
-        missing = set(ranks_a) ^ set(ranks_b)
-        raise ValueError(f"rank maps cover different query sets: {sorted(missing)}")
-    return {q: min(ranks_a[q], ranks_b[q]) for q in ranks_a}
+    pairs["feature"] = _union_pairs(pairs["mcc"], pairs["emb"])
+    n_p = compute_n_p(len(ta), len(tb))
+    return {ch: _score_pairs(pairs[ch], ta, tb, n_p, cfg.relaxation, ch) for ch in CHANNELS}

@@ -21,7 +21,9 @@ TWO_PI = 2.0 * math.pi
 
 def normalize_angle(theta: float) -> float:
     """Wrap an angle into [0, 2*pi)."""
-    return theta % TWO_PI
+    wrapped = theta % TWO_PI
+    # a tiny negative angle rounds up to exactly 2*pi
+    return 0.0 if wrapped == TWO_PI else wrapped
 
 
 def wrap_signed(theta):

@@ -1,7 +1,7 @@
 """Minutiae data model and template file I/O.
 
 Template file format (UTF-8 text, '\\n' endings): lines starting with '#'
-are comments; an optional header line ``# id=<string> w=<int> h=<int>``;
+are comments; an optional header line ``# id=<string> [w=<int> h=<int>]``;
 each data line is ``x y theta [quality]`` with x/y in decimal pixels,
 theta in radians and quality in [0, 1].
 """
@@ -27,7 +27,8 @@ class Minutia:
     """A fingerprint minutia: position (pixels), direction and quality.
 
     theta is normalized into [0, 2*pi) on construction; x and y must be
-    finite. Quality is carried for I/O fidelity but unused by the matchers.
+    finite and quality must lie in [0, 1]. Quality is carried for I/O
+    fidelity but unused by the matchers.
     """
 
     x: float
@@ -40,6 +41,8 @@ class Minutia:
             raise ValueError(f"non-finite minutia position ({self.x}, {self.y})")
         if not math.isfinite(self.theta):
             raise ValueError(f"non-finite minutia direction {self.theta}")
+        if not 0.0 <= self.quality <= 1.0:
+            raise ValueError(f"minutia quality {self.quality} outside [0, 1]")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
@@ -49,7 +52,8 @@ class MinutiaeTemplate:
 
     The minutia order is the index space used by descriptor sets,
     similarity matrices and pair sets. Empty templates are legal inputs;
-    matchers score them 0.
+    matchers score them 0. Positions and directions are held as read-only
+    arrays built once at construction.
     """
 
     id: str
@@ -59,17 +63,23 @@ class MinutiaeTemplate:
 
     def __post_init__(self):
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
+        xy = np.array([(m.x, m.y) for m in self.minutiae], dtype=np.float64).reshape(-1, 2)
+        theta = np.array([m.theta for m in self.minutiae], dtype=np.float64)
+        xy.flags.writeable = theta.flags.writeable = False
+        # plain attributes, not fields: equality, hashing and repr ignore them
+        object.__setattr__(self, "_xy", xy)
+        object.__setattr__(self, "_theta", theta)
 
     def __len__(self) -> int:
         return len(self.minutiae)
 
     def positions(self) -> np.ndarray:
-        """(n, 2) array of minutia positions."""
-        return np.array([(m.x, m.y) for m in self.minutiae], dtype=np.float64).reshape(-1, 2)
+        """(n, 2) read-only array of minutia positions."""
+        return self._xy
 
     def thetas(self) -> np.ndarray:
-        """(n,) array of minutia directions."""
-        return np.array([m.theta for m in self.minutiae], dtype=np.float64)
+        """(n,) read-only array of minutia directions."""
+        return self._theta
 
 
 def rigid_transform(
@@ -96,7 +106,7 @@ def rigid_transform(
     return MinutiaeTemplate(t.id, tuple(out), t.width, t.height)
 
 
-_HEADER_RE = re.compile(r"#\s*id=(\S+)\s+w=(\d+)\s+h=(\d+)\s*$")
+_HEADER_RE = re.compile(r"#\s*id=(\S+)(?:\s+w=(\d+)\s+h=(\d+))?\s*$")
 
 
 def load_template(path) -> MinutiaeTemplate:
@@ -114,8 +124,9 @@ def load_template(path) -> MinutiaeTemplate:
                 header = _HEADER_RE.match(line)
                 if header:
                     tid = header.group(1)
-                    width = int(header.group(2))
-                    height = int(header.group(3))
+                    if header.group(2) is not None:
+                        width = int(header.group(2))
+                        height = int(header.group(3))
                 continue
             parts = line.split()
             if len(parts) not in (3, 4):
@@ -138,7 +149,10 @@ def load_template(path) -> MinutiaeTemplate:
 
 def save_template(t: MinutiaeTemplate, path) -> None:
     """Write a template file; load_template(save_template(t)) reproduces t
-    up to 1e-6 per numeric field."""
+    up to 1e-6 per numeric field. The id must be non-empty and free of
+    whitespace, because the header line could not hold it otherwise."""
+    if not re.fullmatch(r"\S+", t.id):
+        raise ValueError(f"template id {t.id!r} must be non-empty without whitespace")
     lines = []
     if t.width is not None and t.height is not None:
         lines.append(f"# id={t.id} w={t.width} h={t.height}")

@@ -16,13 +16,7 @@ from fpfusion.cli import main
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
 from fpfusion.evaluation import Gallery, identify_all, write_cmc, write_results
-from fpfusion.fusion import (
-    CHANNELS,
-    FusionConfig,
-    match_feature_fusion,
-    match_score_fusion,
-    match_single,
-)
+from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
 from fpfusion.mcc import build_mcc_set
 from fpfusion.pairing import (
     Pair,
@@ -156,25 +150,13 @@ def test_criterion_5_fusion_degeneracies():
         mcc_a, mcc_b = build_mcc_set(ta), build_mcc_set(tb)
         emb_a, emb_b = build_synthetic_embeddings(ta), build_synthetic_embeddings(tb)
 
-        cfg = FusionConfig(w1=1.0, w2=0.0)
-        ok &= (
-            abs(
-                match_score_fusion(ta, tb, mcc_a, mcc_b, emb_a, emb_b, cfg).score
-                - match_single(ta, tb, mcc_a, mcc_b, True, cfg).score
-            )
-            <= 1e-12
-        )
-        cfg = FusionConfig(w1=0.0, w2=1.0)
-        ok &= (
-            abs(
-                match_score_fusion(ta, tb, mcc_a, mcc_b, emb_a, emb_b, cfg).score
-                - match_single(ta, tb, emb_a, emb_b, False, cfg).score
-            )
-            <= 1e-12
-        )
+        out = match_all_channels(ta, tb, mcc_a, mcc_b, emb_a, emb_b, FusionConfig(w1=1.0, w2=0.0))
+        ok &= abs(out["score"].score - out["mcc"].score) <= 1e-12
+        out = match_all_channels(ta, tb, mcc_a, mcc_b, emb_a, emb_b, FusionConfig(w1=0.0, w2=1.0))
+        ok &= abs(out["score"].score - out["emb"].score) <= 1e-12
         dead = DescriptorSet("a", emb_a.vectors, np.zeros(len(emb_a), dtype=bool))
-        fused = match_feature_fusion(ta, tb, mcc_a, mcc_b, dead, emb_b)
-        single = match_single(ta, tb, mcc_a, mcc_b, True)
+        out = match_all_channels(ta, tb, mcc_a, mcc_b, dead, emb_b)
+        fused, single = out["feature"], out["mcc"]
         ok &= fused.score == single.score and fused.raw_sum == single.raw_sum
     report("criterion 5: fusion degeneracies on 100 template pairs", ok)
 

@@ -149,3 +149,17 @@ def test_benchmark_repeatable(tmp_path, capsys):
     assert main([*args, "--out", str(b)]) == EXIT_OK
     for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("command", ["match", "identify"])
+def test_unknown_matcher(template_path, tmp_path, command, capsys):
+    args = [command, str(template_path), str(template_path if command == "match" else tmp_path)]
+    assert main([*args, "--matcher", "bogus"]) == EXIT_USAGE
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_quality_outside_unit_interval_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "q.mnt"
+    bad.write_text("1 2 0.5 5.0\n")
+    assert main(["match", str(bad), str(bad)]) == EXIT_DATA
+    assert "quality" in capsys.readouterr().err

@@ -7,10 +7,8 @@ from fpfusion.evaluation import (
     Gallery,
     IdentificationResult,
     cmc,
-    fused_rank_results,
-    identify,
+    fuse_ranks,
     identify_all,
-    rank_level_cmc,
     write_cmc,
     write_results,
 )
@@ -45,7 +43,7 @@ class TestGallery:
         gallery = small_gallery(rng, n=2)
         gallery.enroll(MinutiaeTemplate("empty", ()))
         query = gallery.prepare_query(gallery.entry("g00").template)
-        res = identify(gallery, query, "mcc", mate_id="g00")
+        res = identify_all(gallery, query, mate_id="g00")["mcc"]
         scores = dict(res.candidates)
         assert scores["empty"] == 0.0
         assert res.rank_of_mate == 1
@@ -59,6 +57,15 @@ class TestGallery:
         with pytest.raises(ValueError):
             gallery.enroll(t, embeddings=bad)
 
+    def test_query_embedding_count_mismatch(self, rng):
+        from fpfusion.descriptors import DescriptorSet
+
+        gallery = Gallery()
+        t = random_template(rng, n=5, tid="q")
+        extra = DescriptorSet("q", np.eye(10), np.ones(10, bool))
+        with pytest.raises(ValueError, match="embedding count 10"):
+            gallery.prepare_query(t, embeddings=extra)
+
 
 class TestIdentify:
     def test_exact_copy_rank_one_all_matchers(self, rng):
@@ -71,7 +78,7 @@ class TestIdentify:
     def test_single_entry_gallery(self, rng):
         gallery = small_gallery(rng, n=1)
         query = gallery.prepare_query(gallery.entry("g00").template)
-        assert identify(gallery, query, "feature", mate_id="g00").rank_of_mate == 1
+        assert identify_all(gallery, query, mate_id="g00")["feature"].rank_of_mate == 1
 
     def test_deterministic_repeat(self, rng):
         gallery = small_gallery(rng, n=4)
@@ -83,18 +90,12 @@ class TestIdentify:
     def test_empty_gallery_errors(self, rng):
         query = Gallery().prepare_query(random_template(rng, n=5))
         with pytest.raises(ValueError):
-            identify(Gallery(), query, "mcc")
-
-    def test_unknown_matcher(self, rng):
-        gallery = small_gallery(rng, n=1)
-        query = gallery.prepare_query(random_template(rng, n=5))
-        with pytest.raises(ValueError):
-            identify(gallery, query, "bogus")
+            identify_all(Gallery(), query)
 
     def test_candidates_sorted_with_id_tiebreak(self, rng):
         gallery = small_gallery(rng, n=5)
         query = gallery.prepare_query(random_template(rng, n=10, tid="q"))
-        res = identify(gallery, query, "mcc")
+        res = identify_all(gallery, query)["mcc"]
         scores = [s for _, s in res.candidates]
         assert scores == sorted(scores, reverse=True)
         for (ida, sa), (idb, sb) in zip(res.candidates, res.candidates[1:]):
@@ -129,30 +130,32 @@ class TestCmc:
 
 class TestRankLevelCmc:
     def test_min_rank(self):
-        curve = rank_level_cmc([result("q", 3)], [result("q", 1)], 3)
+        curve = cmc(fuse_ranks([result("q", 3)], [result("q", 1)]), 3)
         assert curve[1] == 1.0
 
     def test_equal_ranks(self):
-        curve = rank_level_cmc([result("q", 2)], [result("q", 2)], 2)
+        curve = cmc(fuse_ranks([result("q", 2)], [result("q", 2)]), 2)
         assert curve.accuracies == (0.0, 1.0)
 
     def test_disjoint_queries_error(self):
         with pytest.raises(ValueError):
-            rank_level_cmc([result("q1", 1)], [result("q2", 1)], 2)
+            cmc(fuse_ranks([result("q1", 1)], [result("q2", 1)]), 2)
 
     def test_dominates_single_channels(self, rng):
         res_a = [result(f"q{i}", int(rng.integers(1, 15))) for i in range(50)]
         res_b = [result(f"q{i}", int(rng.integers(1, 15))) for i in range(50)]
-        fused = rank_level_cmc(res_a, res_b, 15)
+        fused = cmc(fuse_ranks(res_a, res_b), 15)
         for k in range(1, 16):
             assert fused[k] >= cmc(res_a, 15)[k]
             assert fused[k] >= cmc(res_b, 15)[k]
 
-    def test_fused_rank_results_handles_missing(self):
-        fused = fused_rank_results(
-            [result("q", None)], [result("q", 4)]
-        )
+    def test_missing_rank_takes_the_other(self):
+        fused = fuse_ranks([result("q", None)], [result("q", 4)])
         assert fused[0].rank_of_mate == 4
+
+    def test_missing_in_both_is_a_miss(self):
+        fused = fuse_ranks([result("q", None), result("p", 1)], [result("q", None), result("p", 2)])
+        assert cmc(fused, 2).accuracies == (0.5, 0.5)
 
 
 class TestOutputFiles:

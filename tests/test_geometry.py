@@ -8,6 +8,7 @@ from fpfusion.geometry import (
     angular_difference,
     direction_difference,
     euclidean_distance,
+    normalize_angle,
     radial_angle,
     wrap_signed,
 )
@@ -105,3 +106,9 @@ def test_radial_angle_asymmetric():
 
 def test_radial_angle_colocated_convention():
     assert radial_angle(Minutia(3, 4, 1.0), Minutia(3, 4, 2.0)) == 0.0
+
+
+@pytest.mark.parametrize("theta", [-1e-17, -1e-300, -0.0, 0.0, 2 * math.pi])
+def test_normalize_angle_stays_below_two_pi(theta):
+    assert 0.0 <= normalize_angle(theta) < 2 * math.pi
+    assert Minutia(0, 0, theta).theta == 0.0

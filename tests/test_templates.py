@@ -104,3 +104,58 @@ def test_rigid_transform_matches_oracle(rng):
     oracle = rotate_template(t, alpha, tx, ty, center=(30.0, 40.0))
     assert np.allclose(ours.positions(), oracle.positions(), atol=1e-9)
     assert np.allclose(ours.thetas(), oracle.thetas(), atol=1e-9)
+
+
+@pytest.mark.parametrize("dims", [(None, None), (500, 400)])
+def test_round_trip_keeps_id_under_other_file_name(tmp_path, dims):
+    t = MinutiaeTemplate("finger-7", (Minutia(1, 2, 3),), *dims)
+    path = tmp_path / "renamed.mnt"
+    save_template(t, path)
+    back = load_template(path)
+    assert back.id == "finger-7"
+    assert (back.width, back.height) == dims
+
+
+@pytest.mark.parametrize("tid", ["", "two words", "tab\tid", "new\nline"])
+def test_save_rejects_id_the_header_cannot_hold(tmp_path, tid):
+    with pytest.raises(ValueError, match="id"):
+        save_template(MinutiaeTemplate(tid, (Minutia(1, 2, 3),)), tmp_path / "x.mnt")
+    assert not (tmp_path / "x.mnt").exists()
+
+
+@pytest.mark.parametrize("quality", [-0.1, 1.5, 5.0, float("nan")])
+def test_minutia_rejects_quality_outside_unit_interval(quality):
+    with pytest.raises(ValueError, match="quality"):
+        Minutia(0, 0, 0, quality)
+
+
+@pytest.mark.parametrize("quality", ["5.0", "nan"])
+def test_load_quality_outside_unit_interval_names_lineno(tmp_path, quality):
+    path = tmp_path / "q.mnt"
+    path.write_text(f"1 2 0.5 0.9\n3 4 0.5 {quality}\n")
+    with pytest.raises(TemplateFormatError, match=":2:.*quality"):
+        load_template(path)
+
+
+def test_arrays_built_once_and_read_only(rng):
+    from conftest import random_template
+
+    t = random_template(rng, n=6)
+    assert t.positions() is t.positions() and t.thetas() is t.thetas()
+    assert t.positions().shape == (6, 2) and t.thetas().shape == (6,)
+    assert np.array_equal(t.thetas(), [m.theta for m in t.minutiae])
+    with pytest.raises(ValueError):
+        t.positions()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        t.thetas()[0] = 1.0
+    empty = MinutiaeTemplate("e", ())
+    assert empty.positions().shape == (0, 2) and empty.thetas().shape == (0,)
+
+
+def test_arrays_do_not_change_equality_or_hash(rng):
+    from conftest import random_template
+
+    t = random_template(rng, n=6)
+    same = MinutiaeTemplate(t.id, list(t.minutiae), t.width, t.height)
+    assert same == t and hash(same) == hash(t)
+    assert "_xy" not in repr(t)
