@@ -81,6 +81,10 @@ class ConfigError(ValueError):
     pass
 
 
+class UsageError(Exception):
+    """A command-line flag value that a configuration rejects (exit 1)."""
+
+
 def _apply_key(cfg: PipelineConfig, key: str, raw: str) -> PipelineConfig:
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
@@ -89,10 +93,13 @@ def _apply_key(cfg: PipelineConfig, key: str, raw: str) -> PipelineConfig:
         value = cast(raw)
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
-    if target == "fusion.relaxation":
-        relaxation = replace(cfg.fusion.relaxation, **{attr: value})
-        return replace(cfg, fusion=replace(cfg.fusion, relaxation=relaxation))
-    return replace(cfg, **{target: replace(getattr(cfg, target), **{attr: value})})
+    try:
+        if target == "fusion.relaxation":
+            relaxation = replace(cfg.fusion.relaxation, **{attr: value})
+            return replace(cfg, fusion=replace(cfg.fusion, relaxation=relaxation))
+        return replace(cfg, **{target: replace(getattr(cfg, target), **{attr: value})})
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}={raw}: {exc}") from exc
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -117,7 +124,11 @@ def build_pipeline_config(args) -> PipelineConfig:
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg = _apply_key(cfg, key, str(flag))
+            try:
+                cfg = _apply_key(cfg, key, str(flag))
+            except ConfigError as exc:
+                # the constructor's own message, under the flag's name
+                raise UsageError(f"--{key.replace('_', '-')} {flag}: {exc.__cause__}") from None
     return cfg
 
 
@@ -331,6 +342,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (
         ConfigError,
         TemplateFormatError,

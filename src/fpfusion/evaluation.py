@@ -7,13 +7,20 @@ from pathlib import Path
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
-from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
+from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
 from fpfusion.mcc import CylinderConfig, build_mcc_set
+from fpfusion.pairing import unit_rows
 from fpfusion.templates import MinutiaeTemplate
 
 
 @dataclass(frozen=True)
 class GalleryEntry:
+    """A template with its descriptors, held as unit rows.
+
+    Each descriptor row is divided by its norm once, when the entry is
+    built; a zero row is marked invalid. Similarity is then one matmul.
+    """
+
     template: MinutiaeTemplate
     mcc: DescriptorSet
     embedding: DescriptorSet
@@ -73,13 +80,15 @@ class Gallery:
     def _build_entry(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None) -> GalleryEntry:
         if embeddings is not None and len(embeddings) != len(t):
             raise ValueError(f"embedding count {len(embeddings)} != template size {len(t)}")
-        return GalleryEntry(
-            template=t,
-            mcc=build_mcc_set(t, self.cylinder_cfg),
-            embedding=embeddings
-            if embeddings is not None
-            else build_synthetic_embeddings(t, self.embedding_cfg),
-        )
+        # Descriptors built here are normalized in place, so enrollment holds
+        # one copy of each; a caller's embeddings are copied.
+        mcc = build_mcc_set(t, self.cylinder_cfg)
+        if embeddings is None:
+            embeddings = build_synthetic_embeddings(t, self.embedding_cfg)
+            embeddings = unit_rows(embeddings, out=embeddings.vectors)
+        else:
+            embeddings = unit_rows(embeddings)
+        return GalleryEntry(template=t, mcc=unit_rows(mcc, out=mcc.vectors), embedding=embeddings)
 
     def enroll(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None = None) -> None:
         """Add a template; embeddings default to the synthetic stand-in."""
@@ -113,28 +122,18 @@ def identify_all(
 ) -> dict[str, IdentificationResult]:
     """Rank the whole gallery for every matcher in one sweep.
 
-    Each candidate is scored once by ``match_all_channels``, which serves
-    all four matchers.
+    The gallery is scored in blocks by ``match_gallery``, which serves all
+    four matchers; a candidate's score does not depend on its block or on
+    the enrollment order.
     """
-    cfg = cfg or FusionConfig()
     if len(gallery) == 0:
         raise ValueError("cannot identify against an empty gallery")
-    per_channel: dict[str, list] = {ch: [] for ch in CHANNELS}
-    for entry in gallery.entries():
-        results = match_all_channels(
-            query.template,
-            entry.template,
-            query.mcc,
-            entry.mcc,
-            query.embedding,
-            entry.embedding,
-            cfg,
-        )
-        for ch in CHANNELS:
-            per_channel[ch].append((entry.template.id, results[ch].score))
+    entries = [(e.template, e.mcc, e.embedding) for e in gallery.entries()]
+    scores, _, _ = match_gallery((query.template, query.mcc, query.embedding), entries, cfg)
+    ids = [t.id for t, _, _ in entries]
     out = {}
-    for ch in CHANNELS:
-        candidates, rank = _rank_candidates(per_channel[ch], mate_id)
+    for ch, row in zip(CHANNELS, scores.tolist()):
+        candidates, rank = _rank_candidates(list(zip(ids, row)), mate_id)
         out[ch] = IdentificationResult(query.template.id, candidates, rank, ch)
     return out
 

@@ -5,6 +5,12 @@ embedding channel), ``feature`` (union of both channels' selected pairs
 before relaxation), ``score`` (weighted sum of the two similarity
 matrices before pair selection). Rank-level fusion operates on gallery
 ranks, not scores, and lives in ``evaluation.fuse_ranks``.
+
+One query is scored against a block of gallery entries at a time: the
+similarity matrices of the block are padded into one stack, pairs are
+selected on all of them in one pass, and the selected pairs of every
+entry and channel are relaxed in one pass. A single template pair is the
+one-entry case of the same engine.
 """
 
 from __future__ import annotations
@@ -16,15 +22,23 @@ import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.pairing import (
-    Pair,
-    PairSet,
     SimilarityMatrix,
+    angle_gate,
+    block_cosines,
     compute_n_p,
     compute_n_r,
-    lsa_select,
-    sim_score,
+    pad_rows,
+    select_pairs,
+    unit_rows,
 )
-from fpfusion.relaxation import RelaxationParams, match_score, relax
+from fpfusion.relaxation import (
+    PAIR_SLOTS,
+    RelaxationParams,
+    compatibilities,
+    relax_scores,
+    side_geometry,
+    top_scores,
+)
 from fpfusion.templates import MinutiaeTemplate
 
 CHANNELS = ("mcc", "emb", "feature", "score")
@@ -56,41 +70,6 @@ class MatchResult:
     channel: str
 
 
-def _score_pairs(
-    pairs: PairSet,
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    n_p: int,
-    params: RelaxationParams,
-    channel: str,
-) -> MatchResult:
-    if len(pairs) == 0:
-        return MatchResult(ta.id, tb.id, 0.0, 0.0, 0, channel)
-    relaxed = relax(pairs, ta, tb, params)
-    score, top = match_score(relaxed, n_p)
-    raw = sum(max(p.relaxed, 0.0) for p in top)
-    return MatchResult(ta.id, tb.id, score, raw, len(top), channel)
-
-
-def _union_pairs(pairs_a: PairSet, pairs_b: PairSet) -> PairSet:
-    """Merge two channels' pairs; duplicates keep the max score and both tags.
-
-    The merged list is canonically sorted by (row, col) so relaxation input
-    never depends on which channel was computed first.
-    """
-    merged: dict[tuple[int, int], Pair] = {}
-    for p in list(pairs_a) + list(pairs_b):
-        key = (p.row, p.col)
-        old = merged.get(key)
-        if old is None:
-            merged[key] = p
-        else:
-            source = old.source if old.source == p.source else f"{old.source}+{p.source}"
-            merged[key] = Pair(p.row, p.col, max(old.score, p.score), source)
-    ordered = sorted(merged.values(), key=lambda p: (p.row, p.col))
-    return PairSet(tuple(ordered))
-
-
 def _fused_matrix(
     s_mcc: SimilarityMatrix, s_emb: SimilarityMatrix, cfg: FusionConfig
 ) -> SimilarityMatrix:
@@ -112,6 +91,130 @@ def _fused_matrix(
     return SimilarityMatrix(values=cfg.w1 * v_mcc + cfg.w2 * v_emb, gated=gated)
 
 
+# Gallery entries per padded pass. It bounds the padded stacks whatever
+# the gallery size: for latent queries (~16 x 60 matrices) the work stack
+# is ~0.4 MB and one identification peaks below 2 MB of temporaries.
+_BLOCK = 16
+
+
+def _union_pairs(rows, cols, scores, count, shape):
+    """Per gallery entry, the union of several selections.
+
+    ``rows``, ``cols`` and ``scores`` are (C, B, R) selections with
+    ``count`` (C, B) live pairs each; ``shape`` is the block's (B, r,
+    width). A pair selected more than once keeps its largest score. Each
+    entry's union comes out sorted by (row, col) as rows, cols and scores
+    (B, largest union), with the union sizes (B,).
+    """
+    live = np.arange(rows.shape[2]) < count[..., None]
+    channel, b, slot = np.nonzero(live)
+    grid = np.full(shape, -np.inf)
+    np.maximum.at(grid, (b, rows[channel, b, slot], cols[channel, b, slot]), scores[live])
+    b, i, j = np.nonzero(grid > -np.inf)  # row-major: sorted by (entry, row, col)
+    n = np.bincount(b, minlength=shape[0])
+    pos = np.arange(len(b)) - np.repeat(np.cumsum(n) - n, n)
+    out = [np.zeros((shape[0], max(int(n.max()), 1)), dtype=d) for d in (np.intp, np.intp, float)]
+    out[0][b, pos], out[1][b, pos], out[2][b, pos] = i, j, grid[b, i, j]
+    return (*out, n)
+
+
+def _select_block(query: tuple, block: list, slot: np.ndarray, theta_b, cfg: FusionConfig):
+    """Pair selection of one query against a block on the mcc, emb and fused
+    matrices, as (3, B, R) rows, cols and scores and (3, B) pair counts.
+
+    The three matrices of every entry live in one padded work stack, with
+    gated and padding entries at -inf.
+    """
+    ta, mcc_a, emb_a = query
+    size, width = slot.shape
+    turned = angle_gate(ta.thetas(), theta_b, cfg.delta_theta)
+    work = np.zeros((3, size, len(ta), width))
+    gated_mcc = block_cosines(mcc_a, [m for _, m, _ in block], slot, work[0]) | turned
+    gated_emb = block_cosines(emb_a, [e for _, _, e in block], slot, work[1])
+    fused = _fused_matrix(
+        SimilarityMatrix(work[0], gated_mcc), SimilarityMatrix(work[1], gated_emb), cfg
+    )
+    work[2] = fused.values
+    for k, gated in enumerate((gated_mcc, gated_emb, fused.gated)):
+        np.copyto(work[k], -np.inf, where=gated)
+    n_r = compute_n_r(len(ta), slot.sum(axis=1))
+    rows, cols, scores, count = select_pairs(work.reshape(-1, len(ta), width), np.tile(n_r, 3))
+    return (*(a.reshape(3, size, -1) for a in (rows, cols, scores)), count.reshape(3, size))
+
+
+def _match_block(query: tuple, block: list, cfg: FusionConfig):
+    """Score one query against a block of B gallery entries on every channel.
+
+    ``query`` and each block item are (template, mcc, emb) with unit
+    descriptor rows. Returns the scores, the raw sums of the top relaxed
+    values and the pairs used, each (len(CHANNELS), B).
+    """
+    ta = query[0]
+    counts = np.array([len(t) for t, _, _ in block], dtype=np.intp)
+    size, width = len(block), max(int(counts.max()), 1)
+    slot = np.arange(width) < counts[:, None]
+    theta_b = pad_rows(slot, [t.thetas() for t, _, _ in block])
+    xy_b = pad_rows(slot, [t.positions() for t, _, _ in block])
+    shape = (size, len(ta), width)
+    rows, cols, scores, count = _select_block(query, block, slot, theta_b, cfg)
+
+    # Pair lists in CHANNELS order, PAIR_SLOTS wide; feature is the union
+    # of the mcc and emb selections.
+    feature = _union_pairs(rows[:2], cols[:2], scores[:2], count[:2], shape)
+    lists = []
+    for selected, united in zip((rows, cols, scores), feature):
+        padded = np.zeros((4, size, PAIR_SLOTS), dtype=selected.dtype)
+        padded[[0, 1, 3], :, : selected.shape[2]] = selected
+        padded[2, :, : united.shape[1]] = united
+        lists.append(padded)
+    p_rows, p_cols, gamma = lists
+    n = np.stack([count[0], count[1], feature[3], count[2]])
+    gamma = np.where(np.arange(PAIR_SLOTS) < n[..., None], gamma, 0.0)
+
+    # Compatibilities are computed once per distinct selected pair of an
+    # entry (the query side gathered from the geometry of all its minutiae),
+    # then gathered into each channel's list: the values equal a per-list
+    # computation, element for element.
+    u_rows, u_cols, _, u_n = _union_pairs(rows, cols, scores, count, shape)
+    entry = np.arange(size)[:, None]
+    ub, us = np.nonzero(np.arange(u_rows.shape[1]) < u_n[:, None])
+    index = np.zeros(shape, dtype=np.intp)
+    index[ub, u_rows[ub, us], u_cols[ub, us]] = us
+    side_a = side_geometry(ta.positions(), ta.thetas())
+    rho_u = compatibilities(
+        tuple(m[u_rows[:, :, None], u_rows[:, None, :]] for m in side_a),
+        side_geometry(xy_b[entry, u_cols], theta_b[entry, u_cols]),
+        cfg.relaxation,
+    )
+    pos = index[entry[None], p_rows, p_cols]
+    rho = rho_u[entry[None, :, :, None], pos[..., :, None], pos[..., None, :]]
+
+    n = n.reshape(-1)
+    relaxed = relax_scores(
+        rho.reshape(-1, PAIR_SLOTS, PAIR_SLOTS), gamma.reshape(-1, PAIR_SLOTS), n, cfg.relaxation
+    )
+    n_p = np.tile(compute_n_p(len(ta), counts), 4)
+    return tuple(a.reshape(4, size) for a in top_scores(relaxed, n, n_p))
+
+
+def match_gallery(query: tuple, entries: list, cfg: FusionConfig | None = None):
+    """Score one query against gallery entries on every channel, block by block.
+
+    ``query`` and each entry are (template, mcc, emb) with unit descriptor
+    rows (see ``pairing.unit_rows``). Returns the scores, raw sums and
+    pairs used, each (len(CHANNELS), len(entries)); an empty query scores
+    0 everywhere.
+    """
+    cfg = cfg or FusionConfig()
+    if len(query[0]) == 0 or not entries:
+        zeros = np.zeros((len(CHANNELS), len(entries)))
+        return zeros, zeros.copy(), zeros.astype(np.intp)
+    parts = [
+        _match_block(query, entries[i : i + _BLOCK], cfg) for i in range(0, len(entries), _BLOCK)
+    ]
+    return tuple(np.concatenate(column, axis=1) for column in zip(*parts))
+
+
 def match_all_channels(
     ta: MinutiaeTemplate,
     tb: MinutiaeTemplate,
@@ -128,17 +231,12 @@ def match_all_channels(
     channel relaxes the union of the first two selections. Either template
     being empty scores 0 on every channel.
     """
-    cfg = cfg or FusionConfig()
-    if len(ta) == 0 or len(tb) == 0:
-        return {ch: MatchResult(ta.id, tb.id, 0.0, 0.0, 0, ch) for ch in CHANNELS}
-    s_mcc = sim_score(mcc_a, mcc_b, ta, tb, cfg.delta_theta)
-    s_emb = sim_score(emb_a, emb_b)
-    n_r = compute_n_r(len(ta), len(tb))
-    pairs = {
-        "mcc": lsa_select(s_mcc, n_r, source="mcc"),
-        "emb": lsa_select(s_emb, n_r, source="emb"),
-        "score": lsa_select(_fused_matrix(s_mcc, s_emb, cfg), n_r, source="score"),
+    for t, descriptors in ((ta, mcc_a), (ta, emb_a), (tb, mcc_b), (tb, emb_b)):
+        if len(descriptors) != len(t):
+            raise ValueError(f"descriptor count {len(descriptors)} != template size {len(t)}")
+    query = (ta, unit_rows(mcc_a), unit_rows(emb_a))
+    scores, raw, used = match_gallery(query, [(tb, unit_rows(mcc_b), unit_rows(emb_b))], cfg)
+    return {
+        ch: MatchResult(ta.id, tb.id, float(scores[k, 0]), float(raw[k, 0]), int(used[k, 0]), ch)
+        for k, ch in enumerate(CHANNELS)
     }
-    pairs["feature"] = _union_pairs(pairs["mcc"], pairs["emb"])
-    n_p = compute_n_p(len(ta), len(tb))
-    return {ch: _score_pairs(pairs[ch], ta, tb, n_p, cfg.relaxation, ch) for ch in CHANNELS}

@@ -36,7 +36,8 @@ def angular_difference(theta1, theta2):
 
     Accepts scalars or numpy arrays; inputs need not be pre-normalized.
     """
-    d = np.abs(np.asarray(theta1) - np.asarray(theta2)) % TWO_PI
+    # fmod equals % on a non-negative dividend, bit for bit, and is faster
+    d = np.fmod(np.abs(np.asarray(theta1) - np.asarray(theta2)), TWO_PI)
     out = np.minimum(d, TWO_PI - d)
     if out.ndim == 0:
         return float(out)

@@ -80,6 +80,20 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
     n = len(t)
     if not 0 <= i < n:
         raise IndexError(f"minutia index {i} out of range for template of size {n}")
+    return _cylinder(t, i, cfg, *_cell_offsets(cfg), _section_centers(cfg))
+
+
+def _cylinder(
+    t: MinutiaeTemplate,
+    i: int,
+    cfg: CylinderConfig,
+    offsets: np.ndarray,
+    inside: np.ndarray,
+    centers: np.ndarray,
+) -> Cylinder:
+    """``build_cylinder`` with the configuration's cell grid and section
+    centers computed by the caller."""
+    n = len(t)
     m = t.minutiae[i]
     values = np.zeros((cfg.grid * cfg.grid, cfg.sections), dtype=np.float64)
     if n > 1:
@@ -89,7 +103,6 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
         npos = positions[mask]
         nthetas = thetas[mask]
 
-        offsets, inside = _cell_offsets(cfg)
         c, s = math.cos(m.theta), math.sin(m.theta)
         world = np.empty_like(offsets)
         world[:, 0] = m.x + c * offsets[:, 0] + s * offsets[:, 1]
@@ -105,9 +118,7 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
 
         # (n_neighbors, sections) directional kernel on the wrapped difference.
         ddir = wrap_signed(m.theta - nthetas)
-        gap = angular_difference(
-            _section_centers(cfg)[None, :], np.atleast_1d(ddir)[:, None]
-        )
+        gap = angular_difference(centers[None, :], np.atleast_1d(ddir)[:, None])
         directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
 
         values = spatial @ directional
@@ -120,12 +131,14 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
 
 
 def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> DescriptorSet:
-    """One cylinder per minutia, in template order."""
+    """One cylinder per minutia, in template order; the cell grid and the
+    section centers are computed once per template."""
     cfg = cfg or CylinderConfig()
+    constants = (*_cell_offsets(cfg), _section_centers(cfg))
     vectors = np.zeros((len(t), cfg.dim), dtype=np.float64)
     valid = np.zeros(len(t), dtype=bool)
     for i in range(len(t)):
-        cyl = build_cylinder(t, i, cfg)
+        cyl = _cylinder(t, i, cfg, *constants)
         vectors[i] = cyl.values
         valid[i] = cyl.valid
     return DescriptorSet(template_id=t.id, vectors=vectors, valid=valid)

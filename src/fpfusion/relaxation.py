@@ -18,8 +18,13 @@ from fpfusion.geometry import (
     euclidean_distance,
     radial_angle,
 )
-from fpfusion.pairing import PairSet
+from fpfusion.pairing import MAX_PAIRS_SCORE, MAX_PAIRS_SELECT, PairSet
 from fpfusion.templates import Minutia, MinutiaeTemplate
+
+# Pair slots of one relaxation: the feature channel relaxes the union of two
+# selections. Sums run over this fixed width, so a score never depends on
+# which other lists share its batch.
+PAIR_SLOTS = 2 * MAX_PAIRS_SELECT
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,39 @@ def pair_compatibility(
 
 
 def _pairwise_radial(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """(n, n) matrix of radial angles between minutiae t (row) and k (col)."""
-    dy = y[:, None] - y[None, :]
-    dx = x[None, :] - x[:, None]
+    """(..., n, n) radial angles between minutiae t (row) and k (col)."""
+    dy = y[..., :, None] - y[..., None, :]
+    dx = x[..., None, :] - x[..., :, None]
     ray = np.arctan2(dy, dx)
-    out = angular_difference(theta[:, None], ray)
+    out = angular_difference(theta[..., :, None], ray)
     out[(dx == 0) & (dy == 0)] = 0.0  # co-located convention
     return out
+
+
+def side_geometry(xy: np.ndarray, theta: np.ndarray) -> tuple:
+    """Spatial distance, direction difference and radial angle of every
+    ordered pair of minutiae on one side.
+
+    ``xy`` is (..., n, 2) and ``theta`` (..., n); each result is (..., n, n).
+    """
+    spread = np.hypot(
+        xy[..., :, None, 0] - xy[..., None, :, 0], xy[..., :, None, 1] - xy[..., None, :, 1]
+    )
+    turn = angular_difference(theta[..., :, None], theta[..., None, :])
+    return spread, turn, _pairwise_radial(xy[..., 0], xy[..., 1], theta)
+
+
+def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> np.ndarray:
+    """Compatibilities of pair lists from their two sides' ``side_geometry``.
+
+    Entry (p, q) compares pairs p and q of a list: the discrepancies of
+    their A-side and B-side distance, direction difference and radial
+    angle pass through the three sigmoids. The diagonal is unused.
+    """
+    d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
+    d2 = np.abs(angular_difference(side_a[1], side_b[1]))
+    d3 = np.abs(angular_difference(side_a[2], side_b[2]))
+    return _sigmoid_product(d1, d2, d3, params)
 
 
 def compatibility_matrix(
@@ -110,27 +141,56 @@ def compatibility_matrix(
     template_b: MinutiaeTemplate,
     params: RelaxationParams,
 ) -> np.ndarray:
-    """Vectorized pairwise compatibilities; the diagonal is unused."""
+    """Pairwise compatibilities of one pair list; the diagonal is unused."""
     rows = np.array([p.row for p in pairs], dtype=np.intp)
     cols = np.array([p.col for p in pairs], dtype=np.intp)
-    pa = template_a.positions()[rows]
-    ta = template_a.thetas()[rows]
-    pb = template_b.positions()[cols]
-    tb = template_b.thetas()[cols]
+    return compatibilities(
+        side_geometry(template_a.positions()[rows], template_a.thetas()[rows]),
+        side_geometry(template_b.positions()[cols], template_b.thetas()[cols]),
+        params,
+    )
 
-    ds_a = np.hypot(pa[:, None, 0] - pa[None, :, 0], pa[:, None, 1] - pa[None, :, 1])
-    ds_b = np.hypot(pb[:, None, 0] - pb[None, :, 0], pb[:, None, 1] - pb[None, :, 1])
-    d1 = np.abs(ds_a - ds_b) / params.distance_scale
 
-    dth_a = angular_difference(ta[:, None], ta[None, :])
-    dth_b = angular_difference(tb[:, None], tb[None, :])
-    d2 = np.abs(angular_difference(dth_a, dth_b))
+def relax_scores(
+    rho: np.ndarray, gamma: np.ndarray, n: np.ndarray, params: RelaxationParams
+) -> np.ndarray:
+    """Synchronous relaxation of K padded pair lists at once.
 
-    dr_a = _pairwise_radial(pa[:, 0], pa[:, 1], ta)
-    dr_b = _pairwise_radial(pb[:, 0], pb[:, 1], tb)
-    d3 = np.abs(angular_difference(dr_a, dr_b))
+    ``rho`` (K, P, P) and initial scores ``gamma`` (K, P) hold list k's
+    ``n[k]`` pairs first; ``rho`` is overwritten. Each iteration mixes
+    every score with the compatibility-weighted mean of the other live
+    pairs' previous scores. A one-pair list has no peers and keeps its
+    initial score; values past ``n[k]`` are undefined.
+    """
+    slots = np.arange(rho.shape[-1])
+    live = slots[None, :] < n[:, None]
+    peers = np.multiply(rho, live[:, None, :] & (slots[:, None] != slots[None, :]), out=rho)
+    others = np.maximum(n - 1, 1)[:, None]
+    w = params.weight
+    relaxed = gamma
+    for _ in range(params.iterations):
+        support = (peers * relaxed[:, None, :]).sum(axis=2) / others
+        relaxed = w * relaxed + (1.0 - w) * support
+    return np.where((n > 1)[:, None], relaxed, gamma)
 
-    return _sigmoid_product(d1, d2, d3, params)
+
+def top_scores(relaxed: np.ndarray, n: np.ndarray, n_p: np.ndarray):
+    """Mean of the top ``n_p[k]`` relaxed scores of each of K lists.
+
+    List k holds ``n[k]`` pairs first in ``relaxed`` (K, P). The top
+    min(n_p, n) values, each clamped at 0, are summed over a fixed width of
+    at least MAX_PAIRS_SCORE and divided by ``n_p``. Returns the scores,
+    the sums and the number of pairs used, each (K,); n_p = 0 scores 0.
+    """
+    used = np.minimum(n_p, n)
+    width = max(MAX_PAIRS_SCORE, int(used.max(initial=0)))
+    slots = np.arange(relaxed.shape[1])
+    ordered = -np.sort(np.where(slots < n[:, None], -relaxed, np.inf), axis=1)[:, :width]
+    top = np.zeros((len(n), width))
+    top[:, : ordered.shape[1]] = ordered
+    top = np.where(np.arange(width) < used[:, None], np.maximum(top, 0.0), 0.0)
+    raw = top.sum(axis=1)
+    return np.where(n_p > 0, raw / np.maximum(n_p, 1), 0.0), raw, used
 
 
 def relax(
@@ -150,17 +210,16 @@ def relax(
     if n == 0:
         raise ValueError("cannot relax an empty pair set; callers should score 0")
     gamma = np.array([p.score for p in pairs], dtype=np.float64)
-    if n == 1:
-        rho = np.zeros((1, 1))
-        relaxed = gamma.copy()
-    else:
+    rho = np.zeros((1, 1))
+    if n > 1:
         rho = compatibility_matrix(pairs, template_a, template_b, params)
-        off = ~np.eye(n, dtype=bool)
-        w = params.weight
-        relaxed = gamma.copy()
-        for _ in range(params.iterations):
-            support = (rho * relaxed[None, :] * off).sum(axis=1) / (n - 1)
-            relaxed = w * relaxed + (1.0 - w) * support
+    # padded like the matcher's pair lists, so the relaxed values are the ones it uses
+    width = max(n, PAIR_SLOTS)
+    padded_rho = np.zeros((1, width, width))
+    padded_rho[0, :n, :n] = rho
+    padded_gamma = np.zeros((1, width))
+    padded_gamma[0, :n] = gamma
+    relaxed = relax_scores(padded_rho, padded_gamma, np.array([n]), params)[0, :n]
     out = tuple(
         RelaxedPair(p.row, p.col, float(g0), float(gi), p.source)
         for p, g0, gi in zip(pairs, gamma, relaxed)
@@ -177,7 +236,7 @@ def match_score(relaxed: RelaxedPairs, n_p: int) -> tuple[float, list]:
     """
     if n_p <= 0 or len(relaxed) == 0:
         return 0.0, []
+    values = np.array([[p.relaxed for p in relaxed.pairs]])
+    score, _, used = top_scores(values, np.array([len(relaxed)]), np.array([n_p]))
     ordered = sorted(relaxed.pairs, key=lambda p: (-p.relaxed, p.row, p.col))
-    top = ordered[: min(n_p, len(ordered))]
-    total = sum(max(p.relaxed, 0.0) for p in top)
-    return total / n_p, top
+    return float(score[0]), ordered[: int(used[0])]

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fpfusion
 from fpfusion.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger
 from fpfusion.templates import save_template
@@ -163,3 +169,43 @@ def test_quality_outside_unit_interval_is_data_error(tmp_path, capsys):
     bad.write_text("1 2 0.5 5.0\n")
     assert main(["match", str(bad), str(bad)]) == EXIT_DATA
     assert "quality" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--w1", "0", "--w2", "0"], "--w2 0.0: fusion weights"),
+        (["--n-rel", "-1"], "--n-rel -1: iterations must be non-negative"),
+    ],
+)
+def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, message, capsys):
+    assert main(["match", str(template_path), str(template_path), *flags]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,message", [("w1=0\nw2=0", "config key w2=0"), ("n_rel=-1", "n_rel=-1")]
+)
+def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line, message, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    args = ["match", str(template_path), str(template_path), "--config", str(cfg)]
+    assert main(args) == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
+    """One and two BLAS threads write byte-identical results and summary."""
+    src = str(Path(fpfusion.__file__).resolve().parents[1])
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        cmd = [sys.executable, "-m", "fpfusion.cli", "benchmark", "--n-fingers", "8"]
+        subprocess.run([*cmd, "--out", str(out)], env=env, check=True, capture_output=True)
+        outs[threads] = out
+    names = sorted(p.name for p in outs["1"].glob("results_*.csv")) + ["summary.csv"]
+    assert len(names) == 5
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name

@@ -67,6 +67,28 @@ class TestGallery:
             gallery.prepare_query(t, embeddings=extra)
 
 
+    def test_entries_hold_unit_rows(self, rng):
+        from fpfusion.descriptors import DescriptorSet
+        from fpfusion.embedding import build_synthetic_embeddings
+        from fpfusion.mcc import build_mcc_set
+
+        gallery = Gallery()
+        t = random_template(rng, n=6, tid="t")
+        emb = build_synthetic_embeddings(t)
+        vectors = emb.vectors.copy()
+        vectors[1] = 0.0
+        given = vectors.copy()
+        gallery.enroll(t, embeddings=DescriptorSet("t", vectors, emb.valid))
+        entry = gallery.entry("t")
+        assert np.array_equal(vectors, given)  # the caller's array is not normalized in place
+        raw = build_mcc_set(t).vectors
+        norms = np.linalg.norm(raw, axis=1)
+        assert np.array_equal(entry.mcc.vectors, raw / np.where(norms > 0, norms, 1.0)[:, None])
+        assert np.allclose(np.linalg.norm(entry.mcc.vectors[entry.mcc.valid], axis=1), 1.0)
+        assert not entry.embedding.valid[1]
+        assert np.allclose(np.linalg.norm(entry.embedding.vectors[[0, 2, 3, 4, 5]], axis=1), 1.0)
+
+
 class TestIdentify:
     def test_exact_copy_rank_one_all_matchers(self, rng):
         gallery = small_gallery(rng, n=5)

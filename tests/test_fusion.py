@@ -2,14 +2,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fpfusion.fusion as fusion
 from conftest import random_template, rotate_template
 from fpfusion.embedding import build_synthetic_embeddings
-from fpfusion.evaluation import IdentificationResult, fuse_ranks
+from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
 from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
 from fpfusion.mcc import build_mcc_set
-from fpfusion.pairing import Pair, PairSet
+from fpfusion.pairing import Pair, PairSet, compute_n_p, compute_n_r, lsa_select, sim_score
 from fpfusion.relaxation import RelaxationParams, match_score, relax
 from fpfusion.templates import MinutiaeTemplate
 
@@ -164,22 +166,85 @@ class TestMatchAllChannels:
         assert set(out) == set(CHANNELS)
         assert all(r.score == 0.0 for r in out.values())
 
-    def test_one_pass_per_comparison(self, rng, monkeypatch):
-        # the names are looked up at call time, so wrappers on the module
-        # globals see every call the matcher makes
+
+
+class TestGalleryEngine:
+    @staticmethod
+    def kernel_calls(rng, monkeypatch, n_gallery):
+        """Selection and relaxation kernel calls of one ``identify_all``.
+
+        The names are looked up at call time, so wrappers on the module
+        globals see every call the engine makes.
+        """
         calls = Counter()
-        for name in ("sim_score", "lsa_select", "relax"):
+        for name in ("select_pairs", "relax_scores"):
 
             def counted(*args, _fn=getattr(fusion, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(fusion, name, counted)
-        out = match_all_channels(*descriptor_pair(rng))
-        assert all(r.n_pairs_used > 0 for r in out.values())
-        assert calls["sim_score"] == 2
-        assert calls["lsa_select"] == 3
-        assert calls["relax"] <= 4
+        gallery = Gallery()
+        for i in range(n_gallery):
+            gallery.enroll(random_template(rng, n=10, extent=250.0, tid=f"g{i:02d}"))
+        query = gallery.prepare_query(random_template(rng, n=10, extent=250.0, tid="q"))
+        out = identify_all(gallery, query)
+        assert all(len(r.candidates) == n_gallery for r in out.values())
+        monkeypatch.undo()
+        return calls
+
+    def test_kernel_calls_per_block_not_per_entry(self, rng, monkeypatch):
+        one_block = {"select_pairs": 1, "relax_scores": 1}
+        assert self.kernel_calls(rng, monkeypatch, 3) == one_block
+        assert self.kernel_calls(rng, monkeypatch, fusion._BLOCK) == one_block
+        blocks = -(-30 // fusion._BLOCK)
+        assert self.kernel_calls(rng, monkeypatch, 30) == {k: blocks for k in one_block}
+
+    def test_public_stages_compose_to_the_engine_exactly(self, rng):
+        ta, tb, mcc_a, mcc_b, emb_a, emb_b = descriptor_pair(rng, n=14)
+        pairs = lsa_select(sim_score(mcc_a, mcc_b, ta, tb), compute_n_r(len(ta), len(tb)))
+        expected, top = match_score(relax(pairs, ta, tb), compute_n_p(len(ta), len(tb)))
+        result = match_all_channels(ta, tb, mcc_a, mcc_b, emb_a, emb_b)["mcc"]
+        assert len(top) > 1
+        assert (result.score, result.n_pairs_used) == (expected, len(top))
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        # every gallery spans at least two blocks
+        sizes=st.lists(
+            st.integers(0, 14), min_size=fusion._BLOCK - 1, max_size=2 * fusion._BLOCK + 4
+        ),
+        query_size=st.integers(0, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_equals_single_and_ignores_enrollment_order(self, sizes, query_size, seed):
+        # dense templates, so that most descriptors are valid and most
+        # entries relax several pairs
+        rng = np.random.default_rng(seed)
+        templates = [
+            random_template(rng, n=n, extent=120.0, tid=f"g{i:02d}", min_spacing=6.0)
+            for i, n in enumerate([0, 1, *sizes])
+        ]
+        tq = random_template(rng, n=query_size, extent=120.0, tid="q", min_spacing=6.0)
+
+        def identify(order):
+            gallery = Gallery()
+            for i in order:
+                gallery.enroll(templates[i])
+            return identify_all(gallery, gallery.prepare_query(tq))
+
+        base = identify(range(len(templates)))
+        shuffled = identify(rng.permutation(len(templates)))
+        for ch in CHANNELS:
+            assert base[ch].candidates == shuffled[ch].candidates
+
+        raw_q = (build_mcc_set(tq), build_synthetic_embeddings(tq))
+        for t in templates:
+            single = match_all_channels(
+                tq, t, raw_q[0], build_mcc_set(t), raw_q[1], build_synthetic_embeddings(t)
+            )
+            for ch in CHANNELS:
+                assert dict(base[ch].candidates)[t.id] == single[ch].score
 
 
 def ranked(ranks):

@@ -98,3 +98,13 @@ def test_config_validation():
         CylinderConfig(radius=-1)
     with pytest.raises(ValueError):
         CylinderConfig(grid=1)
+
+
+@pytest.mark.parametrize("cfg", [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)])
+def test_set_rows_equal_single_cylinders_exactly(rng, cfg):
+    t = random_template(rng, n=9, extent=200.0)
+    d = build_mcc_set(t, cfg)
+    for i in range(len(t)):
+        cyl = build_cylinder(t, i, cfg)
+        assert np.array_equal(d.vectors[i], cyl.values)
+        assert d.valid[i] == cyl.valid
