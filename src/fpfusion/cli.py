@@ -1,8 +1,9 @@
 """Command-line frontend: match, identify, benchmark, gen-synth, describe, embed-synth.
 
-Configuration precedence is flags > config file > defaults. The config
-file is key=value text (``#`` comments allowed); unknown keys are
-rejected. Exit codes: 0 success, 1 usage error, 2 data error.
+Configuration precedence is flags > config file > defaults. A command takes
+the flags of the config sections it reads; the key=value config file (``#``
+comments allowed) may set any known key. Exit codes: 0 success, 1 usage
+error, 2 data error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 from fpfusion.embedding import (
@@ -20,7 +22,7 @@ from fpfusion.embedding import (
     save_embeddings,
 )
 from fpfusion.evaluation import Gallery, cmc, fuse_ranks, identify_all, write_cmc, write_results
-from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
+from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
 from fpfusion.templates import TemplateFormatError, load_template
@@ -85,21 +87,43 @@ class UsageError(Exception):
     """A command-line flag value that a configuration rejects (exit 1)."""
 
 
-def _apply_key(cfg: PipelineConfig, key: str, raw: str) -> PipelineConfig:
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"unknown config key {key!r}")
-    target, attr, cast = CONFIG_KEYS[key]
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
-    try:
-        if target == "fusion.relaxation":
-            relaxation = replace(cfg.fusion.relaxation, **{attr: value})
-            return replace(cfg, fusion=replace(cfg.fusion, relaxation=relaxation))
-        return replace(cfg, **{target: replace(getattr(cfg, target), **{attr: value})})
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}={raw}: {exc}") from exc
+def _section(cfg, path: str):
+    """The sub-config at a dotted attribute path such as ``fusion.relaxation``."""
+    return reduce(getattr, path.split("."), cfg)
+
+
+def _rebuilt(cfg, path: str, **changes):
+    """``cfg`` with the sub-config at a dotted attribute path rebuilt with ``changes``."""
+    parent, _, name = path.rpartition(".")
+    value = replace(_section(cfg, path), **changes)
+    return _rebuilt(cfg, parent, **{name: value}) if parent else replace(cfg, **{name: value})
+
+
+def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig:
+    """Set config keys from text values, building each section they touch once.
+
+    All keys are parsed before any section is built, so a valid combination
+    passes in any key order. A section its constructor rejects raises
+    ``reject(key, exc)`` under the last key that set it.
+    """
+    changes: dict[str, dict] = {}
+    last: dict[str, str] = {}
+    for key, raw in pairs.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        path, attr, cast = CONFIG_KEYS[key]
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
+        changes.setdefault(path, {})[attr] = value
+        last[path] = key
+    for path, fields in changes.items():
+        try:
+            cfg = _rebuilt(cfg, path, **fields)
+        except ValueError as exc:
+            raise reject(last[path], exc) from exc
+    return cfg
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -118,41 +142,49 @@ def load_config_file(path) -> dict[str, str]:
 def build_pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            cfg = _apply_key(cfg, key, value)
-    # flags override the file
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            try:
-                cfg = _apply_key(cfg, key, str(flag))
-            except ConfigError as exc:
-                # the constructor's own message, under the flag's name
-                raise UsageError(f"--{key.replace('_', '-')} {flag}: {exc.__cause__}") from None
-    return cfg
+        pairs = load_config_file(args.config)
+        cfg = _apply(cfg, pairs, lambda k, exc: ConfigError(f"config key {k}={pairs[k]}: {exc}"))
+    # flags override the file; a rejected value is reported under the flag's name
+    flags = {k: str(getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k, None) is not None}
+    return _apply(
+        cfg, flags, lambda k, exc: UsageError(f"--{k.replace('_', '-')} {flags[k]}: {exc}")
+    )
 
 
 def _config_epilog() -> str:
     lines = ["config file keys (key=value, one per line; flags override):"]
     defaults = PipelineConfig()
-    for key, (target, attr, _) in CONFIG_KEYS.items():
-        if target == "fusion.relaxation":
-            value = getattr(defaults.fusion.relaxation, attr)
-        else:
-            value = getattr(getattr(defaults, target), attr)
-        lines.append(f"  {key} (default {value})")
+    for key, (path, attr, _) in CONFIG_KEYS.items():
+        lines.append(f"  {key} (default {getattr(_section(defaults, path), attr)})")
     return "\n".join(lines)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+# Tuning flags, each setting the config key of its name.
+_FLAG_HELP = {
+    "seed": "RNG seed for synthetic data",
+    "w1": "cylinder-channel weight in score fusion",
+    "w2": "embedding-channel weight in score fusion",
+    "delta_theta": "angle gate (radians)",
+    "n_rel": "relaxation iterations",
+    "w_r": "relaxation mixing weight",
+    "n_fingers": "synthetic gallery size",
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """``--config`` plus the tuning flags of the named config sections."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, help="RNG seed for synthetic data")
-    p.add_argument("--w1", type=float, help="cylinder-channel weight in score fusion")
-    p.add_argument("--w2", type=float, help="embedding-channel weight in score fusion")
-    p.add_argument("--delta-theta", dest="delta_theta", type=float, help="angle gate (radians)")
-    p.add_argument("--n-rel", dest="n_rel", type=int, help="relaxation iterations")
-    p.add_argument("--w-r", dest="w_r", type=float, help="relaxation mixing weight")
-    p.add_argument("--n-fingers", dest="n_fingers", type=int, help="synthetic gallery size")
+    for key, help_text in _FLAG_HELP.items():
+        path, _, cast = CONFIG_KEYS[key]
+        if path.partition(".")[0] in sections:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast, help=help_text)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher", choices=CHANNELS, default="feature")
     p.add_argument("--emb-a", help="embedding file for template A (default: synthetic)")
     p.add_argument("--emb-b", help="embedding file for template B (default: synthetic)")
-    _add_common_flags(p)
+    _add_config_flags(p, "fusion")
 
     p = sub.add_parser("identify", help="rank a gallery directory for one query")
     p.add_argument("query")
@@ -178,68 +210,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher", choices=CHANNELS, default="feature")
     p.add_argument("--mate", help="true mate id; prints its rank")
     p.add_argument("--out", help="results CSV path")
-    _add_common_flags(p)
+    _add_config_flags(p, "fusion")
 
     p = sub.add_parser("benchmark", help="seeded synthetic identification benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k-max", type=int, default=10, help="CMC depth")
-    _add_common_flags(p)
+    p.add_argument("--k-max", type=_positive_int, default=10, help="CMC depth (at least 1)")
+    _add_config_flags(p, "fusion", "synth")
 
     p = sub.add_parser("gen-synth", help="emit a synthetic gallery+queries dataset")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common_flags(p)
+    _add_config_flags(p, "synth")
 
     p = sub.add_parser("describe", help="dump descriptors of a template as CSV")
     p.add_argument("template")
     p.add_argument("--what", choices=("mcc", "emb"), default="mcc")
     p.add_argument("--out", help="CSV path (default: stdout)")
-    _add_common_flags(p)
+    _add_config_flags(p)
 
     p = sub.add_parser("embed-synth", help="write synthetic embeddings as a binary file")
     p.add_argument("template")
     p.add_argument("--out", required=True)
-    _add_common_flags(p)
+    _add_config_flags(p)
     return parser
-
-
-def _load_pair_inputs(args, cfg: PipelineConfig):
-    ta = load_template(args.template_a)
-    tb = load_template(args.template_b)
-    mcc_a = build_mcc_set(ta, cfg.cylinder)
-    mcc_b = build_mcc_set(tb, cfg.cylinder)
-    emb_a = (
-        load_embeddings(args.emb_a, len(ta), ta.id)
-        if getattr(args, "emb_a", None)
-        else build_synthetic_embeddings(ta, cfg.embedding)
-    )
-    emb_b = (
-        load_embeddings(args.emb_b, len(tb), tb.id)
-        if getattr(args, "emb_b", None)
-        else build_synthetic_embeddings(tb, cfg.embedding)
-    )
-    return ta, tb, mcc_a, mcc_b, emb_a, emb_b
 
 
 def cmd_match(args) -> int:
     cfg = build_pipeline_config(args)
-    result = match_all_channels(*_load_pair_inputs(args, cfg), cfg.fusion)[args.matcher]
-    print(f"score={result.score:.6f} raw_sum={result.raw_sum:.6f} pairs={result.n_pairs_used}")
-    return EXIT_OK
-
-
-def _load_gallery(gallery_dir, cfg: PipelineConfig) -> Gallery:
     gallery = Gallery(cfg.cylinder, cfg.embedding)
-    paths = sorted(Path(gallery_dir).glob("*.mnt"))
-    if not paths:
-        raise ConfigError(f"no *.mnt templates in {gallery_dir}")
-    for path in paths:
-        gallery.enroll(load_template(path))
-    return gallery
+    ta, tb = load_template(args.template_a), load_template(args.template_b)
+    query, entry = (
+        gallery.prepare_query(t, load_embeddings(path, len(t), t.id) if path else None)
+        for t, path in ((ta, args.emb_a), (tb, args.emb_b))
+    )
+    scores, raw, used = match_gallery(query, [entry], cfg.fusion)
+    k = CHANNELS.index(args.matcher)
+    print(f"score={scores[k, 0]:.6f} raw_sum={raw[k, 0]:.6f} pairs={used[k, 0]}")
+    return EXIT_OK
 
 
 def cmd_identify(args) -> int:
     cfg = build_pipeline_config(args)
-    gallery = _load_gallery(args.gallery_dir, cfg)
+    paths = sorted(Path(args.gallery_dir).glob("*.mnt"))
+    if not paths:
+        raise ConfigError(f"no *.mnt templates in {args.gallery_dir}")
+    gallery = Gallery(cfg.cylinder, cfg.embedding)
+    for path in paths:
+        gallery.enroll(load_template(path))
     query = gallery.prepare_query(load_template(args.query))
     result = identify_all(gallery, query, cfg.fusion, mate_id=args.mate)[args.matcher]
     if args.out:
@@ -261,12 +277,11 @@ def cmd_benchmark(args) -> int:
     for t in gallery_templates:
         gallery.enroll(t)
 
-    per_channel: dict[str, list] = {ch: [] for ch in CHANNELS}
-    for query in queries:
-        entry = gallery.prepare_query(query)
-        results = identify_all(gallery, entry, cfg.fusion, mate_id=truth[query.id])
-        for ch in CHANNELS:
-            per_channel[ch].append(results[ch])
+    results = [
+        identify_all(gallery, gallery.prepare_query(q), cfg.fusion, mate_id=truth[q.id])
+        for q in queries
+    ]
+    per_channel = {ch: [r[ch] for r in results] for ch in CHANNELS}
 
     k_max = min(args.k_max, len(gallery))
     curves = {ch: cmc(per_channel[ch], k_max) for ch in CHANNELS}
@@ -278,12 +293,8 @@ def cmd_benchmark(args) -> int:
         write_cmc(curve, out_dir / f"cmc_{name}.csv")
 
     lines = ["matcher,rank1,rank5,rank10"]
-    for name in (*CHANNELS, "rank"):
-        curve = curves[name]
-        r1 = curve[1]
-        r5 = curve[min(5, k_max)]
-        r10 = curve[min(10, k_max)]
-        lines.append(f"{name},{r1:.6f},{r5:.6f},{r10:.6f}")
+    for name, curve in curves.items():
+        lines.append(",".join([name] + [f"{curve[min(k, k_max)]:.6f}" for k in (1, 5, 10)]))
     summary = "\n".join(lines) + "\n"
     (out_dir / "summary.csv").write_text(summary, encoding="utf-8", newline="\n")
     print(summary, end="")

@@ -7,23 +7,10 @@ from pathlib import Path
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
-from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
+from fpfusion.fusion import CHANNELS, FusionConfig, GalleryEntry, match_gallery
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.pairing import unit_rows
 from fpfusion.templates import MinutiaeTemplate
-
-
-@dataclass(frozen=True)
-class GalleryEntry:
-    """A template with its descriptors, held as unit rows.
-
-    Each descriptor row is divided by its norm once, when the entry is
-    built; a zero row is marked invalid. Similarity is then one matmul.
-    """
-
-    template: MinutiaeTemplate
-    mcc: DescriptorSet
-    embedding: DescriptorSet
 
 
 @dataclass(frozen=True)
@@ -47,6 +34,8 @@ class CmcCurve:
 
     def __getitem__(self, k: int) -> float:
         """Accuracy at rank k (1-based)."""
+        if k < 1:
+            raise IndexError(f"rank {k} is below 1")
         return self.accuracies[k - 1]
 
     def __len__(self) -> int:
@@ -78,8 +67,6 @@ class Gallery:
         return self._entries.values()
 
     def _build_entry(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None) -> GalleryEntry:
-        if embeddings is not None and len(embeddings) != len(t):
-            raise ValueError(f"embedding count {len(embeddings)} != template size {len(t)}")
         # Descriptors built here are normalized in place, so enrollment holds
         # one copy of each; a caller's embeddings are copied.
         mcc = build_mcc_set(t, self.cylinder_cfg)
@@ -128,9 +115,9 @@ def identify_all(
     """
     if len(gallery) == 0:
         raise ValueError("cannot identify against an empty gallery")
-    entries = [(e.template, e.mcc, e.embedding) for e in gallery.entries()]
-    scores, _, _ = match_gallery((query.template, query.mcc, query.embedding), entries, cfg)
-    ids = [t.id for t, _, _ in entries]
+    entries = list(gallery.entries())
+    scores, _, _ = match_gallery(query, entries, cfg)
+    ids = [e.template.id for e in entries]
     out = {}
     for ch, row in zip(CHANNELS, scores.tolist()):
         candidates, rank = _rank_candidates(list(zip(ids, row)), mate_id)
@@ -146,6 +133,8 @@ def cmc(results: list, k_max: int) -> CmcCurve:
     """
     if not results:
         raise ValueError("cannot build a CMC curve from zero results")
+    if k_max < 1:
+        raise ValueError(f"CMC depth k_max={k_max} is below 1")
     accuracies = []
     for k in range(1, k_max + 1):
         hits = sum(1 for r in results if r.rank_of_mate is not None and r.rank_of_mate <= k)

@@ -59,6 +59,21 @@ class FusionConfig:
 
 
 @dataclass(frozen=True)
+class GalleryEntry:
+    """A template with one descriptor row per minutia in each set, held as
+    unit rows (see ``pairing.unit_rows``), so similarity is one matmul."""
+
+    template: MinutiaeTemplate
+    mcc: DescriptorSet
+    embedding: DescriptorSet
+
+    def __post_init__(self):
+        for name, d in (("mcc", self.mcc), ("embedding", self.embedding)):
+            if len(d) != len(self.template):
+                raise ValueError(f"{name} count {len(d)} != template size {len(self.template)}")
+
+
+@dataclass(frozen=True)
 class MatchResult:
     """Outcome of one template-vs-template comparison."""
 
@@ -118,19 +133,19 @@ def _union_pairs(rows, cols, scores, count, shape):
     return (*out, n)
 
 
-def _select_block(query: tuple, block: list, slot: np.ndarray, theta_b, cfg: FusionConfig):
+def _select_block(query: GalleryEntry, block: list, slot: np.ndarray, theta_b, cfg: FusionConfig):
     """Pair selection of one query against a block on the mcc, emb and fused
     matrices, as (3, B, R) rows, cols and scores and (3, B) pair counts.
 
     The three matrices of every entry live in one padded work stack, with
     gated and padding entries at -inf.
     """
-    ta, mcc_a, emb_a = query
+    ta = query.template
     size, width = slot.shape
     turned = angle_gate(ta.thetas(), theta_b, cfg.delta_theta)
     work = np.zeros((3, size, len(ta), width))
-    gated_mcc = block_cosines(mcc_a, [m for _, m, _ in block], slot, work[0]) | turned
-    gated_emb = block_cosines(emb_a, [e for _, _, e in block], slot, work[1])
+    gated_mcc = block_cosines(query.mcc, [e.mcc for e in block], slot, work[0]) | turned
+    gated_emb = block_cosines(query.embedding, [e.embedding for e in block], slot, work[1])
     fused = _fused_matrix(
         SimilarityMatrix(work[0], gated_mcc), SimilarityMatrix(work[1], gated_emb), cfg
     )
@@ -142,19 +157,18 @@ def _select_block(query: tuple, block: list, slot: np.ndarray, theta_b, cfg: Fus
     return (*(a.reshape(3, size, -1) for a in (rows, cols, scores)), count.reshape(3, size))
 
 
-def _match_block(query: tuple, block: list, cfg: FusionConfig):
+def _match_block(query: GalleryEntry, block: list, cfg: FusionConfig):
     """Score one query against a block of B gallery entries on every channel.
 
-    ``query`` and each block item are (template, mcc, emb) with unit
-    descriptor rows. Returns the scores, the raw sums of the top relaxed
-    values and the pairs used, each (len(CHANNELS), B).
+    Returns the scores, the raw sums of the top relaxed values and the
+    pairs used, each (len(CHANNELS), B).
     """
-    ta = query[0]
-    counts = np.array([len(t) for t, _, _ in block], dtype=np.intp)
+    ta = query.template
+    counts = np.array([len(e.template) for e in block], dtype=np.intp)
     size, width = len(block), max(int(counts.max()), 1)
     slot = np.arange(width) < counts[:, None]
-    theta_b = pad_rows(slot, [t.thetas() for t, _, _ in block])
-    xy_b = pad_rows(slot, [t.positions() for t, _, _ in block])
+    theta_b = pad_rows(slot, [e.template.thetas() for e in block])
+    xy_b = pad_rows(slot, [e.template.positions() for e in block])
     shape = (size, len(ta), width)
     rows, cols, scores, count = _select_block(query, block, slot, theta_b, cfg)
 
@@ -197,16 +211,15 @@ def _match_block(query: tuple, block: list, cfg: FusionConfig):
     return tuple(a.reshape(4, size) for a in top_scores(relaxed, n, n_p))
 
 
-def match_gallery(query: tuple, entries: list, cfg: FusionConfig | None = None):
+def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None = None):
     """Score one query against gallery entries on every channel, block by block.
 
-    ``query`` and each entry are (template, mcc, emb) with unit descriptor
-    rows (see ``pairing.unit_rows``). Returns the scores, raw sums and
-    pairs used, each (len(CHANNELS), len(entries)); an empty query scores
-    0 everywhere.
+    ``query`` and ``entries`` are ``GalleryEntry`` objects. Returns the
+    scores, raw sums and pairs used, each (len(CHANNELS), len(entries)); an
+    empty query scores 0 everywhere.
     """
     cfg = cfg or FusionConfig()
-    if len(query[0]) == 0 or not entries:
+    if len(query.template) == 0 or not entries:
         zeros = np.zeros((len(CHANNELS), len(entries)))
         return zeros, zeros.copy(), zeros.astype(np.intp)
     parts = [
@@ -231,11 +244,9 @@ def match_all_channels(
     channel relaxes the union of the first two selections. Either template
     being empty scores 0 on every channel.
     """
-    for t, descriptors in ((ta, mcc_a), (ta, emb_a), (tb, mcc_b), (tb, emb_b)):
-        if len(descriptors) != len(t):
-            raise ValueError(f"descriptor count {len(descriptors)} != template size {len(t)}")
-    query = (ta, unit_rows(mcc_a), unit_rows(emb_a))
-    scores, raw, used = match_gallery(query, [(tb, unit_rows(mcc_b), unit_rows(emb_b))], cfg)
+    query = GalleryEntry(ta, unit_rows(mcc_a), unit_rows(emb_a))
+    entry = GalleryEntry(tb, unit_rows(mcc_b), unit_rows(emb_b))
+    scores, raw, used = match_gallery(query, [entry], cfg)
     return {
         ch: MatchResult(ta.id, tb.id, float(scores[k, 0]), float(raw[k, 0]), int(used[k, 0]), ch)
         for k, ch in enumerate(CHANNELS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,18 +62,25 @@ class Cylinder:
     minutia_index: int
 
 
+@lru_cache(maxsize=None)
 def _cell_offsets(cfg: CylinderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Local-frame cell centers (n_cells, 2) and the inside-radius mask."""
+    """Local-frame cell centers (n_cells, 2) and the inside-radius mask,
+    built once per configuration and read-only."""
     step = 2.0 * cfg.radius / cfg.grid
     coords = -cfg.radius + step * (np.arange(cfg.grid) + 0.5)
     px, py = np.meshgrid(coords, coords, indexing="ij")
     offsets = np.stack([px.ravel(), py.ravel()], axis=1)
     inside = np.hypot(offsets[:, 0], offsets[:, 1]) <= cfg.radius
+    offsets.setflags(write=False)
+    inside.setflags(write=False)
     return offsets, inside
 
 
+@lru_cache(maxsize=None)
 def _section_centers(cfg: CylinderConfig) -> np.ndarray:
-    return -math.pi + (np.arange(cfg.sections) + 0.5) * (2.0 * math.pi / cfg.sections)
+    centers = -math.pi + (np.arange(cfg.sections) + 0.5) * (2.0 * math.pi / cfg.sections)
+    centers.setflags(write=False)
+    return centers
 
 
 def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder:
@@ -80,28 +88,12 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
     n = len(t)
     if not 0 <= i < n:
         raise IndexError(f"minutia index {i} out of range for template of size {n}")
-    return _cylinder(t, i, cfg, *_cell_offsets(cfg), _section_centers(cfg))
-
-
-def _cylinder(
-    t: MinutiaeTemplate,
-    i: int,
-    cfg: CylinderConfig,
-    offsets: np.ndarray,
-    inside: np.ndarray,
-    centers: np.ndarray,
-) -> Cylinder:
-    """``build_cylinder`` with the configuration's cell grid and section
-    centers computed by the caller."""
-    n = len(t)
+    offsets, inside = _cell_offsets(cfg)
     m = t.minutiae[i]
     values = np.zeros((cfg.grid * cfg.grid, cfg.sections), dtype=np.float64)
     if n > 1:
-        positions = t.positions()
-        thetas = t.thetas()
         mask = np.arange(n) != i
-        npos = positions[mask]
-        nthetas = thetas[mask]
+        npos, nthetas = t.positions()[mask], t.thetas()[mask]
 
         c, s = math.cos(m.theta), math.sin(m.theta)
         world = np.empty_like(offsets)
@@ -109,16 +101,14 @@ def _cylinder(
         world[:, 1] = m.y - s * offsets[:, 0] + c * offsets[:, 1]
 
         # (n_cells, n_neighbors) spatial kernel, cut at radius + 3 sigma.
-        d = np.hypot(
-            world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1]
-        )
+        d = np.hypot(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
         spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
         spatial[d > cfg.cutoff] = 0.0
         spatial[~inside, :] = 0.0
 
         # (n_neighbors, sections) directional kernel on the wrapped difference.
         ddir = wrap_signed(m.theta - nthetas)
-        gap = angular_difference(centers[None, :], np.atleast_1d(ddir)[:, None])
+        gap = angular_difference(_section_centers(cfg)[None, :], np.atleast_1d(ddir)[:, None])
         directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
 
         values = spatial @ directional
@@ -131,14 +121,12 @@ def _cylinder(
 
 
 def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> DescriptorSet:
-    """One cylinder per minutia, in template order; the cell grid and the
-    section centers are computed once per template."""
+    """One cylinder per minutia, in template order."""
     cfg = cfg or CylinderConfig()
-    constants = (*_cell_offsets(cfg), _section_centers(cfg))
     vectors = np.zeros((len(t), cfg.dim), dtype=np.float64)
     valid = np.zeros(len(t), dtype=bool)
     for i in range(len(t)):
-        cyl = _cylinder(t, i, cfg, *constants)
+        cyl = build_cylinder(t, i, cfg)
         vectors[i] = cyl.values
         valid[i] = cyl.valid
     return DescriptorSet(template_id=t.id, vectors=vectors, valid=valid)

@@ -209,3 +209,110 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
     assert len(names) == 5
     for name in names:
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+def test_config_key_order_does_not_matter_for_describe(template_path, tmp_path):
+    lines = ["emb_radial_bins=8", "emb_dim=1024"]  # 8 x 8 x 8 bins fit only in the larger dim
+    outs = []
+    for order in (lines, lines[::-1]):
+        cfg = tmp_path / "order.cfg"
+        cfg.write_text("\n".join(order) + "\n")
+        out = tmp_path / f"desc{len(outs)}.csv"
+        args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b",") == (1024 + 2 - 1) * (15 + 1)  # 15 minutiae, 1024 values each
+
+
+@pytest.mark.parametrize(
+    "lines", [["min_minutiae=70", "max_minutiae=80"], ["keep_min=0.9", "keep_max=0.95"]]
+)
+def test_config_key_order_does_not_matter_for_gen_synth(tmp_path, lines, capsys):
+    for k, order in enumerate((lines, lines[::-1])):
+        cfg = tmp_path / f"order{k}.cfg"
+        cfg.write_text("\n".join(order) + "\n")
+        args = ["gen-synth", "--out", str(tmp_path / f"d{k}"), "--n-fingers", "2"]
+        assert main([*args, "--config", str(cfg)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_benchmark_k_max_below_one_is_usage_error(tmp_path, k_max, capsys):
+    out = tmp_path / "bench"
+    args = ["benchmark", "--out", str(out), "--n-fingers", "3", "--k-max", k_max]
+    assert main(args) == EXIT_USAGE
+    assert "--k-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def pair_dir(tmp_path):
+    """A query template and a directory holding one gallery template."""
+    cfg = SynthConfig(seed=103, min_minutiae=14, max_minutiae=18, extent=(300.0, 300.0))
+    query = tmp_path / "q.mnt"
+    save_template(generate_finger(finger_rng(cfg, 0), cfg, "q"), query)
+    gallery = tmp_path / "gallery"
+    gallery.mkdir()
+    save_template(generate_finger(finger_rng(cfg, 1), cfg, "g"), gallery / "g.mnt")
+    return query, gallery
+
+
+@pytest.mark.parametrize("matcher", ["mcc", "emb", "feature", "score"])
+def test_match_prints_the_identify_score(pair_dir, matcher, capsys):
+    query, gallery = pair_dir
+    tuning = ["--matcher", matcher, "--w1", "0.7", "--n-rel", "3"]
+    assert main(["identify", str(query), str(gallery), *tuning]) == EXIT_OK
+    top = capsys.readouterr().out.split()[-1]
+    assert main(["match", str(query), str(gallery / "g.mnt"), *tuning]) == EXIT_OK
+    assert capsys.readouterr().out.split()[0] == top  # "score=..." in both
+
+
+def test_match_with_embedding_files_scores_like_match_all_channels(pair_dir, tmp_path, capsys):
+    from fpfusion.embedding import load_embeddings
+    from fpfusion.fusion import match_all_channels
+    from fpfusion.mcc import build_mcc_set
+    from fpfusion.templates import load_template
+
+    query, gallery = pair_dir
+    ta, tb = load_template(query), load_template(gallery / "g.mnt")
+    emb_cfg = tmp_path / "emb.cfg"
+    emb_cfg.write_text("emb_radius=55\n")  # embeddings unlike the default stand-in
+    paths = []
+    for src in (query, gallery / "g.mnt"):
+        paths.append(tmp_path / f"{src.stem}.emb")
+        args = ["embed-synth", str(src), "--out", str(paths[-1]), "--config", str(emb_cfg)]
+        assert main(args) == EXIT_OK
+    emb_a, emb_b = (load_embeddings(p, len(t), t.id) for p, t in zip(paths, (ta, tb)))
+    expected = match_all_channels(
+        ta, tb, build_mcc_set(ta), build_mcc_set(tb), emb_a, emb_b
+    )
+    for matcher in ("emb", "feature"):
+        capsys.readouterr()
+        argv = ["match", str(query), str(gallery / "g.mnt"), "--matcher", matcher]
+        assert main([*argv, "--emb-a", str(paths[0]), "--emb-b", str(paths[1])]) == EXIT_OK
+        r = expected[matcher]
+        line = f"score={r.score:.6f} raw_sum={r.raw_sum:.6f} pairs={r.n_pairs_used}\n"
+        assert capsys.readouterr().out == line
+        assert main(argv) == EXIT_OK  # the synthetic stand-in scores differently
+        assert capsys.readouterr().out != line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "{t}", "--w1", "0.5"],
+        ["embed-synth", "{t}", "--out", "{d}/x.emb", "--seed", "1"],
+        ["gen-synth", "--out", "{d}/d", "--n-rel", "2"],
+    ],
+)
+def test_flags_of_unread_config_sections_are_rejected(template_path, tmp_path, argv, capsys):
+    argv = [a.format(t=template_path, d=tmp_path) for a in argv]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(p.name in ("x.emb", "d") for p in tmp_path.iterdir())
+
+
+def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsys):
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text("w1=0.7\n")
+    assert main(["describe", str(template_path), "--config", str(cfg)]) == EXIT_OK

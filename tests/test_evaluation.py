@@ -208,3 +208,17 @@ class TestOutputFiles:
         write_results(results, a)
         write_results(results, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCmcDepth:
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_cmc_rejects_depth_below_one(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            cmc([result("a", 1)], k_max)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_curve_rejects_rank_below_one(self, k):
+        curve = CmcCurve((0.5, 1.0))
+        with pytest.raises(IndexError):
+            curve[k]
+        assert curve[1] == 0.5 and curve[2] == 1.0

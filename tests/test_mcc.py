@@ -108,3 +108,14 @@ def test_set_rows_equal_single_cylinders_exactly(rng, cfg):
         cyl = build_cylinder(t, i, cfg)
         assert np.array_equal(d.vectors[i], cyl.values)
         assert d.valid[i] == cyl.valid
+
+
+def test_cached_cell_grid_is_read_only():
+    from fpfusion.mcc import _cell_offsets, _section_centers
+
+    cfg = CylinderConfig()
+    offsets, inside = _cell_offsets(cfg)
+    assert _cell_offsets(cfg)[0] is offsets
+    for arr in (offsets, inside, _section_centers(cfg)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
