@@ -37,6 +37,8 @@ class EmbeddingConfig:
     direction_bins: int = 8
 
     def __post_init__(self):
+        if not (math.isfinite(self.synth_radius) and self.synth_radius > 0):
+            raise ValueError("synth_radius must be finite and positive")
         if self.radial_bins * self.angular_bins * self.direction_bins > self.dim:
             raise ValueError("histogram bins exceed embedding dimension")
 

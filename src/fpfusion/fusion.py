@@ -54,6 +54,8 @@ class FusionConfig:
     relaxation: RelaxationParams = field(default_factory=RelaxationParams)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.w1, self.w2, self.delta_theta)):
+            raise ValueError("w1, w2 and delta_theta must be finite")
         if self.w1 < 0 or self.w2 < 0 or self.w1 + self.w2 <= 0:
             raise ValueError("fusion weights must be non-negative with positive sum")
 

@@ -6,6 +6,13 @@ spanning [-R, R] on each axis) crossed with N_D angular sections covering
 directional differences in [-pi, pi). A cell value accumulates Gaussian
 spatial x directional contributions from neighboring minutiae; the result
 is rotation and translation invariant by construction.
+
+The spatial kernel is cut at radius + 3 sigma from a cell center, so a
+neighbor farther than 2 * radius + 3 sigma from the minutia reaches no cell
+inside the radius. The kernel is evaluated only on inside cells x neighbors
+within that distance (plus 1 px); cells beyond a neighbor's reach are never
+evaluated and hold exact zeros, so the values equal those of the kernel
+evaluated over all cells and neighbors.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ class CylinderConfig:
     min_neighbors: int = 2
 
     def __post_init__(self):
-        if self.radius <= 0 or self.sigma_spatial <= 0 or self.sigma_direction <= 0:
-            raise ValueError("radius and kernel widths must be positive")
+        widths = (self.radius, self.sigma_spatial, self.sigma_direction)
+        if not all(math.isfinite(v) and v > 0 for v in widths):
+            raise ValueError("radius and kernel widths must be finite and positive")
         if self.grid < 2 or self.sections < 1 or self.min_neighbors < 1:
             raise ValueError("grid >= 2, sections >= 1, min_neighbors >= 1 required")
 
@@ -95,16 +103,23 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
         mask = np.arange(n) != i
         npos, nthetas = t.positions()[mask], t.thetas()[mask]
 
-        c, s = math.cos(m.theta), math.sin(m.theta)
-        world = np.empty_like(offsets)
-        world[:, 0] = m.x + c * offsets[:, 0] + s * offsets[:, 1]
-        world[:, 1] = m.y - s * offsets[:, 0] + c * offsets[:, 1]
+        # Only a neighbor within radius + cutoff of the minutia can reach an
+        # inside cell; the 1 px margin keeps rounding from dropping one.
+        dist = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y)
+        reach = dist <= cfg.radius + cfg.cutoff + 1.0
 
-        # (n_cells, n_neighbors) spatial kernel, cut at radius + 3 sigma.
-        d = np.hypot(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
-        spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
-        spatial[d > cfg.cutoff] = 0.0
-        spatial[~inside, :] = 0.0
+        # (n_cells, n_neighbors) spatial kernel, cut at radius + 3 sigma. It
+        # is evaluated on inside cells x reachable neighbors and 0 elsewhere.
+        spatial = np.zeros((len(offsets), n - 1), dtype=np.float64)
+        if reach.any():
+            c, s = math.cos(m.theta), math.sin(m.theta)
+            ox, oy = offsets[inside].T
+            wx = m.x + c * ox + s * oy
+            wy = m.y - s * ox + c * oy
+            d = np.hypot(wx[:, None] - npos[reach, 0], wy[:, None] - npos[reach, 1])
+            block = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
+            block[d > cfg.cutoff] = 0.0
+            spatial[np.ix_(inside, reach)] = block
 
         # (n_neighbors, sections) directional kernel on the wrapped difference.
         ddir = wrap_signed(m.theta - nthetas)
@@ -113,8 +128,7 @@ def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder
 
         values = spatial @ directional
 
-        near = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y) <= cfg.cutoff
-        valid = int(near.sum()) >= cfg.min_neighbors and bool(values.any())
+        valid = int((dist <= cfg.cutoff).sum()) >= cfg.min_neighbors and bool(values.any())
     else:
         valid = False
     return Cylinder(values=values.ravel(), valid=valid, minutia_index=i)

@@ -194,6 +194,54 @@ def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "cyl_radius=nan",
+        "cyl_radius=inf",
+        "cyl_sigma_spatial=inf",
+        "cyl_sigma_direction=nan",
+        "emb_radius=nan",
+        "emb_radius=-5",
+        "w1=nan",
+        "w2=inf",
+        "delta_theta=nan",
+    ],
+)
+def test_config_file_value_not_finite_is_data_error(template_path, tmp_path, line, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    args = ["match", str(template_path), str(template_path), "--config", str(cfg)]
+    assert main(args) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"config key {line}: " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--w1", "nan", "--matcher", "score"], "--w1 nan: "),
+        (["--w2", "inf"], "--w2 inf: "),
+        (["--delta-theta", "nan"], "--delta-theta nan: "),
+    ],
+)
+def test_flag_value_not_finite_is_usage_error(template_path, flags, message, capsys):
+    assert main(["match", str(template_path), str(template_path), *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_describe_rejects_non_finite_radius_and_writes_nothing(template_path, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("cyl_radius=nan\n")
+    out = tmp_path / "rows.csv"
+    args = ["describe", str(template_path), "--config", str(cfg), "--out", str(out)]
+    assert main(args) == EXIT_DATA
+    assert not out.exists()
+
+
 def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
     """One and two BLAS threads write byte-identical results and summary."""
     src = str(Path(fpfusion.__file__).resolve().parents[1])

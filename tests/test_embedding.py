@@ -61,6 +61,12 @@ def test_config_bin_budget():
         EmbeddingConfig(dim=16, radial_bins=4, angular_bins=8, direction_bins=8)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -5.0])
+def test_config_rejects_radius_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="synth_radius"):
+        EmbeddingConfig(synth_radius=radius)
+
+
 def test_file_round_trip(tmp_path, rng):
     vectors = rng.normal(size=(5, 32))
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]

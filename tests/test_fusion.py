@@ -157,6 +157,12 @@ class TestScoreFusion:
         with pytest.raises(ValueError):
             FusionConfig(w1=0.0, w2=0.0)
 
+    @pytest.mark.parametrize("field", ["w1", "w2", "delta_theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            FusionConfig(**{field: value})
+
 
 class TestMatchAllChannels:
     def test_empty_inputs(self, rng):

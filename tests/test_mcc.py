@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_template, rotate_template
+from fpfusion.geometry import angular_difference, wrap_signed
 from fpfusion.mcc import CylinderConfig, build_cylinder, build_mcc_set
 from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
@@ -100,6 +105,13 @@ def test_config_validation():
         CylinderConfig(grid=1)
 
 
+@pytest.mark.parametrize("field", ["radius", "sigma_spatial", "sigma_direction"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        CylinderConfig(**{field: value})
+
+
 @pytest.mark.parametrize("cfg", [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)])
 def test_set_rows_equal_single_cylinders_exactly(rng, cfg):
     t = random_template(rng, n=9, extent=200.0)
@@ -119,3 +131,63 @@ def test_cached_cell_grid_is_read_only():
     for arr in (offsets, inside, _section_centers(cfg)):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def dense_reference(t, cfg):
+    """Every cylinder of ``t`` from the kernel over all cells x all neighbors,
+    without culling: the spatial kernel is evaluated everywhere, then zeroed
+    beyond the cutoff and outside the radius."""
+    from fpfusion.mcc import _cell_offsets, _section_centers
+
+    offsets, inside = _cell_offsets(cfg)
+    n = len(t)
+    vectors = np.zeros((n, cfg.dim))
+    valid = np.zeros(n, dtype=bool)
+    for i, m in enumerate(t.minutiae if n > 1 else ()):
+        others = np.arange(n) != i
+        npos, nthetas = t.positions()[others], t.thetas()[others]
+        c, s = math.cos(m.theta), math.sin(m.theta)
+        world = np.empty_like(offsets)
+        world[:, 0] = m.x + c * offsets[:, 0] + s * offsets[:, 1]
+        world[:, 1] = m.y - s * offsets[:, 0] + c * offsets[:, 1]
+        d = np.hypot(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
+        spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
+        spatial[d > cfg.cutoff] = 0.0
+        spatial[~inside, :] = 0.0
+        ddir = wrap_signed(m.theta - nthetas)
+        gap = angular_difference(_section_centers(cfg)[None, :], ddir[:, None])
+        values = spatial @ np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
+        near = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y) <= cfg.cutoff
+        vectors[i] = values.ravel()
+        valid[i] = int(near.sum()) >= cfg.min_neighbors and bool(values.any())
+    return vectors, valid
+
+
+@st.composite
+def templates_near_reach(draw, reach):
+    """0-60 minutiae on an extent up to 800 px; some neighbors are planted
+    within 1.5 px of ``reach`` from a minutia, where culling decides."""
+    extent = draw(st.floats(1.0, 800.0))
+    coord = st.floats(0.0, extent)
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    n = draw(st.integers(0, 55))
+    minutiae = [Minutia(draw(coord), draw(coord), draw(angle)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 5)) if minutiae else 0):
+        anchor = draw(st.sampled_from(minutiae))
+        r = reach + draw(st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5]))
+        phi = draw(angle)
+        minutiae.append(
+            Minutia(anchor.x + r * math.cos(phi), anchor.y + r * math.sin(phi), draw(angle))
+        )
+    return MinutiaeTemplate("h", tuple(minutiae))
+
+
+@pytest.mark.parametrize("cfg", [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_culled_build_equals_dense_reference_exactly(cfg, data):
+    t = data.draw(templates_near_reach(cfg.radius + cfg.cutoff))
+    d = build_mcc_set(t, cfg)
+    vectors, valid = dense_reference(t, cfg)
+    assert np.array_equal(d.vectors, vectors)
+    assert np.array_equal(d.valid, valid)
