@@ -16,16 +16,8 @@ from fpfusion.embedding import (
     load_embeddings,
     save_embeddings,
 )
-from fpfusion.pairing import (
-    SimilarityMatrix,
-    PairSet,
-    cosine_similarity,
-    sim_score,
-    lsa_select,
-    compute_n_r,
-    compute_n_p,
-)
-from fpfusion.relaxation import RelaxationParams, pair_compatibility, relax, match_score
+from fpfusion.pairing import cosine_similarity, compute_n_r, compute_n_p
+from fpfusion.relaxation import RelaxationParams, pair_compatibility
 from fpfusion.fusion import FusionConfig, MatchResult, match_all_channels
 from fpfusion.evaluation import (
     Gallery,
@@ -51,17 +43,11 @@ __all__ = [
     "build_synthetic_embeddings",
     "load_embeddings",
     "save_embeddings",
-    "SimilarityMatrix",
-    "PairSet",
     "cosine_similarity",
-    "sim_score",
-    "lsa_select",
     "compute_n_r",
     "compute_n_p",
     "RelaxationParams",
     "pair_compatibility",
-    "relax",
-    "match_score",
     "FusionConfig",
     "MatchResult",
     "match_all_channels",

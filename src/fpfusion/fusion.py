@@ -22,7 +22,6 @@ import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.pairing import (
-    SimilarityMatrix,
     angle_gate,
     block_cosines,
     compute_n_p,
@@ -87,25 +86,24 @@ class MatchResult:
     channel: str
 
 
-def _fused_matrix(
-    s_mcc: SimilarityMatrix, s_emb: SimilarityMatrix, cfg: FusionConfig
-) -> SimilarityMatrix:
-    """Weighted sum of the channel matrices.
+def _fused_matrix(mcc: tuple, emb: tuple, cfg: FusionConfig) -> tuple:
+    """Weighted sum of the channel matrices, each given as (values, gated).
 
     A gated entry contributes 0 for its channel; the fused entry is gated
     only when every positively-weighted channel gates it, so embedding
     information survives where the angle gate fires while a zero-weight
     channel drops out entirely (w1=1, w2=0 reproduces the single-channel
-    pipeline exactly).
+    pipeline exactly). Returns the fused (values, gated).
     """
-    v_mcc = np.where(s_mcc.gated, 0.0, s_mcc.values)
-    v_emb = np.where(s_emb.gated, 0.0, s_emb.values)
-    gated = np.ones_like(s_mcc.gated)
+    (values_mcc, gated_mcc), (values_emb, gated_emb) = mcc, emb
+    v_mcc = np.where(gated_mcc, 0.0, values_mcc)
+    v_emb = np.where(gated_emb, 0.0, values_emb)
+    gated = np.ones_like(gated_mcc)
     if cfg.w1 > 0:
-        gated &= s_mcc.gated
+        gated &= gated_mcc
     if cfg.w2 > 0:
-        gated &= s_emb.gated
-    return SimilarityMatrix(values=cfg.w1 * v_mcc + cfg.w2 * v_emb, gated=gated)
+        gated &= gated_emb
+    return cfg.w1 * v_mcc + cfg.w2 * v_emb, gated
 
 
 # Gallery entries per padded pass. It bounds the padded stacks whatever
@@ -148,11 +146,8 @@ def _select_block(query: GalleryEntry, block: list, slot: np.ndarray, theta_b, c
     work = np.zeros((3, size, len(ta), width))
     gated_mcc = block_cosines(query.mcc, [e.mcc for e in block], slot, work[0]) | turned
     gated_emb = block_cosines(query.embedding, [e.embedding for e in block], slot, work[1])
-    fused = _fused_matrix(
-        SimilarityMatrix(work[0], gated_mcc), SimilarityMatrix(work[1], gated_emb), cfg
-    )
-    work[2] = fused.values
-    for k, gated in enumerate((gated_mcc, gated_emb, fused.gated)):
+    work[2], gated_fused = _fused_matrix((work[0], gated_mcc), (work[1], gated_emb), cfg)
+    for k, gated in enumerate((gated_mcc, gated_emb, gated_fused)):
         np.copyto(work[k], -np.inf, where=gated)
     n_r = compute_n_r(len(ta), slot.sum(axis=1))
     rows, cols, scores, count = select_pairs(work.reshape(-1, len(ta), width), np.tile(n_r, 3))

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.geometry import angular_difference
-from fpfusion.templates import MinutiaeTemplate
-
-DEFAULT_DELTA_THETA = math.pi / 4
 
 MAX_PAIRS_SELECT = 12  # n_R cap
 MAX_PAIRS_SCORE = 8  # n_p cap
@@ -32,60 +25,6 @@ def compute_n_p(len_a, len_b):
     Template sizes may be ints or arrays of them.
     """
     return np.minimum(MAX_PAIRS_SCORE, np.minimum(len_a, len_b))
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Cosine similarities in [-1, 1] with a GATED mask.
-
-    Gated entries (angle gate fired, or either descriptor invalid) are
-    never selected; their stored value is meaningless. The gate is a
-    sentinel rather than a low score so that negative cosines stay
-    selectable when not gated. ``values`` is one (rows, cols) matrix or a
-    stack of them, one per gallery entry.
-    """
-
-    values: np.ndarray
-    gated: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        gated = np.asarray(self.gated, dtype=bool)
-        if values.shape != gated.shape or values.ndim < 2:
-            raise ValueError("values and gated must be arrays of equal shape, at least 2-d")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "gated", gated)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[-2]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[-1]
-
-
-class Pair(NamedTuple):
-    row: int
-    col: int
-    score: float
-    source: str
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """Ranked minutia-index pairs with their initial local scores."""
-
-    pairs: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def cosine_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
@@ -148,32 +87,6 @@ def angle_gate(theta_q: np.ndarray, theta_g: np.ndarray, delta_theta: float) -> 
     return angular_difference(theta_q[:, None], theta_g[:, None, :]) > delta_theta
 
 
-def sim_score(
-    a: DescriptorSet,
-    b: DescriptorSet,
-    template_a: MinutiaeTemplate | None = None,
-    template_b: MinutiaeTemplate | None = None,
-    delta_theta: float = DEFAULT_DELTA_THETA,
-) -> SimilarityMatrix:
-    """Pairwise cosine matrix between two descriptor sets.
-
-    When both templates are supplied, entry (i, j) is gated unless the
-    circular difference of the minutia directions is within
-    ``delta_theta``. Without templates the gate trivially passes.
-    Entries involving invalid or zero descriptors are always gated.
-    """
-    if template_a is not None and len(template_a) != len(a):
-        raise ValueError(f"descriptor count {len(a)} != template size {len(template_a)}")
-    if template_b is not None and len(template_b) != len(b):
-        raise ValueError(f"descriptor count {len(b)} != template size {len(template_b)}")
-    a, b = unit_rows(a), unit_rows(b)
-    values = np.zeros((1, len(a), len(b)))
-    gated = block_cosines(a, [b], np.ones((1, len(b)), dtype=bool), values)
-    if template_a is not None and template_b is not None:
-        gated |= angle_gate(template_a.thetas(), template_b.thetas()[None], delta_theta)
-    return SimilarityMatrix(values=values[0], gated=gated[0])
-
-
 def select_pairs(work: np.ndarray, n_r: np.ndarray):
     """Greedy pair selection on every matrix of a (K, r, c) stack at once.
 
@@ -191,8 +104,6 @@ def select_pairs(work: np.ndarray, n_r: np.ndarray):
     cols = np.zeros((k_count, rounds), dtype=np.intp)
     scores = np.zeros((k_count, rounds))
     count = np.zeros(k_count, dtype=np.intp)
-    if r == 0 or c == 0:
-        return rows, cols, scores, count
     flat = work.reshape(k_count, r * c)
     k = np.arange(k_count)
     for i in range(rounds):
@@ -207,23 +118,3 @@ def select_pairs(work: np.ndarray, n_r: np.ndarray):
         work[k, rows[:, i], :] = -np.inf
         work[k, :, cols[:, i]] = -np.inf
     return rows, cols, scores, count
-
-
-def lsa_select(s: SimilarityMatrix, n_r: int, source: str = "") -> PairSet:
-    """Greedy top-pair selection without reusing a row or column.
-
-    Repeatedly takes the globally maximal non-gated entry whose row and
-    column are both unused, until ``n_r`` pairs are chosen or none remain.
-    Ties break on smaller row, then smaller column; output is sorted by
-    score descending with the same tie-break.
-    """
-    if n_r <= 0 or s.rows == 0 or s.cols == 0:
-        return PairSet(())
-    work = np.where(s.gated, -np.inf, s.values)[None]
-    rows, cols, scores, count = select_pairs(work, np.array([n_r]))
-    return PairSet(
-        tuple(
-            Pair(int(rows[0, i]), int(cols[0, i]), float(scores[0, i]), source)
-            for i in range(count[0])
-        )
-    )

@@ -8,6 +8,7 @@ pairs after relaxation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ from fpfusion.geometry import (
     euclidean_distance,
     radial_angle,
 )
-from fpfusion.pairing import MAX_PAIRS_SCORE, MAX_PAIRS_SELECT, PairSet
-from fpfusion.templates import Minutia, MinutiaeTemplate
+from fpfusion.pairing import MAX_PAIRS_SCORE, MAX_PAIRS_SELECT
+from fpfusion.templates import Minutia
 
 # Pair slots of one relaxation: the feature channel relaxes the union of two
 # selections. Sums run over this fixed width, so a score never depends on
@@ -46,26 +47,8 @@ class RelaxationParams:
             raise ValueError("weight must lie in [0, 1]")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-
-
-@dataclass(frozen=True)
-class RelaxedPair:
-    row: int
-    col: int
-    initial: float
-    relaxed: float
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class RelaxedPairs:
-    """Pairs with initial and relaxed scores plus the compatibility matrix."""
-
-    pairs: tuple
-    rho: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+        if not (math.isfinite(self.distance_scale) and self.distance_scale > 0):
+            raise ValueError("distance_scale must be finite and positive")
 
 
 def _sigmoid_product(d1, d2, d3, params: RelaxationParams):
@@ -135,22 +118,6 @@ def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> n
     return _sigmoid_product(d1, d2, d3, params)
 
 
-def compatibility_matrix(
-    pairs: PairSet | tuple,
-    template_a: MinutiaeTemplate,
-    template_b: MinutiaeTemplate,
-    params: RelaxationParams,
-) -> np.ndarray:
-    """Pairwise compatibilities of one pair list; the diagonal is unused."""
-    rows = np.array([p.row for p in pairs], dtype=np.intp)
-    cols = np.array([p.col for p in pairs], dtype=np.intp)
-    return compatibilities(
-        side_geometry(template_a.positions()[rows], template_a.thetas()[rows]),
-        side_geometry(template_b.positions()[cols], template_b.thetas()[cols]),
-        params,
-    )
-
-
 def relax_scores(
     rho: np.ndarray, gamma: np.ndarray, n: np.ndarray, params: RelaxationParams
 ) -> np.ndarray:
@@ -177,66 +144,15 @@ def relax_scores(
 def top_scores(relaxed: np.ndarray, n: np.ndarray, n_p: np.ndarray):
     """Mean of the top ``n_p[k]`` relaxed scores of each of K lists.
 
-    List k holds ``n[k]`` pairs first in ``relaxed`` (K, P). The top
-    min(n_p, n) values, each clamped at 0, are summed over a fixed width of
-    at least MAX_PAIRS_SCORE and divided by ``n_p``. Returns the scores,
-    the sums and the number of pairs used, each (K,); n_p = 0 scores 0.
+    List k holds ``n[k]`` pairs first in ``relaxed`` (K, P), P at least
+    MAX_PAIRS_SCORE, and ``n_p`` is at most MAX_PAIRS_SCORE. The top
+    min(n_p, n) values, each clamped at 0, are summed over the fixed
+    MAX_PAIRS_SCORE width and divided by ``n_p``. Returns the scores, the
+    sums and the number of pairs used, each (K,); n_p = 0 scores 0.
     """
     used = np.minimum(n_p, n)
-    width = max(MAX_PAIRS_SCORE, int(used.max(initial=0)))
     slots = np.arange(relaxed.shape[1])
-    ordered = -np.sort(np.where(slots < n[:, None], -relaxed, np.inf), axis=1)[:, :width]
-    top = np.zeros((len(n), width))
-    top[:, : ordered.shape[1]] = ordered
-    top = np.where(np.arange(width) < used[:, None], np.maximum(top, 0.0), 0.0)
+    top = -np.sort(np.where(slots < n[:, None], -relaxed, np.inf), axis=1)[:, :MAX_PAIRS_SCORE]
+    top = np.where(slots[:MAX_PAIRS_SCORE] < used[:, None], np.maximum(top, 0.0), 0.0)
     raw = top.sum(axis=1)
     return np.where(n_p > 0, raw / np.maximum(n_p, 1), 0.0), raw, used
-
-
-def relax(
-    pairs: PairSet,
-    template_a: MinutiaeTemplate,
-    template_b: MinutiaeTemplate,
-    params: RelaxationParams | None = None,
-) -> RelaxedPairs:
-    """Run synchronous relaxation iterations over the selected pairs.
-
-    Every iteration computes all new scores from the full previous score
-    vector, so results are independent of pair ordering. A single pair has
-    no peers to relax against and keeps its initial score.
-    """
-    params = params or RelaxationParams()
-    n = len(pairs)
-    if n == 0:
-        raise ValueError("cannot relax an empty pair set; callers should score 0")
-    gamma = np.array([p.score for p in pairs], dtype=np.float64)
-    rho = np.zeros((1, 1))
-    if n > 1:
-        rho = compatibility_matrix(pairs, template_a, template_b, params)
-    # padded like the matcher's pair lists, so the relaxed values are the ones it uses
-    width = max(n, PAIR_SLOTS)
-    padded_rho = np.zeros((1, width, width))
-    padded_rho[0, :n, :n] = rho
-    padded_gamma = np.zeros((1, width))
-    padded_gamma[0, :n] = gamma
-    relaxed = relax_scores(padded_rho, padded_gamma, np.array([n]), params)[0, :n]
-    out = tuple(
-        RelaxedPair(p.row, p.col, float(g0), float(gi), p.source)
-        for p, g0, gi in zip(pairs, gamma, relaxed)
-    )
-    return RelaxedPairs(pairs=out, rho=rho)
-
-
-def match_score(relaxed: RelaxedPairs, n_p: int) -> tuple[float, list]:
-    """Average of the top ``n_p`` relaxed scores (clamped at 0).
-
-    Pairs sort by relaxed score descending, ties by (row, col). The sum of
-    the top min(n_p, available) clamped values is divided by ``n_p`` so
-    scores stay comparable across differing template sizes.
-    """
-    if n_p <= 0 or len(relaxed) == 0:
-        return 0.0, []
-    values = np.array([[p.relaxed for p in relaxed.pairs]])
-    score, _, used = top_scores(values, np.array([len(relaxed)]), np.array([n_p]))
-    ordered = sorted(relaxed.pairs, key=lambda p: (-p.relaxed, p.row, p.col))
-    return float(score[0]), ordered[: int(used[0])]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,10 @@ class SynthConfig:
     min_spacing: float = 12.0
 
     def __post_init__(self):
-        if self.n_fingers < 1 or self.min_minutiae > self.max_minutiae:
-            raise ValueError("n_fingers >= 1 and a non-empty minutiae range required")
+        if self.n_fingers < 1 or not 1 <= self.min_minutiae <= self.max_minutiae:
+            raise ValueError("n_fingers >= 1 and 1 <= min_minutiae <= max_minutiae required")
+        if not (math.isfinite(self.min_spacing) and self.min_spacing >= 0):
+            raise ValueError("min_spacing must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,13 @@ class PerturbConfig:
     crop_radius_max: float = 250.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if min(self.rotation_max, self.translation_max) < 0:
+            raise ValueError("rotation_max and translation_max must be non-negative")
+        if not 0 <= self.crop_radius_min <= self.crop_radius_max:
+            raise ValueError("crop radii need 0 <= crop_radius_min <= crop_radius_max")
         if not 0 < self.keep_min <= self.keep_max <= 1:
             raise ValueError("keep fraction range must lie in (0, 1]")
         if min(self.position_jitter, self.angle_jitter, self.spurious_mean) < 0:

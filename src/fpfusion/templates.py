@@ -127,6 +127,10 @@ def load_template(path) -> MinutiaeTemplate:
                     if header.group(2) is not None:
                         width = int(header.group(2))
                         height = int(header.group(3))
+                elif line[1:].lstrip().startswith("id="):
+                    raise TemplateFormatError(
+                        f"{path}:{lineno}: expected '# id=<string> [w=<int> h=<int>]', got {line!r}"
+                    )
                 continue
             parts = line.split()
             if len(parts) not in (3, 4):

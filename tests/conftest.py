@@ -35,6 +35,14 @@ def rotate_template(t, alpha, tx=0.0, ty=0.0, center=(0.0, 0.0)):
     return MinutiaeTemplate(t.id, tuple(out), t.width, t.height)
 
 
+def padded(a, shape, fill=0.0):
+    """``a`` in the leading corner of a (1, *shape) array of ``fill``: one
+    list or matrix of a padded kernel stack."""
+    out = np.full((1, *shape), fill)
+    out[(0, *(slice(0, k) for k in np.shape(a)))] = a
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

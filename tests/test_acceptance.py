@@ -11,21 +11,22 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import random_template, rotate_template
+from conftest import padded, random_template, rotate_template
 from fpfusion.cli import main
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
 from fpfusion.evaluation import Gallery, identify_all, write_cmc, write_results
 from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
 from fpfusion.mcc import build_mcc_set
-from fpfusion.pairing import (
-    Pair,
-    PairSet,
-    SimilarityMatrix,
-    cosine_similarity,
-    lsa_select,
+from fpfusion.pairing import cosine_similarity, select_pairs
+from fpfusion.relaxation import (
+    PAIR_SLOTS,
+    RelaxationParams,
+    compatibilities,
+    pair_compatibility,
+    relax_scores,
+    side_geometry,
 )
-from fpfusion.relaxation import RelaxationParams, pair_compatibility, relax
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger
 from fpfusion.templates import Minutia, load_template, save_template
 
@@ -64,13 +65,18 @@ def test_criterion_2_relaxation_oracle():
         params = RelaxationParams(
             weight=float(rng.uniform(0, 1)), iterations=int(rng.integers(1, 6))
         )
-        pairs = PairSet(tuple(Pair(i, i, float(g), "") for i, g in enumerate(gamma0)))
-        out = relax(pairs, ta, tb, params)
+        # the pair list (i, i), i < n, relaxed in one PAIR_SLOTS-wide list
+        rho = compatibilities(
+            side_geometry(ta.positions()[:n], ta.thetas()[:n]),
+            side_geometry(tb.positions()[:n], tb.thetas()[:n]),
+            params,
+        )
+        rho_p, gamma_p = padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), padded(gamma0, (PAIR_SLOTS,))
+        out = relax_scores(rho_p, gamma_p, np.array([n]), params)
         # straight-line reference
         if n == 1:
             expected = [float(gamma0[0])]
         else:
-            rho = out.rho
             gamma = list(gamma0)
             for _ in range(params.iterations):
                 new = []
@@ -79,7 +85,7 @@ def test_criterion_2_relaxation_oracle():
                     new.append(params.weight * gamma[t] + (1 - params.weight) * acc / (n - 1))
                 gamma = new
             expected = gamma
-        got = [p.relaxed for p in out.pairs]
+        got = list(out[0, :n])
         ok &= all(abs(g - e) <= 1e-12 for g, e in zip(got, expected))
         ok &= all(0.0 <= g <= 1.0 for g in got)
     report("criterion 2: relaxation matches reference on 1000 instances", ok)
@@ -88,17 +94,25 @@ def test_criterion_2_relaxation_oracle():
 def test_criterion_3_lsa_oracle():
     """Greedy selection equals the brute-force re-scan oracle on 10^4 matrices."""
     rng = np.random.default_rng(3)
-    ok = True
+    instances = []
     for _ in range(10_000):
         r = int(rng.integers(1, 9))
         c = int(rng.integers(1, 9))
         values = rng.uniform(-1, 1, size=(r, c))
         gated = rng.uniform(size=(r, c)) < 0.25
         n_r = int(rng.integers(0, 13))
-        got = [
-            (p.row, p.col, p.score)
-            for p in lsa_select(SimilarityMatrix(values, gated), n_r)
+        instances.append((r, c, values, gated, n_r))
+    # one selection pass over all matrices, each padded with -inf to 8 x 8
+    work = np.concatenate(
+        [
+            padded(np.where(gated, -np.inf, values), (8, 8), -np.inf)
+            for *_, values, gated, _ in instances
         ]
+    )
+    rows, cols, scores, count = select_pairs(work, np.array([n_r for *_, n_r in instances]))
+    ok = True
+    for k, (r, c, values, gated, n_r) in enumerate(instances):
+        got = [(int(rows[k, i]), int(cols[k, i]), float(scores[k, i])) for i in range(count[k])]
         used_r, used_c = set(), set()
         picked = []
         for _ in range(n_r):

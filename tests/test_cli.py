@@ -20,6 +20,15 @@ def template_path(tmp_path):
     return path
 
 
+def test_public_names_resolve():
+    assert len(set(fpfusion.__all__)) == len(fpfusion.__all__)
+    for name in fpfusion.__all__:
+        assert getattr(fpfusion, name) is not None, name
+    namespace = {}
+    exec("from fpfusion import *", namespace)
+    assert set(fpfusion.__all__) <= set(namespace)
+
+
 def test_match_self(template_path, capsys):
     assert main(["match", str(template_path), str(template_path), "--matcher", "feature"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -206,6 +215,10 @@ def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line,
         "w1=nan",
         "w2=inf",
         "delta_theta=nan",
+        "dist_scale=nan",
+        "dist_scale=inf",
+        "dist_scale=0",
+        "dist_scale=-100",
     ],
 )
 def test_config_file_value_not_finite_is_data_error(template_path, tmp_path, line, capsys):
@@ -231,6 +244,32 @@ def test_flag_value_not_finite_is_usage_error(template_path, flags, message, cap
     captured = capsys.readouterr()
     assert message in captured.err and "finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "rotation_max=nan",
+        "translation_max=inf",
+        "crop_radius_min=nan",
+        "rotation_max=-1",
+        "crop_radius_min=300",
+        "spurious_mean=nan",
+        "min_spacing=nan",
+        "min_spacing=-1",
+        "min_minutiae=0",
+    ],
+)
+def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    args = ["gen-synth", "--out", str(tmp_path / "data"), "--n-fingers", "2"]
+    assert main([*args, "--config", str(cfg)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    prefix = f"config key {line}: "
+    assert prefix in captured.err
+    assert line.partition("=")[0] in captured.err.partition(prefix)[2]
+    assert not list(tmp_path.rglob("*.mnt"))
 
 
 def test_describe_rejects_non_finite_radius_and_writes_nothing(template_path, tmp_path):

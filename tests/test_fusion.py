@@ -6,13 +6,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fpfusion.fusion as fusion
-from conftest import random_template, rotate_template
+from conftest import padded, random_template, rotate_template
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
 from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
 from fpfusion.mcc import build_mcc_set
-from fpfusion.pairing import Pair, PairSet, compute_n_p, compute_n_r, lsa_select, sim_score
-from fpfusion.relaxation import RelaxationParams, match_score, relax
+from fpfusion.relaxation import (
+    PAIR_SLOTS,
+    RelaxationParams,
+    compatibilities,
+    relax_scores,
+    side_geometry,
+    top_scores,
+)
 from fpfusion.templates import MinutiaeTemplate
 
 
@@ -40,9 +46,12 @@ class TestMatchSingle:
         result = channel("mcc", ta, ta, mcc, mcc)
         # independent expectation: self-pairs all score 1, relaxed by Eq-style
         # recurrence with the self-geometry compatibility matrix
-        pairs = PairSet(tuple(Pair(i, i, 1.0, "mcc") for i in range(10)))
-        relaxed = relax(pairs, ta, ta, RelaxationParams())
-        expected, _ = match_score(relaxed, 8)
+        params = RelaxationParams()
+        side = side_geometry(ta.positions(), ta.thetas())
+        rho = padded(compatibilities(side, side, params), (PAIR_SLOTS, PAIR_SLOTS))
+        n = np.array([10])
+        relaxed = relax_scores(rho, padded(np.ones(10), (PAIR_SLOTS,)), n, params)
+        expected = top_scores(relaxed, n, np.array([8]))[0][0]
         assert result.score == pytest.approx(expected, abs=1e-6)
 
     def test_empty_template_scores_zero(self, rng):
@@ -104,13 +113,18 @@ class TestFeatureFusion:
         # spoilers: after relaxation the genuine pairs dominate
         ta = random_template(rng, n=8, tid="a")
         tb = rotate_template(ta, 0.4, 15.0, -8.0)
-        genuine = tuple(Pair(i, i, 0.8, "mcc") for i in range(6))
-        spoilers = (Pair(6, 7, 0.9, "emb"), Pair(7, 6, 0.9, "emb"))
-        relaxed = relax(PairSet(genuine + spoilers), ta, tb, RelaxationParams())
-        relaxed_by_key = {(p.row, p.col): p.relaxed for p in relaxed.pairs}
-        worst_genuine = min(relaxed_by_key[(i, i)] for i in range(6))
-        best_spoiler = max(relaxed_by_key[(6, 7)], relaxed_by_key[(7, 6)])
-        assert worst_genuine > best_spoiler
+        # six genuine pairs (i, i) at 0.8, then the spoilers (6, 7), (7, 6) at 0.9
+        rows, cols = np.arange(8), np.array([0, 1, 2, 3, 4, 5, 7, 6])
+        gamma = [0.8] * 6 + [0.9] * 2
+        params = RelaxationParams()
+        rho = compatibilities(
+            side_geometry(ta.positions()[rows], ta.thetas()[rows]),
+            side_geometry(tb.positions()[cols], tb.thetas()[cols]),
+            params,
+        )
+        rho, gamma = padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), padded(gamma, (PAIR_SLOTS,))
+        relaxed = relax_scores(rho, gamma, np.array([8]), params)[0]
+        assert relaxed[:6].min() > relaxed[6:8].max()
 
 
 class TestScoreFusion:
@@ -129,29 +143,23 @@ class TestScoreFusion:
         assert fused.score == pytest.approx(single.score, abs=1e-12)
 
     def test_entry_arithmetic(self):
-        from fpfusion.fusion import _fused_matrix
-        from fpfusion.pairing import SimilarityMatrix
-
-        s_mcc = SimilarityMatrix(np.array([[0.8]]), np.array([[False]]))
-        s_emb = SimilarityMatrix(np.array([[0.6]]), np.array([[False]]))
-        fused = _fused_matrix(s_mcc, s_emb, FusionConfig())
-        assert fused.values[0, 0] == pytest.approx(0.7)
+        s_mcc = (np.array([[0.8]]), np.array([[False]]))
+        s_emb = (np.array([[0.6]]), np.array([[False]]))
+        values, _ = fusion._fused_matrix(s_mcc, s_emb, FusionConfig())
+        assert values[0, 0] == pytest.approx(0.7)
 
     def test_gated_entry_contributes_zero(self):
-        from fpfusion.fusion import _fused_matrix
-        from fpfusion.pairing import SimilarityMatrix
-
-        s_mcc = SimilarityMatrix(np.array([[0.8]]), np.array([[True]]))
-        s_emb = SimilarityMatrix(np.array([[0.6]]), np.array([[False]]))
-        fused = _fused_matrix(s_mcc, s_emb, FusionConfig())
-        assert fused.values[0, 0] == pytest.approx(0.3)
-        assert not fused.gated[0, 0]
-        both = _fused_matrix(
-            SimilarityMatrix(np.array([[0.8]]), np.array([[True]])),
-            SimilarityMatrix(np.array([[0.6]]), np.array([[True]])),
+        s_mcc = (np.array([[0.8]]), np.array([[True]]))
+        s_emb = (np.array([[0.6]]), np.array([[False]]))
+        values, gated = fusion._fused_matrix(s_mcc, s_emb, FusionConfig())
+        assert values[0, 0] == pytest.approx(0.3)
+        assert not gated[0, 0]
+        _, both = fusion._fused_matrix(
+            (np.array([[0.8]]), np.array([[True]])),
+            (np.array([[0.6]]), np.array([[True]])),
             FusionConfig(),
         )
-        assert both.gated[0, 0]
+        assert both[0, 0]
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -205,14 +213,6 @@ class TestGalleryEngine:
         assert self.kernel_calls(rng, monkeypatch, fusion._BLOCK) == one_block
         blocks = -(-30 // fusion._BLOCK)
         assert self.kernel_calls(rng, monkeypatch, 30) == {k: blocks for k in one_block}
-
-    def test_public_stages_compose_to_the_engine_exactly(self, rng):
-        ta, tb, mcc_a, mcc_b, emb_a, emb_b = descriptor_pair(rng, n=14)
-        pairs = lsa_select(sim_score(mcc_a, mcc_b, ta, tb), compute_n_r(len(ta), len(tb)))
-        expected, top = match_score(relax(pairs, ta, tb), compute_n_p(len(ta), len(tb)))
-        result = match_all_channels(ta, tb, mcc_a, mcc_b, emb_a, emb_b)["mcc"]
-        assert len(top) > 1
-        assert (result.score, result.n_pairs_used) == (expected, len(top))
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_template, rotate_template
-from fpfusion.pairing import Pair, PairSet
+from conftest import padded, random_template, rotate_template
 from fpfusion.relaxation import (
+    PAIR_SLOTS,
     RelaxationParams,
-    RelaxedPair,
-    RelaxedPairs,
-    compatibility_matrix,
-    match_score,
+    compatibilities,
     pair_compatibility,
-    relax,
+    relax_scores,
+    side_geometry,
+    top_scores,
 )
-from fpfusion.templates import Minutia, MinutiaeTemplate
+from fpfusion.templates import Minutia
 
 
 def relax_oracle(gamma0, rho, w, iterations):
@@ -30,8 +29,10 @@ def relax_oracle(gamma0, rho, w, iterations):
     return gamma
 
 
-def pairs_from_scores(scores):
-    return PairSet(tuple(Pair(i, i, s, "") for i, s in enumerate(scores)))
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -100.0])
+def test_distance_scale_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="distance_scale"):
+        RelaxationParams(distance_scale=value)
 
 
 class TestCompatibility:
@@ -80,9 +81,13 @@ class TestCompatibility:
     def test_matrix_matches_scalar(self, rng):
         ta = random_template(rng, n=5, tid="a")
         tb = random_template(rng, n=5, tid="b")
-        pairs = PairSet(tuple(Pair(i, i, 0.5, "") for i in range(5)))
         params = RelaxationParams()
-        rho = compatibility_matrix(pairs, ta, tb, params)
+        # the pair list (i, i) for every minutia
+        rho = compatibilities(
+            side_geometry(ta.positions(), ta.thetas()),
+            side_geometry(tb.positions(), tb.thetas()),
+            params,
+        )
         for t_idx in range(5):
             for k_idx in range(5):
                 if t_idx == k_idx:
@@ -97,53 +102,40 @@ class TestCompatibility:
     def test_range(self, rng):
         ta = random_template(rng, n=8, tid="a")
         tb = random_template(rng, n=8, tid="b")
-        pairs = PairSet(tuple(Pair(i, i, 0.5, "") for i in range(8)))
-        rho = compatibility_matrix(pairs, ta, tb, RelaxationParams())
+        rho = compatibilities(
+            side_geometry(ta.positions(), ta.thetas()),
+            side_geometry(tb.positions(), tb.thetas()),
+            RelaxationParams(),
+        )
         off = ~np.eye(8, dtype=bool)
         assert ((rho[off] > 0) & (rho[off] < 1)).all()
 
 
 class TestRelax:
-    def test_two_pair_hand_example(self, monkeypatch):
+    """``relax_scores`` on one pair list, zero-padded to PAIR_SLOTS."""
+
+    @staticmethod
+    def relaxed(rho, gamma, params=None):
+        n = len(gamma)
+        rho, gamma = padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), padded(gamma, (PAIR_SLOTS,))
+        return relax_scores(rho, gamma, np.array([n]), params or RelaxationParams())[0, :n]
+
+    def test_two_pair_hand_example(self):
         # rho = 1 everywhere off-diagonal, gamma0 = (0.8, 0.6), one iteration
-        import fpfusion.relaxation as rel
-
-        monkeypatch.setattr(
-            rel, "compatibility_matrix", lambda *a, **k: np.ones((2, 2))
-        )
         params = RelaxationParams(weight=0.5, iterations=1)
-        ta = MinutiaeTemplate("a", (Minutia(0, 0, 0), Minutia(10, 0, 0)))
-        out = rel.relax(pairs_from_scores([0.8, 0.6]), ta, ta, params)
-        assert [p.relaxed for p in out.pairs] == pytest.approx([0.7, 0.7])
+        assert self.relaxed(np.ones((2, 2)), [0.8, 0.6], params) == pytest.approx([0.7, 0.7])
 
-    def test_fixed_point_all_equal(self, monkeypatch):
-        import fpfusion.relaxation as rel
+    def test_fixed_point_all_equal(self):
+        out = self.relaxed(np.ones((3, 3)), [0.4, 0.4, 0.4])
+        assert out == pytest.approx([0.4, 0.4, 0.4])
 
-        monkeypatch.setattr(rel, "compatibility_matrix", lambda *a, **k: np.ones((3, 3)))
-        ta = MinutiaeTemplate("a", tuple(Minutia(10 * i, 0, 0) for i in range(3)))
-        out = rel.relax(pairs_from_scores([0.4, 0.4, 0.4]), ta, ta, RelaxationParams())
-        assert [p.relaxed for p in out.pairs] == pytest.approx([0.4, 0.4, 0.4])
-
-    def test_zero_rho_geometric_decay(self, monkeypatch):
-        import fpfusion.relaxation as rel
-
-        monkeypatch.setattr(rel, "compatibility_matrix", lambda *a, **k: np.zeros((2, 2)))
+    def test_zero_rho_geometric_decay(self):
         params = RelaxationParams(weight=0.5, iterations=5)
-        ta = MinutiaeTemplate("a", (Minutia(0, 0, 0), Minutia(10, 0, 0)))
-        out = rel.relax(pairs_from_scores([0.8, 0.6]), ta, ta, params)
-        assert [p.relaxed for p in out.pairs] == pytest.approx(
-            [0.8 * 0.5**5, 0.6 * 0.5**5]
-        )
+        out = self.relaxed(np.zeros((2, 2)), [0.8, 0.6], params)
+        assert out == pytest.approx([0.8 * 0.5**5, 0.6 * 0.5**5])
 
-    def test_single_pair_bypasses(self, rng):
-        ta = random_template(rng, n=3, tid="a")
-        out = relax(PairSet((Pair(0, 1, 0.66, ""),)), ta, ta, RelaxationParams())
-        assert out.pairs[0].relaxed == 0.66
-
-    def test_empty_errors(self, rng):
-        ta = random_template(rng, n=2)
-        with pytest.raises(ValueError):
-            relax(PairSet(()), ta, ta, RelaxationParams())
+    def test_single_pair_bypasses(self):
+        assert self.relaxed(np.full((1, 1), 0.3), [0.66])[0] == 0.66
 
     def test_matches_oracle_and_bounded(self, rng):
         for _ in range(100):
@@ -152,11 +144,13 @@ class TestRelax:
             tb = random_template(rng, n=n, tid="b")
             scores = rng.uniform(0, 1, size=n)
             params = RelaxationParams(weight=float(rng.uniform(0, 1)), iterations=int(rng.integers(1, 7)))
-            pairs = pairs_from_scores(list(scores))
-            out = relax(pairs, ta, tb, params)
-            rho = compatibility_matrix(pairs, ta, tb, params)
+            rho = compatibilities(
+                side_geometry(ta.positions(), ta.thetas()),
+                side_geometry(tb.positions(), tb.thetas()),
+                params,
+            )
             expected = relax_oracle(scores, rho, params.weight, params.iterations)
-            got = [p.relaxed for p in out.pairs]
+            got = list(self.relaxed(rho, scores, params))
             assert got == pytest.approx(expected, abs=1e-12)
             assert all(0.0 <= g <= 1.0 for g in got)
 
@@ -164,66 +158,81 @@ class TestRelax:
         n = 6
         ta = random_template(rng, n=n, tid="a")
         tb = random_template(rng, n=n, tid="b")
-        scores = list(rng.uniform(0, 1, size=n))
-        pairs = tuple(Pair(i, i, s, "") for i, s in enumerate(scores))
-        fwd = relax(PairSet(pairs), ta, tb, RelaxationParams())
-        rev = relax(PairSet(pairs[::-1]), ta, tb, RelaxationParams())
-        fwd_map = {(p.row, p.col): p.relaxed for p in fwd.pairs}
-        rev_map = {(p.row, p.col): p.relaxed for p in rev.pairs}
-        assert fwd_map == pytest.approx(rev_map)
+        scores = np.array(rng.uniform(0, 1, size=n))
+        params = RelaxationParams()
+
+        def relaxed_by_pair(order):
+            rho = compatibilities(
+                side_geometry(ta.positions()[order], ta.thetas()[order]),
+                side_geometry(tb.positions()[order], tb.thetas()[order]),
+                params,
+            )
+            return dict(zip(order.tolist(), self.relaxed(rho, scores[order], params)))
+
+        fwd = relaxed_by_pair(np.arange(n))
+        rev = relaxed_by_pair(np.arange(n)[::-1])
+        assert fwd == pytest.approx(rev)
 
     def test_consistent_geometry_beats_shuffled(self, rng):
+        params = RelaxationParams()
+
+        def mean_relaxed(ta, tb, cols):
+            rho = compatibilities(
+                side_geometry(ta.positions(), ta.thetas()),
+                side_geometry(tb.positions()[cols], tb.thetas()[cols]),
+                params,
+            )
+            return np.mean(self.relaxed(rho, [0.8] * 8, params))
+
         wins = 0
         for trial in range(100):
             ta = random_template(rng, n=8, tid="a")
             tb = rotate_template(ta, float(rng.uniform(-0.5, 0.5)), 10.0, -5.0)
-            scores = [0.8] * 8
-            genuine = PairSet(tuple(Pair(i, i, s, "") for i, s in enumerate(scores)))
             perm = rng.permutation(8)
             while (perm == np.arange(8)).all():
                 perm = rng.permutation(8)
-            shuffled = PairSet(
-                tuple(Pair(i, int(perm[i]), s, "") for i, s in enumerate(scores))
-            )
-            g = np.mean([p.relaxed for p in relax(genuine, ta, tb).pairs])
-            s = np.mean([p.relaxed for p in relax(shuffled, ta, tb).pairs])
-            wins += g > s
+            wins += mean_relaxed(ta, tb, np.arange(8)) > mean_relaxed(ta, tb, perm)
         assert wins >= 95
 
 
 class TestMatchScore:
-    def _relaxed(self, values):
-        pairs = tuple(RelaxedPair(i, i, v, v) for i, v in enumerate(values))
-        return RelaxedPairs(pairs=pairs, rho=np.zeros((len(values), len(values))))
+    """``top_scores`` of one relaxed list, zero-padded to PAIR_SLOTS."""
+
+    @staticmethod
+    def top(values, n_p):
+        score, raw, used = top_scores(
+            padded(values, (PAIR_SLOTS,)), np.array([len(values)]), np.array([n_p])
+        )
+        return float(score[0]), int(used[0])
 
     def test_top_np_average(self):
-        score, top = match_score(self._relaxed([0.9, 0.8, 0.1]), 2)
+        score, used = self.top([0.9, 0.8, 0.1], 2)
         assert score == pytest.approx(0.85)
-        assert len(top) == 2
+        assert used == 2
 
     def test_all_zero(self):
-        score, _ = match_score(self._relaxed([0.0, 0.0]), 2)
+        score, _ = self.top([0.0, 0.0], 2)
         assert score == 0.0
 
     def test_single_value(self):
-        score, _ = match_score(self._relaxed([0.42]), 1)
+        score, _ = self.top([0.42], 1)
         assert score == pytest.approx(0.42)
 
     def test_negative_clamped(self):
-        score, _ = match_score(self._relaxed([0.5, -0.9]), 2)
+        score, _ = self.top([0.5, -0.9], 2)
         assert score == pytest.approx(0.25)
 
     def test_zero_n_p(self):
-        assert match_score(self._relaxed([0.5]), 0) == (0.0, [])
+        assert self.top([0.5], 0) == (0.0, 0)
 
     def test_divides_by_requested_n_p(self):
-        score, top = match_score(self._relaxed([0.6]), 4)
+        score, used = self.top([0.6], 4)
         assert score == pytest.approx(0.15)
-        assert len(top) == 1
+        assert used == 1
 
     def test_monotone(self, rng):
         values = list(rng.uniform(0, 1, size=6))
-        base, _ = match_score(self._relaxed(values), 4)
+        base, _ = self.top(values, 4)
         values[2] += 0.1
-        bumped, _ = match_score(self._relaxed(values), 4)
+        bumped, _ = self.top(values, 4)
         assert bumped >= base

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,6 +29,48 @@ IDENTITY_PERTURB = PerturbConfig(
     crop_radius_min=10_000.0,
     crop_radius_max=10_000.0,
 )
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("field", [f.name for f in fields(PerturbConfig)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_perturb_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PerturbConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            ({"rotation_max": -1.0}, "rotation_max"),
+            ({"translation_max": -0.5}, "translation_max"),
+            ({"crop_radius_min": -1.0}, "crop_radius_min"),
+            ({"crop_radius_min": 300.0}, "crop_radius_min"),
+            ({"crop_radius_min": 50.0, "crop_radius_max": 40.0}, "crop_radius_max"),
+        ],
+    )
+    def test_perturb_ranges_rejected(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            PerturbConfig(**changes)
+
+    def test_perturb_zero_values_allowed(self):
+        PerturbConfig(rotation_max=0.0, translation_max=0.0, crop_radius_min=0.0, spurious_mean=0.0)
+
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            ({"min_spacing": math.nan}, "min_spacing"),
+            ({"min_spacing": math.inf}, "min_spacing"),
+            ({"min_spacing": -1.0}, "min_spacing"),
+            ({"min_minutiae": 0}, "min_minutiae"),
+            ({"min_minutiae": 0, "max_minutiae": 0}, "min_minutiae"),
+        ],
+    )
+    def test_synth_values_rejected(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(**changes)
+
+    def test_synth_zero_spacing_allowed(self):
+        SynthConfig(min_spacing=0.0, min_minutiae=1, max_minutiae=1)
 
 
 class TestGenerateFinger:

@@ -44,6 +44,22 @@ def test_load_header_and_comments(tmp_path):
     assert t.minutiae[0].quality == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize(
+    "header", ["# id=foo w=5", "# id=foo h=5 w=7", "# id=a b", "#id=", "#  id=f w=5 h=x"]
+)
+def test_load_malformed_header_names_lineno(tmp_path, header):
+    path = tmp_path / "stem1.mnt"
+    path.write_text(f"# comment\n{header}\n1 2 0.25\n")
+    with pytest.raises(TemplateFormatError, match=r"stem1\.mnt:2: "):
+        load_template(path)
+
+
+def test_comment_mentioning_id_is_not_a_header(tmp_path):
+    path = tmp_path / "stem2.mnt"
+    path.write_text("# made from id=foo w=5\n1 2 0.25\n")
+    assert load_template(path).id == "stem2"
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "c.mnt"
     path.write_text("# only a comment\n")
