@@ -9,7 +9,7 @@ evaluated with rank-k / CMC identification benchmarks.
 from fpfusion.geometry import angular_difference, euclidean_distance
 from fpfusion.templates import Minutia, MinutiaeTemplate, load_template, save_template
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.mcc import CylinderConfig, build_cylinder, build_mcc_set
+from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.embedding import (
     EmbeddingConfig,
     build_synthetic_embeddings,
@@ -18,7 +18,7 @@ from fpfusion.embedding import (
 )
 from fpfusion.pairing import cosine_similarity, compute_n_r, compute_n_p
 from fpfusion.relaxation import RelaxationParams, pair_compatibility
-from fpfusion.fusion import FusionConfig, MatchResult, match_all_channels
+from fpfusion.fusion import FusionConfig
 from fpfusion.evaluation import (
     Gallery,
     IdentificationResult,
@@ -37,7 +37,6 @@ __all__ = [
     "euclidean_distance",
     "DescriptorSet",
     "CylinderConfig",
-    "build_cylinder",
     "build_mcc_set",
     "EmbeddingConfig",
     "build_synthetic_embeddings",
@@ -49,8 +48,6 @@ __all__ = [
     "RelaxationParams",
     "pair_compatibility",
     "FusionConfig",
-    "MatchResult",
-    "match_all_channels",
     "Gallery",
     "IdentificationResult",
     "CmcCurve",

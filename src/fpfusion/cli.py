@@ -239,7 +239,7 @@ def cmd_match(args) -> int:
     gallery = Gallery(cfg.cylinder, cfg.embedding)
     ta, tb = load_template(args.template_a), load_template(args.template_b)
     query, entry = (
-        gallery.prepare_query(t, load_embeddings(path, len(t), t.id) if path else None)
+        gallery.prepare_query(t, load_embeddings(path, len(t)) if path else None)
         for t, path in ((ta, args.emb_a), (tb, args.emb_b))
     )
     scores, raw, used = match_gallery(query, [entry], cfg.fusion)

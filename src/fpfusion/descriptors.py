@@ -19,7 +19,6 @@ class DescriptorSet:
     descriptors that must be excluded from similarity matrices.
     """
 
-    template_id: str
     vectors: np.ndarray
     valid: np.ndarray
 

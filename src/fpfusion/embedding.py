@@ -1,7 +1,8 @@
 """Patch-embedding descriptors: file loader plus a handcrafted stand-in.
 
 Real embeddings produced offline are loaded from a small binary format
-(magic ``EMB1``, little-endian u32 count, u32 dim, then count x dim f32).
+(magic ``EMB1``, little-endian u32 count, u32 dim, then count x dim f32);
+a zero row is an invalid descriptor, in memory and in the file.
 Without a file, a deterministic log-polar neighborhood signature stands in
 so the full fusion pipeline runs without any neural network.
 """
@@ -17,6 +18,7 @@ import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.geometry import angular_difference, wrap_signed
+from fpfusion.pairing import unit_rows
 from fpfusion.templates import MinutiaeTemplate
 
 MAGIC = b"EMB1"
@@ -39,12 +41,14 @@ class EmbeddingConfig:
     def __post_init__(self):
         if not (math.isfinite(self.synth_radius) and self.synth_radius > 0):
             raise ValueError("synth_radius must be finite and positive")
+        if min(self.radial_bins, self.angular_bins, self.direction_bins) < 1:
+            raise ValueError("radial_bins, angular_bins and direction_bins must be at least 1")
         if self.radial_bins * self.angular_bins * self.direction_bins > self.dim:
             raise ValueError("histogram bins exceed embedding dimension")
 
 
-def load_embeddings(path, expected_count: int, template_id: str = "") -> DescriptorSet:
-    """Load per-minutia embeddings; vectors are L2-normalized on load."""
+def load_embeddings(path, expected_count: int) -> DescriptorSet:
+    """Load per-minutia embeddings, L2-normalized; a zero row is invalid."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise EmbeddingFormatError(f"{path}: bad magic, expected {MAGIC!r}")
@@ -62,20 +66,16 @@ def load_embeddings(path, expected_count: int, template_id: str = "") -> Descrip
     vectors = vectors.reshape(count, dim)
     if not np.isfinite(vectors).all():
         raise EmbeddingFormatError(f"{path}: non-finite embedding values")
-    norms = np.linalg.norm(vectors, axis=1)
-    if count and (norms == 0).any():
-        raise EmbeddingFormatError(f"{path}: zero-norm embedding vector")
-    if count:
-        vectors = vectors / norms[:, None]
-    return DescriptorSet(
-        template_id=template_id or Path(path).stem,
-        vectors=vectors,
-        valid=np.ones(count, dtype=bool),
-    )
+    return unit_rows(DescriptorSet(vectors, np.ones(count, dtype=bool)), out=vectors)
 
 
 def save_embeddings(d: DescriptorSet, path) -> None:
-    """Write the binary embedding layout; round-trips within 1e-6 per value."""
+    """Write the binary embedding layout; round-trips within 1e-6 per value.
+
+    Rows are written as they are, so an invalid descriptor must be a zero row.
+    """
+    if d.vectors[~d.valid].any():
+        raise ValueError("an invalid embedding must be a zero row to stay invalid in a file")
     vectors = np.ascontiguousarray(d.vectors, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -98,16 +98,13 @@ def build_synthetic_embeddings(
     Neighbors within ``synth_radius`` are soft-binned over log-radius x
     position angle x directional difference, all measured in the
     minutia-aligned frame, so the signature is rotation and translation
-    invariant. A minutia with no neighbors yields the basis vector e_1
-    with valid=False (cosine needs nonzero vectors).
+    invariant. A minutia with no neighbors yields the zero row with
+    valid=False (cosine needs nonzero vectors).
     """
     cfg = cfg or EmbeddingConfig()
     n = len(t)
     vectors = np.zeros((n, cfg.dim), dtype=np.float64)
     valid = np.zeros(n, dtype=bool)
-    if n == 0:
-        return DescriptorSet(template_id=t.id, vectors=vectors, valid=valid)
-
     positions = t.positions()
     thetas = t.thetas()
     sigma_r = 0.5 / cfg.radial_bins
@@ -122,7 +119,6 @@ def build_synthetic_embeddings(
         dist = np.hypot(dx, dy)
         mask = (dist <= cfg.synth_radius) & (np.arange(n) != i)
         if not mask.any():
-            vectors[i, 0] = 1.0
             continue
         r = np.log1p(dist[mask]) / log_scale
         # ray angle from i to neighbor, rotated into the minutia frame
@@ -136,4 +132,4 @@ def build_synthetic_embeddings(
         flat = hist.ravel()
         vectors[i, : flat.size] = flat / np.linalg.norm(flat)
         valid[i] = True
-    return DescriptorSet(template_id=t.id, vectors=vectors, valid=valid)
+    return DescriptorSet(vectors=vectors, valid=valid)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,9 +57,6 @@ class Gallery:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, template_id: str) -> bool:
-        return template_id in self._entries
 
     def entry(self, template_id: str) -> GalleryEntry:
         return self._entries[template_id]
@@ -146,8 +144,12 @@ def fuse_ranks(results_a: list, results_b: list) -> list[IdentificationResult]:
     """Rank-level fusion: per query, the better mate rank of two channels.
 
     A missing rank (None) loses to any found one. The output is sorted by
-    query id; the two lists must cover the same queries.
+    query id; the two lists must cover the same queries, each once.
     """
+    for results in (results_a, results_b):
+        repeated = sorted(q for q, n in Counter(r.query_id for r in results).items() if n > 1)
+        if repeated:
+            raise ValueError(f"rank list repeats query ids: {repeated}")
     ranks_a = {r.query_id: r.rank_of_mate for r in results_a}
     ranks_b = {r.query_id: r.rank_of_mate for r in results_b}
     if set(ranks_a) != set(ranks_b):

@@ -28,7 +28,6 @@ from fpfusion.pairing import (
     compute_n_r,
     pad_rows,
     select_pairs,
-    unit_rows,
 )
 from fpfusion.relaxation import (
     PAIR_SLOTS,
@@ -72,18 +71,6 @@ class GalleryEntry:
         for name, d in (("mcc", self.mcc), ("embedding", self.embedding)):
             if len(d) != len(self.template):
                 raise ValueError(f"{name} count {len(d)} != template size {len(self.template)}")
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of one template-vs-template comparison."""
-
-    query_id: str
-    gallery_id: str
-    score: float
-    raw_sum: float
-    n_pairs_used: int
-    channel: str
 
 
 def _fused_matrix(mcc: tuple, emb: tuple, cfg: FusionConfig) -> tuple:
@@ -223,28 +210,3 @@ def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None =
         _match_block(query, entries[i : i + _BLOCK], cfg) for i in range(0, len(entries), _BLOCK)
     ]
     return tuple(np.concatenate(column, axis=1) for column in zip(*parts))
-
-
-def match_all_channels(
-    ta: MinutiaeTemplate,
-    tb: MinutiaeTemplate,
-    mcc_a: DescriptorSet,
-    mcc_b: DescriptorSet,
-    emb_a: DescriptorSet,
-    emb_b: DescriptorSet,
-    cfg: FusionConfig | None = None,
-) -> dict[str, MatchResult]:
-    """Score one template pair on every channel.
-
-    Both similarity matrices are computed once. Pairs are selected three
-    times, on the cylinder, embedding and fused matrices; the feature
-    channel relaxes the union of the first two selections. Either template
-    being empty scores 0 on every channel.
-    """
-    query = GalleryEntry(ta, unit_rows(mcc_a), unit_rows(emb_a))
-    entry = GalleryEntry(tb, unit_rows(mcc_b), unit_rows(emb_b))
-    scores, raw, used = match_gallery(query, [entry], cfg)
-    return {
-        ch: MatchResult(ta.id, tb.id, float(scores[k, 0]), float(raw[k, 0]), int(used[k, 0]), ch)
-        for k, ch in enumerate(CHANNELS)
-    }

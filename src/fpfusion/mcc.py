@@ -61,15 +61,6 @@ class CylinderConfig:
         return self.radius + 3.0 * self.sigma_spatial
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Descriptor for one minutia: flattened cell values plus validity."""
-
-    values: np.ndarray
-    valid: bool
-    minutia_index: int
-
-
 @lru_cache(maxsize=None)
 def _cell_offsets(cfg: CylinderConfig) -> tuple[np.ndarray, np.ndarray]:
     """Local-frame cell centers (n_cells, 2) and the inside-radius mask,
@@ -91,47 +82,40 @@ def _section_centers(cfg: CylinderConfig) -> np.ndarray:
     return centers
 
 
-def build_cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> Cylinder:
-    """Build the cylinder of minutia ``i``; valid only with enough neighbors."""
-    n = len(t)
-    if not 0 <= i < n:
-        raise IndexError(f"minutia index {i} out of range for template of size {n}")
+def _cylinder(t: MinutiaeTemplate, i: int, cfg: CylinderConfig) -> tuple[np.ndarray, bool]:
+    """The flattened cells of minutia ``i``'s cylinder and its validity (enough
+    neighbors within the cutoff). A minutia with no neighbor gets a zero row."""
     offsets, inside = _cell_offsets(cfg)
     m = t.minutiae[i]
-    values = np.zeros((cfg.grid * cfg.grid, cfg.sections), dtype=np.float64)
-    if n > 1:
-        mask = np.arange(n) != i
-        npos, nthetas = t.positions()[mask], t.thetas()[mask]
+    others = np.arange(len(t)) != i
+    npos, nthetas = t.positions()[others], t.thetas()[others]
 
-        # Only a neighbor within radius + cutoff of the minutia can reach an
-        # inside cell; the 1 px margin keeps rounding from dropping one.
-        dist = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y)
-        reach = dist <= cfg.radius + cfg.cutoff + 1.0
+    # Only a neighbor within radius + cutoff of the minutia can reach an
+    # inside cell; the 1 px margin keeps rounding from dropping one.
+    dist = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y)
+    reach = dist <= cfg.radius + cfg.cutoff + 1.0
 
-        # (n_cells, n_neighbors) spatial kernel, cut at radius + 3 sigma. It
-        # is evaluated on inside cells x reachable neighbors and 0 elsewhere.
-        spatial = np.zeros((len(offsets), n - 1), dtype=np.float64)
-        if reach.any():
-            c, s = math.cos(m.theta), math.sin(m.theta)
-            ox, oy = offsets[inside].T
-            wx = m.x + c * ox + s * oy
-            wy = m.y - s * ox + c * oy
-            d = np.hypot(wx[:, None] - npos[reach, 0], wy[:, None] - npos[reach, 1])
-            block = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
-            block[d > cfg.cutoff] = 0.0
-            spatial[np.ix_(inside, reach)] = block
+    # (n_cells, n_neighbors) spatial kernel, cut at radius + 3 sigma. It
+    # is evaluated on inside cells x reachable neighbors and 0 elsewhere.
+    spatial = np.zeros((len(offsets), len(npos)), dtype=np.float64)
+    if reach.any():
+        c, s = math.cos(m.theta), math.sin(m.theta)
+        ox, oy = offsets[inside].T
+        wx = m.x + c * ox + s * oy
+        wy = m.y - s * ox + c * oy
+        d = np.hypot(wx[:, None] - npos[reach, 0], wy[:, None] - npos[reach, 1])
+        block = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
+        block[d > cfg.cutoff] = 0.0
+        spatial[np.ix_(inside, reach)] = block
 
-        # (n_neighbors, sections) directional kernel on the wrapped difference.
-        ddir = wrap_signed(m.theta - nthetas)
-        gap = angular_difference(_section_centers(cfg)[None, :], np.atleast_1d(ddir)[:, None])
-        directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
+    # (n_neighbors, sections) directional kernel on the wrapped difference.
+    ddir = wrap_signed(m.theta - nthetas)
+    gap = angular_difference(_section_centers(cfg)[None, :], ddir[:, None])
+    directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
 
-        values = spatial @ directional
-
-        valid = int((dist <= cfg.cutoff).sum()) >= cfg.min_neighbors and bool(values.any())
-    else:
-        valid = False
-    return Cylinder(values=values.ravel(), valid=valid, minutia_index=i)
+    values = spatial @ directional
+    valid = int((dist <= cfg.cutoff).sum()) >= cfg.min_neighbors and bool(values.any())
+    return values.ravel(), valid
 
 
 def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> DescriptorSet:
@@ -140,7 +124,5 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     vectors = np.zeros((len(t), cfg.dim), dtype=np.float64)
     valid = np.zeros(len(t), dtype=bool)
     for i in range(len(t)):
-        cyl = build_cylinder(t, i, cfg)
-        vectors[i] = cyl.values
-        valid[i] = cyl.valid
-    return DescriptorSet(template_id=t.id, vectors=vectors, valid=valid)
+        vectors[i], valid[i] = _cylinder(t, i, cfg)
+    return DescriptorSet(vectors=vectors, valid=valid)

@@ -47,7 +47,7 @@ def unit_rows(d: DescriptorSet, out: np.ndarray | None = None) -> DescriptorSet:
     """
     norms = np.linalg.norm(d.vectors, axis=1)
     vectors = np.divide(d.vectors, np.where(norms > 0, norms, 1.0)[:, None], out=out)
-    return DescriptorSet(template_id=d.template_id, vectors=vectors, valid=d.valid & (norms > 0))
+    return DescriptorSet(vectors=vectors, valid=d.valid & (norms > 0))
 
 
 def pad_rows(slot: np.ndarray, parts: list) -> np.ndarray:

@@ -121,7 +121,8 @@ def perturb_to_latent(
 
     Returns (template, correspondences) where correspondences[j] is the
     index of output minutia j in the source template, or -1 for spurious
-    minutiae.
+    minutiae. The crop is drawn up to five times until it holds a minutia;
+    if none does, the query holds no genuine minutia, only spurious ones.
     """
     if len(t) == 0:
         raise ValueError("cannot perturb an empty template")
@@ -130,22 +131,12 @@ def perturb_to_latent(
     lo = positions.min(axis=0)
     hi = positions.max(axis=0)
 
-    kept_idx = np.array([], dtype=np.intp)
-    center = positions[0]
-    radius = cfg.crop_radius_max
-    best: np.ndarray | None = None
     for _ in range(5):
         center = rng.uniform(lo, hi)
         radius = float(rng.uniform(cfg.crop_radius_min, cfg.crop_radius_max))
-        inside = np.hypot(*(positions - center).T) <= radius
-        idx = np.flatnonzero(inside)
-        if best is None or len(idx) > len(best):
-            best = idx
-        if len(idx) > 0:
-            kept_idx = idx
+        kept_idx = np.flatnonzero(np.hypot(*(positions - center).T) <= radius)
+        if len(kept_idx):
             break
-    else:
-        kept_idx = best if best is not None else np.array([0], dtype=np.intp)
 
     frac = float(rng.uniform(cfg.keep_min, cfg.keep_max))
     n_keep = max(1, round(frac * len(kept_idx)))

@@ -52,8 +52,9 @@ class MinutiaeTemplate:
 
     The minutia order is the index space used by descriptor sets,
     similarity matrices and pair sets. Empty templates are legal inputs;
-    matchers score them 0. Positions and directions are held as read-only
-    arrays built once at construction.
+    matchers score them 0. Width and height are both set (non-negative)
+    or both None. Positions and directions are held as read-only arrays
+    built once at construction.
     """
 
     id: str
@@ -62,6 +63,9 @@ class MinutiaeTemplate:
     height: int | None = None
 
     def __post_init__(self):
+        w, h = self.width, self.height
+        if (w is None) != (h is None) or min(w or 0, h or 0) < 0:
+            raise ValueError(f"template size {w}x{h}: need both >= 0 or neither")
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
         xy = np.array([(m.x, m.y) for m in self.minutiae], dtype=np.float64).reshape(-1, 2)
         theta = np.array([m.theta for m in self.minutiae], dtype=np.float64)
@@ -158,7 +162,7 @@ def save_template(t: MinutiaeTemplate, path) -> None:
     if not re.fullmatch(r"\S+", t.id):
         raise ValueError(f"template id {t.id!r} must be non-empty without whitespace")
     lines = []
-    if t.width is not None and t.height is not None:
+    if t.width is not None:
         lines.append(f"# id={t.id} w={t.width} h={t.height}")
     else:
         lines.append(f"# id={t.id}")

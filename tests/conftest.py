@@ -1,8 +1,11 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from fpfusion.evaluation import Gallery
+from fpfusion.fusion import CHANNELS, match_gallery
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 
@@ -41,6 +44,25 @@ def padded(a, shape, fill=0.0):
     out = np.full((1, *shape), fill)
     out[(0, *(slice(0, k) for k in np.shape(a)))] = a
     return out
+
+
+class PairScore(NamedTuple):
+    score: float
+    raw_sum: float
+    n_pairs_used: int
+
+
+def match_pair(ta, tb, emb_a=None, emb_b=None, cfg=None):
+    """One template pair on every channel, scored as ``fpfusion match`` scores
+    it: both sides prepared as queries, ``tb`` as a one-entry gallery.
+    Embeddings default to the synthetic stand-in."""
+    g = Gallery()
+    query, entry = g.prepare_query(ta, emb_a), g.prepare_query(tb, emb_b)
+    scores, raw, used = match_gallery(query, [entry], cfg)
+    return {
+        ch: PairScore(float(scores[k, 0]), float(raw[k, 0]), int(used[k, 0]))
+        for k, ch in enumerate(CHANNELS)
+    }
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. The synthetic-benchmark criterion runs the full 200-finger pipeline
-twice (byte-identity check) and takes a couple of minutes.
+lines. Pair-level criteria score a template pair as ``fpfusion match`` does
+(``conftest.match_pair``: both sides prepared by a ``Gallery``, scored by
+``match_gallery``). The synthetic-benchmark criterion runs the full
+200-finger pipeline twice (byte-identity check) and takes about 40 s.
 """
 
 import json
@@ -11,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import padded, random_template, rotate_template
+from conftest import match_pair, padded, random_template, rotate_template
 from fpfusion.cli import main
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
 from fpfusion.evaluation import Gallery, identify_all, write_cmc, write_results
-from fpfusion.fusion import CHANNELS, FusionConfig, match_all_channels
+from fpfusion.fusion import CHANNELS, FusionConfig
 from fpfusion.mcc import build_mcc_set
 from fpfusion.pairing import cosine_similarity, select_pairs
 from fpfusion.relaxation import (
@@ -161,15 +163,14 @@ def test_criterion_5_fusion_degeneracies():
     for _ in range(100):
         ta = random_template(rng, n=int(rng.integers(6, 14)), extent=250.0, tid="a")
         tb = random_template(rng, n=int(rng.integers(6, 14)), extent=250.0, tid="b")
-        mcc_a, mcc_b = build_mcc_set(ta), build_mcc_set(tb)
         emb_a, emb_b = build_synthetic_embeddings(ta), build_synthetic_embeddings(tb)
 
-        out = match_all_channels(ta, tb, mcc_a, mcc_b, emb_a, emb_b, FusionConfig(w1=1.0, w2=0.0))
+        out = match_pair(ta, tb, emb_a, emb_b, FusionConfig(w1=1.0, w2=0.0))
         ok &= abs(out["score"].score - out["mcc"].score) <= 1e-12
-        out = match_all_channels(ta, tb, mcc_a, mcc_b, emb_a, emb_b, FusionConfig(w1=0.0, w2=1.0))
+        out = match_pair(ta, tb, emb_a, emb_b, FusionConfig(w1=0.0, w2=1.0))
         ok &= abs(out["score"].score - out["emb"].score) <= 1e-12
-        dead = DescriptorSet("a", emb_a.vectors, np.zeros(len(emb_a), dtype=bool))
-        out = match_all_channels(ta, tb, mcc_a, mcc_b, dead, emb_b)
+        dead = DescriptorSet(emb_a.vectors, np.zeros(len(emb_a), dtype=bool))
+        out = match_pair(ta, tb, dead, emb_b)
         fused, single = out["feature"], out["mcc"]
         ok &= fused.score == single.score and fused.raw_sum == single.raw_sum
     report("criterion 5: fusion degeneracies on 100 template pairs", ok)

@@ -354,10 +354,9 @@ def test_match_prints_the_identify_score(pair_dir, matcher, capsys):
     assert capsys.readouterr().out.split()[0] == top  # "score=..." in both
 
 
-def test_match_with_embedding_files_scores_like_match_all_channels(pair_dir, tmp_path, capsys):
+def test_match_with_embedding_files_scores_like_the_library(pair_dir, tmp_path, capsys):
+    from conftest import match_pair
     from fpfusion.embedding import load_embeddings
-    from fpfusion.fusion import match_all_channels
-    from fpfusion.mcc import build_mcc_set
     from fpfusion.templates import load_template
 
     query, gallery = pair_dir
@@ -369,10 +368,8 @@ def test_match_with_embedding_files_scores_like_match_all_channels(pair_dir, tmp
         paths.append(tmp_path / f"{src.stem}.emb")
         args = ["embed-synth", str(src), "--out", str(paths[-1]), "--config", str(emb_cfg)]
         assert main(args) == EXIT_OK
-    emb_a, emb_b = (load_embeddings(p, len(t), t.id) for p, t in zip(paths, (ta, tb)))
-    expected = match_all_channels(
-        ta, tb, build_mcc_set(ta), build_mcc_set(tb), emb_a, emb_b
-    )
+    emb_a, emb_b = (load_embeddings(p, len(t)) for p, t in zip(paths, (ta, tb)))
+    expected = match_pair(ta, tb, emb_a, emb_b)
     for matcher in ("emb", "feature"):
         capsys.readouterr()
         argv = ["match", str(query), str(gallery / "g.mnt"), "--matcher", matcher]
@@ -403,3 +400,115 @@ def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsy
     cfg = tmp_path / "fusion.cfg"
     cfg.write_text("w1=0.7\n")
     assert main(["describe", str(template_path), "--config", str(cfg)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "line", ["emb_radial_bins=0", "emb_angular_bins=-1", "emb_direction_bins=0"]
+)
+def test_config_file_bins_below_one_is_data_error(template_path, tmp_path, line, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "rows.csv"
+    args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
+    assert main([*args, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"config key {line}: " in err
+    assert line.partition("=")[0].removeprefix("emb_") in err.partition(": ")[2]
+    assert not out.exists()
+
+
+def _match_outputs(argv, capsys):
+    """``match`` output lines of every matcher for one argument list."""
+    lines = []
+    for matcher in ("mcc", "emb", "feature", "score"):
+        capsys.readouterr()
+        assert main([*argv, "--matcher", matcher]) == EXIT_OK
+        lines.append(capsys.readouterr().out)
+    return lines
+
+
+def _with_embedding_files(argv, a, b, tmp_path):
+    """``argv`` plus ``--emb-a/--emb-b`` files that ``embed-synth`` writes."""
+    for flag, src in (("--emb-a", a), ("--emb-b", b)):
+        emb = tmp_path / f"{flag[2:]}.emb"
+        assert main(["embed-synth", str(src), "--out", str(emb)]) == EXIT_OK
+        argv = [*argv, flag, str(emb)]
+    return argv
+
+
+def test_neighborless_minutia_scores_alike_with_embedding_files(tmp_path, capsys):
+    # a cluster plus one minutia beyond the 96 px signature radius of every
+    # other: its embedding is invalid, and it must stay so through a file
+    from fpfusion.templates import Minutia, MinutiaeTemplate, rigid_transform
+
+    cluster = [(50, 50, 0.3), (75, 58, 1.0), (60, 85, 2.0), (95, 90, 2.6), (40, 110, 4.0)]
+    ta = MinutiaeTemplate("a", tuple(Minutia(*m) for m in [*cluster, (400, 380, 5.0)]))
+    tb = rigid_transform(ta, 0.3, 12.0, -7.0, center=(200.0, 200.0))
+    tb = MinutiaeTemplate("b", tb.minutiae[1:])  # one cluster minutia missing
+    a, b = tmp_path / "a.mnt", tmp_path / "b.mnt"
+    save_template(ta, a)
+    save_template(tb, b)
+    argv = ["match", str(a), str(b)]
+    plain = _match_outputs(argv, capsys)
+    from_files = _match_outputs(_with_embedding_files(argv, a, b, tmp_path), capsys)
+    for x, y in zip(plain, from_files):
+        fields_x = dict(f.split("=") for f in x.split())
+        fields_y = dict(f.split("=") for f in y.split())
+        assert fields_x["pairs"] == fields_y["pairs"]
+        for key in ("score", "raw_sum"):  # float32 files round within 1e-6
+            assert abs(float(fields_x[key]) - float(fields_y[key])) <= 2e-6
+
+
+@pytest.fixture
+def tiny_dir(tmp_path):
+    """Templates of 0 and 1 minutiae in one gallery directory."""
+    from fpfusion.templates import Minutia, MinutiaeTemplate
+
+    d = tmp_path / "tiny"
+    d.mkdir()
+    save_template(MinutiaeTemplate("z0", ()), d / "z0.mnt")
+    save_template(MinutiaeTemplate("z1", (Minutia(40.0, 60.0, 1.0),)), d / "z1.mnt")
+    return d
+
+
+@pytest.mark.parametrize("with_emb", [False, True])
+@pytest.mark.parametrize("na,nb", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_tiny_templates_through_match(tiny_dir, tmp_path, na, nb, with_emb, capsys):
+    a, b = tiny_dir / f"z{na}.mnt", tiny_dir / f"z{nb}.mnt"
+    argv = ["match", str(a), str(b)]
+    if with_emb:
+        argv = _with_embedding_files(argv, a, b, tmp_path)
+    assert _match_outputs(argv, capsys) == ["score=0.000000 raw_sum=0.000000 pairs=0\n"] * 4
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_tiny_templates_through_identify(tiny_dir, tmp_path, n, capsys):
+    out = tmp_path / "results.csv"
+    argv = ["identify", str(tiny_dir / f"z{n}.mnt"), str(tiny_dir), "--mate", f"z{n}"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    # every score is 0, so the gallery id breaks the tie
+    assert capsys.readouterr().out == f"rank_of_mate={n + 1}\ntop=z0 score=0.000000\n"
+    assert out.read_text().splitlines()[1:] == [
+        f"z{n},1,z0,0.000000,feature",
+        f"z{n},2,z1,0.000000,feature",
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("what,dim", [("mcc", 1536), ("emb", 256)])
+def test_tiny_templates_through_describe(tiny_dir, n, what, dim, capsys):
+    assert main(["describe", str(tiny_dir / f"z{n}.mnt"), "--what", what]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(["minutia", "valid"] + [f"v{i}" for i in range(dim)])
+    assert lines[1:] == [",".join(["0", "0"] + ["0.000000"] * dim)] * n
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_tiny_templates_through_embed_synth(tiny_dir, tmp_path, n, capsys):
+    from fpfusion.embedding import load_embeddings
+
+    emb = tmp_path / "z.emb"
+    assert main(["embed-synth", str(tiny_dir / f"z{n}.mnt"), "--out", str(emb)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {n} embeddings to {emb}\n"
+    back = load_embeddings(emb, n)
+    assert back.vectors.shape == (n, 256) and not back.valid.any()

@@ -24,9 +24,7 @@ def test_unit_norm(rng):
 def test_no_neighbor_sentinel():
     t = MinutiaeTemplate("one", (Minutia(0, 0, 0.3),))
     e = build_synthetic_embeddings(t)
-    expected = np.zeros(256)
-    expected[0] = 1.0
-    assert np.array_equal(e.vectors[0], expected)
+    assert np.array_equal(e.vectors[0], np.zeros(256))
     assert not e.valid[0]
 
 
@@ -61,6 +59,13 @@ def test_config_bin_budget():
         EmbeddingConfig(dim=16, radial_bins=4, angular_bins=8, direction_bins=8)
 
 
+@pytest.mark.parametrize("field", ["radial_bins", "angular_bins", "direction_bins"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_bins_below_one(field, value):
+    with pytest.raises(ValueError, match=field):
+        EmbeddingConfig(**{field: value})
+
+
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -5.0])
 def test_config_rejects_radius_not_finite_and_positive(radius):
     with pytest.raises(ValueError, match="synth_radius"):
@@ -70,7 +75,7 @@ def test_config_rejects_radius_not_finite_and_positive(radius):
 def test_file_round_trip(tmp_path, rng):
     vectors = rng.normal(size=(5, 32))
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-    d = DescriptorSet("x", vectors, np.ones(5, dtype=bool))
+    d = DescriptorSet(vectors, np.ones(5, dtype=bool))
     path = tmp_path / "x.emb"
     save_embeddings(d, path)
     back = load_embeddings(path, expected_count=5)
@@ -78,8 +83,27 @@ def test_file_round_trip(tmp_path, rng):
     assert np.allclose(back.vectors, vectors, atol=1e-6)
 
 
+def test_file_round_trip_keeps_invalid_rows(tmp_path):
+    # two clustered minutiae and one beyond the 96 px signature radius
+    t = MinutiaeTemplate("c", (Minutia(0, 0, 0.3), Minutia(20, 5, 1.0), Minutia(400, 400, 2.0)))
+    e = build_synthetic_embeddings(t)
+    assert e.valid.tolist() == [True, True, False]
+    path = tmp_path / "c.emb"
+    save_embeddings(e, path)
+    back = load_embeddings(path, expected_count=3)
+    assert back.valid.tolist() == [True, True, False]
+    assert np.allclose(back.vectors, e.vectors, atol=1e-6)
+
+
+def test_save_rejects_invalid_row_that_is_not_zero(tmp_path):
+    d = DescriptorSet(np.eye(2), np.array([True, False]))
+    with pytest.raises(ValueError, match="zero row"):
+        save_embeddings(d, tmp_path / "x.emb")
+    assert not (tmp_path / "x.emb").exists()
+
+
 def test_load_normalizes(tmp_path):
-    d = DescriptorSet("x", np.array([[2.0, 0.0, 0.0, 0.0]]), np.ones(1, dtype=bool))
+    d = DescriptorSet(np.array([[2.0, 0.0, 0.0, 0.0]]), np.ones(1, dtype=bool))
     path = tmp_path / "n.emb"
     save_embeddings(d, path)
     back = load_embeddings(path, expected_count=1)
@@ -87,7 +111,7 @@ def test_load_normalizes(tmp_path):
 
 
 def test_load_count_mismatch(tmp_path):
-    d = DescriptorSet("x", np.eye(3), np.ones(3, dtype=bool))
+    d = DescriptorSet(np.eye(3), np.ones(3, dtype=bool))
     path = tmp_path / "c.emb"
     save_embeddings(d, path)
     with pytest.raises(EmbeddingFormatError, match="3.*2"):
@@ -102,7 +126,7 @@ def test_load_bad_magic(tmp_path):
 
 
 def test_load_truncated(tmp_path):
-    d = DescriptorSet("x", np.eye(3), np.ones(3, dtype=bool))
+    d = DescriptorSet(np.eye(3), np.ones(3, dtype=bool))
     path = tmp_path / "t.emb"
     save_embeddings(d, path)
     path.write_bytes(path.read_bytes()[:-4])

@@ -53,7 +53,7 @@ class TestGallery:
 
         gallery = Gallery()
         t = random_template(rng, n=5, tid="t")
-        bad = DescriptorSet("t", np.eye(3), np.ones(3, bool))
+        bad = DescriptorSet(np.eye(3), np.ones(3, bool))
         with pytest.raises(ValueError):
             gallery.enroll(t, embeddings=bad)
 
@@ -62,7 +62,7 @@ class TestGallery:
 
         gallery = Gallery()
         t = random_template(rng, n=5, tid="q")
-        extra = DescriptorSet("q", np.eye(10), np.ones(10, bool))
+        extra = DescriptorSet(np.eye(10), np.ones(10, bool))
         with pytest.raises(ValueError, match="embedding count 10"):
             gallery.prepare_query(t, embeddings=extra)
 
@@ -78,7 +78,7 @@ class TestGallery:
         vectors = emb.vectors.copy()
         vectors[1] = 0.0
         given = vectors.copy()
-        gallery.enroll(t, embeddings=DescriptorSet("t", vectors, emb.valid))
+        gallery.enroll(t, embeddings=DescriptorSet(vectors, emb.valid))
         entry = gallery.entry("t")
         assert np.array_equal(vectors, given)  # the caller's array is not normalized in place
         raw = build_mcc_set(t).vectors
@@ -86,7 +86,10 @@ class TestGallery:
         assert np.array_equal(entry.mcc.vectors, raw / np.where(norms > 0, norms, 1.0)[:, None])
         assert np.allclose(np.linalg.norm(entry.mcc.vectors[entry.mcc.valid], axis=1), 1.0)
         assert not entry.embedding.valid[1]
-        assert np.allclose(np.linalg.norm(entry.embedding.vectors[[0, 2, 3, 4, 5]], axis=1), 1.0)
+        # the synthetic stand-in leaves a minutia without neighbors a zero, invalid row
+        valid = entry.embedding.valid
+        assert valid.tolist() == [v and i != 1 for i, v in enumerate(emb.valid)]
+        assert np.allclose(np.linalg.norm(entry.embedding.vectors[valid], axis=1), 1.0)
 
 
 class TestIdentify:
@@ -170,6 +173,15 @@ class TestRankLevelCmc:
         for k in range(1, 16):
             assert fused[k] >= cmc(res_a, 15)[k]
             assert fused[k] >= cmc(res_b, 15)[k]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_repeated_query_id_error(self, side):
+        # a dict keyed by query id would keep one of the repeats and shrink the
+        # CMC denominator below the channel curves'
+        lists = [[result("q", 1), result("q", 9)], [result("q", 5), result("q", 7)]]
+        lists[1 - side] = [result("q", 3)]
+        with pytest.raises(ValueError, match="'q'"):
+            fuse_ranks(*lists)
 
     def test_missing_rank_takes_the_other(self):
         fused = fuse_ranks([result("q", None)], [result("q", 4)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_template, rotate_template
 from fpfusion.geometry import angular_difference, wrap_signed
-from fpfusion.mcc import CylinderConfig, build_cylinder, build_mcc_set
+from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
@@ -19,15 +19,9 @@ def test_default_dimension():
 
 def test_single_minutia_invalid():
     t = MinutiaeTemplate("one", (Minutia(10, 10, 0.5),))
-    cyl = build_cylinder(t, 0, CylinderConfig())
-    assert not cyl.valid
-    assert not cyl.values.any()
-
-
-def test_index_out_of_range():
-    t = MinutiaeTemplate("one", (Minutia(10, 10, 0.5),))
-    with pytest.raises(IndexError):
-        build_cylinder(t, 1, CylinderConfig())
+    d = build_mcc_set(t, CylinderConfig())
+    assert not d.valid[0]
+    assert not d.vectors[0].any()
 
 
 def test_set_shape_and_empty(rng):
@@ -43,9 +37,7 @@ def test_translation_invariance(rng):
         "s", tuple(Minutia(m.x + 37.5, m.y - 81.25, m.theta) for m in t.minutiae)
     )
     cfg = CylinderConfig()
-    for i in range(len(t)):
-        a = build_cylinder(t, i, cfg).values
-        b = build_cylinder(shifted, i, cfg).values
+    for a, b in zip(build_mcc_set(t, cfg).vectors, build_mcc_set(shifted, cfg).vectors):
         assert np.allclose(a, b, atol=1e-9)
 
 
@@ -54,9 +46,7 @@ def test_rotation_invariance(rng, alpha):
     t = random_template(rng, n=9, extent=150.0)
     moved = rotate_template(t, alpha, tx=21.0, ty=-9.0, center=(50.0, 60.0))
     cfg = CylinderConfig()
-    for i in range(len(t)):
-        a = build_cylinder(t, i, cfg).values
-        b = build_cylinder(moved, i, cfg).values
+    for a, b in zip(build_mcc_set(t, cfg).vectors, build_mcc_set(moved, cfg).vectors):
         assert np.allclose(a, b, atol=1e-6)
         if a.any():
             assert cosine_similarity(a, b) >= 1 - 1e-6
@@ -65,21 +55,21 @@ def test_rotation_invariance(rng, alpha):
 def test_locality(rng):
     t = random_template(rng, n=6, extent=100.0)
     cfg = CylinderConfig()
-    base = build_cylinder(t, 0, cfg).values
+    base = build_mcc_set(t, cfg).vectors[0]
     # far beyond radius + 3 sigma of every cell center of minutia 0
     far = Minutia(5000.0, 5000.0, 1.0)
     grown = MinutiaeTemplate("g", t.minutiae + (far,))
-    assert np.array_equal(base, build_cylinder(grown, 0, cfg).values)
+    assert np.array_equal(base, build_mcc_set(grown, cfg).vectors[0])
 
 
 def test_monotone_and_non_negative(rng):
     t = random_template(rng, n=6, extent=100.0)
     cfg = CylinderConfig()
-    base = build_cylinder(t, 0, cfg).values
+    base = build_mcc_set(t, cfg).vectors[0]
     assert (base >= 0).all()
     near = Minutia(t.minutiae[0].x + 15.0, t.minutiae[0].y + 5.0, 2.0)
     grown = MinutiaeTemplate("g", t.minutiae + (near,))
-    assert (build_cylinder(grown, 0, cfg).values >= base - 1e-15).all()
+    assert (build_mcc_set(grown, cfg).vectors[0] >= base - 1e-15).all()
 
 
 def test_determinism(rng):
@@ -110,16 +100,6 @@ def test_config_validation():
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match="finite"):
         CylinderConfig(**{field: value})
-
-
-@pytest.mark.parametrize("cfg", [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)])
-def test_set_rows_equal_single_cylinders_exactly(rng, cfg):
-    t = random_template(rng, n=9, extent=200.0)
-    d = build_mcc_set(t, cfg)
-    for i in range(len(t)):
-        cyl = build_cylinder(t, i, cfg)
-        assert np.array_equal(d.vectors[i], cyl.values)
-        assert d.valid[i] == cyl.valid
 
 
 def test_cached_cell_grid_is_read_only():

@@ -77,8 +77,8 @@ class TestSimScore:
     """Angle-gated similarity: ``block_cosines`` on unit rows, then ``angle_gate``."""
 
     def _sets(self):
-        a = DescriptorSet("a", np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2, bool))
-        b = DescriptorSet("b", np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones(2, bool))
+        a = DescriptorSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2, bool))
+        b = DescriptorSet(np.array([[1.0, 0.0], [1.0, 1.0]]), np.ones(2, bool))
         return unit_rows(a), unit_rows(b)
 
     @staticmethod
@@ -111,14 +111,14 @@ class TestSimScore:
         assert np.allclose(np.diag(values[0]), 1.0)
 
     def test_invalid_descriptors_gated(self):
-        a = DescriptorSet("a", np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([True, False]))
+        a = DescriptorSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([True, False]))
         _, gated = self.cosines(a, [a])
         assert not gated[0, 0, 0]
         assert gated[0, 1, :].all() and gated[0, :, 1].all()
 
     def test_padding_gated(self):
         a, b = self._sets()
-        short = DescriptorSet("s", b.vectors[:1], b.valid[:1])
+        short = DescriptorSet(b.vectors[:1], b.valid[:1])
         values, gated = self.cosines(a, [b, short])
         assert not gated[0].any()
         assert not gated[1, :, 0].any() and gated[1, :, 1].all()
@@ -132,8 +132,8 @@ class TestSimScore:
 
     def test_gate_monotonicity(self, rng):
         # the descriptors only advance rng, so the directions stay the seeded ones
-        a = DescriptorSet("a", rng.normal(size=(6, 4)), np.ones(6, bool))
-        b = DescriptorSet("b", rng.normal(size=(5, 4)), np.ones(5, bool))
+        a = DescriptorSet(rng.normal(size=(6, 4)), np.ones(6, bool))
+        b = DescriptorSet(rng.normal(size=(5, 4)), np.ones(5, bool))
         ta = MinutiaeTemplate(
             "a", tuple(Minutia(i, 0, float(rng.uniform(0, 2 * math.pi))) for i in range(6))
         )

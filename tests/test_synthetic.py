@@ -153,6 +153,15 @@ class TestPerturb:
         genuine = [c for c in corr if c >= 0]
         assert all(0 <= c < len(t) for c in genuine)
 
+    def test_crop_missing_every_minutia_keeps_only_spurious(self):
+        # a radius-0 crop holds no minutia, so the query holds no genuine one
+        cfg = SynthConfig(seed=31)
+        t = generate_finger(finger_rng(cfg, 0), cfg, "f")
+        pcfg = PerturbConfig(crop_radius_min=0.0, crop_radius_max=0.0, spurious_mean=6.0)
+        q, corr = perturb_to_latent(t, np.random.default_rng(3), pcfg)
+        assert len(q) > 0
+        assert corr == [-1] * len(q)
+
     def test_empty_template_rejected(self):
         from fpfusion.templates import MinutiaeTemplate
 

@@ -1,7 +1,12 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpfusion.templates import (
     Minutia,
@@ -175,3 +180,44 @@ def test_arrays_do_not_change_equality_or_hash(rng):
     same = MinutiaeTemplate(t.id, list(t.minutiae), t.width, t.height)
     assert same == t and hash(same) == hash(t)
     assert "_xy" not in repr(t)
+
+
+@pytest.mark.parametrize("dims", [(500, None), (None, 400), (-1, 400), (500, -2)])
+def test_size_half_set_or_negative_rejected(dims):
+    with pytest.raises(ValueError, match="template size"):
+        MinutiaeTemplate("t", (), *dims)
+
+
+TWO_PI = 2 * math.pi
+coordinate = st.floats(-1e4, 1e4)
+angle = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(TWO_PI - 1e-6, TWO_PI + 1e-6),  # normalizes to either end of [0, 2pi)
+    st.floats(-1e-6, 1e-6),
+)
+minutia = st.builds(Minutia, coordinate, coordinate, angle, st.floats(0.0, 1.0))
+size = st.none() | st.integers(-3, 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tid=st.text(min_size=1, max_size=12).filter(lambda s: re.fullmatch(r"\S+", s)),
+    minutiae=st.lists(minutia, max_size=30),
+    width=size,
+    height=size,
+)
+def test_save_load_round_trip_property(tid, minutiae, width, height):
+    if (width is None) != (height is None) or min(width or 0, height or 0) < 0:
+        with pytest.raises(ValueError, match="template size"):
+            MinutiaeTemplate(tid, minutiae, width, height)
+        return
+    t = MinutiaeTemplate(tid, minutiae, width, height)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "other-name.mnt"
+        save_template(t, path)
+        back = load_template(path)
+    assert (back.id, back.width, back.height, len(back)) == (tid, width, height, len(t))
+    for a, b in zip(t.minutiae, back.minutiae):
+        assert 0.0 <= b.theta < TWO_PI and 0.0 <= b.quality <= 1.0
+        assert abs(a.x - b.x) <= 1e-6 and abs(a.y - b.y) <= 1e-6
+        assert abs(a.theta - b.theta) <= 1e-6 and abs(a.quality - b.quality) <= 1e-6
