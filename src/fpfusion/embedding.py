@@ -4,7 +4,10 @@ Real embeddings produced offline are loaded from a small binary format
 (magic ``EMB1``, little-endian u32 count, u32 dim, then count x dim f32);
 a zero row is an invalid descriptor, in memory and in the file.
 Without a file, a deterministic log-polar neighborhood signature stands in
-so the full fusion pipeline runs without any neural network.
+so the full fusion pipeline runs without any neural network. Its soft-bin
+weights are computed once over every (minutia, neighbor) pair of a
+template; each minutia's histogram and norm are then summed over its own
+neighbors in template order, as building the signatures one by one would.
 """
 
 from __future__ import annotations
@@ -113,23 +116,30 @@ def build_synthetic_embeddings(
     radial_centers = (np.arange(cfg.radial_bins) + 0.5) / cfg.radial_bins
     log_scale = math.log1p(cfg.synth_radius)
 
-    for i in range(n):
-        dx = positions[:, 0] - positions[i, 0]
-        dy = positions[:, 1] - positions[i, 1]
-        dist = np.hypot(dx, dy)
-        mask = (dist <= cfg.synth_radius) & (np.arange(n) != i)
-        if not mask.any():
-            continue
-        r = np.log1p(dist[mask]) / log_scale
-        # ray angle from i to neighbor, rotated into the minutia frame
-        ray = np.arctan2(-dy[mask], dx[mask]) - thetas[i]
-        ddir = wrap_signed(thetas[mask] - thetas[i])
+    # Every (minutia, neighbor) pair at once; row-major order lists each
+    # minutia's neighbors in template order.
+    dx = positions[None, :, 0] - positions[:, None, 0]
+    dy = positions[None, :, 1] - positions[:, None, 1]
+    dist = np.hypot(dx, dy)
+    mask = dist <= cfg.synth_radius
+    np.fill_diagonal(mask, False)
+    i, j = np.nonzero(mask)
+    r = np.log1p(dist[i, j]) / log_scale
+    # ray angle from i to neighbor, rotated into the minutia frame
+    ray = np.arctan2(-dy[i, j], dx[i, j]) - thetas[i]
+    ddir = wrap_signed(thetas[j] - thetas[i])
 
-        w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
-        w_a = _circular_weights(wrap_signed(ray), cfg.angular_bins, sigma_a)
-        w_d = _circular_weights(ddir, cfg.direction_bins, sigma_d)
-        hist = np.einsum("nr,na,nd->rad", w_r, w_a, w_d)
+    w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
+    w_a = _circular_weights(wrap_signed(ray), cfg.angular_bins, sigma_a)
+    w_d = _circular_weights(ddir, cfg.direction_bins, sigma_d)
+    # The histogram and its norm stay per minutia: their summation order
+    # over that minutia's neighbors fixes the bits.
+    ends = np.cumsum(np.bincount(i, minlength=n)).tolist()
+    for m, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        if lo == hi:
+            continue
+        hist = np.einsum("nr,na,nd->rad", w_r[lo:hi], w_a[lo:hi], w_d[lo:hi])
         flat = hist.ravel()
-        vectors[i, : flat.size] = flat / np.linalg.norm(flat)
-        valid[i] = True
+        vectors[m, : flat.size] = flat / np.linalg.norm(flat)
+        valid[m] = True
     return DescriptorSet(vectors=vectors, valid=valid)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,12 +164,17 @@ def fuse_ranks(results_a: list, results_b: list) -> list[IdentificationResult]:
 
 
 def write_results(results: list, path) -> None:
-    """Results CSV: query_id,rank,gallery_id,score,channel — byte-stable."""
-    lines = ["query_id,rank,gallery_id,score,channel"]
-    for r in results:
-        for rank, (gid, score) in enumerate(r.candidates, start=1):
-            lines.append(f"{r.query_id},{rank},{gid},{score:.6f},{r.channel}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Results CSV: query_id,rank,gallery_id,score,channel — byte-stable.
+
+    An id holding a comma, a quote or a line break is quoted as CSV quotes
+    it; every other field is written bare.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["query_id", "rank", "gallery_id", "score", "channel"])
+        for r in results:
+            for rank, (gid, score) in enumerate(r.candidates, start=1):
+                writer.writerow([r.query_id, rank, gid, f"{score:.6f}", r.channel])
 
 
 def write_cmc(curve: CmcCurve, path) -> None:

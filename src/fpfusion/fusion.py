@@ -200,9 +200,17 @@ def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None =
 
     ``query`` and ``entries`` are ``GalleryEntry`` objects. Returns the
     scores, raw sums and pairs used, each (len(CHANNELS), len(entries)); an
-    empty query scores 0 everywhere.
+    empty query scores 0 everywhere. An entry whose cylinder or embedding
+    dimension differs from the query's raises ``ValueError``.
     """
     cfg = cfg or FusionConfig()
+    for e in entries:
+        for ch, a, b in (("mcc", query.mcc, e.mcc), ("emb", query.embedding, e.embedding)):
+            if a.dim != b.dim:
+                raise ValueError(
+                    f"{ch} descriptors of gallery entry {e.template.id!r} have dimension "
+                    f"{b.dim}, the query's have {a.dim}"
+                )
     if len(query.template) == 0 or not entries:
         zeros = np.zeros((len(CHANNELS), len(entries)))
         return zeros, zeros.copy(), zeros.astype(np.intp)

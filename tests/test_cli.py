@@ -106,6 +106,44 @@ def test_gen_synth_and_identify(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_identify_writes_ids_with_comma_or_quote_as_csv(template_path, tmp_path, capsys):
+    import csv
+
+    from fpfusion.templates import MinutiaeTemplate, load_template
+
+    t = load_template(template_path)
+    gallery = tmp_path / "g"
+    gallery.mkdir()
+    for name, tid in (("a", "f,1"), ("b", 'g"2')):
+        save_template(MinutiaeTemplate(tid, t.minutiae), gallery / f"{name}.mnt")
+    out = tmp_path / "results.csv"
+    assert main(["identify", str(template_path), str(gallery), "--out", str(out)]) == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [5, 5, 5]
+    assert sorted(r[2] for r in rows[1:]) == ["f,1", 'g"2']
+
+
+@pytest.mark.parametrize("flag", ["--emb-a", "--emb-b"])
+def test_match_embedding_dimension_mismatch_is_data_error(template_path, tmp_path, flag, capsys):
+    import numpy as np
+
+    from fpfusion.descriptors import DescriptorSet
+    from fpfusion.embedding import save_embeddings
+    from fpfusion.templates import load_template
+
+    n = len(load_template(template_path))
+    emb = tmp_path / "b128.emb"
+    save_embeddings(DescriptorSet(np.eye(n, 128), np.ones(n, dtype=bool)), emb)
+    argv = ["match", str(template_path), str(template_path), flag, str(emb)]
+    assert main(argv) == EXIT_DATA
+    query_dim, entry_dim = (128, 256) if flag == "--emb-a" else (256, 128)
+    assert capsys.readouterr().err == (
+        f"error: emb descriptors of gallery entry 't0' have dimension {entry_dim}, "
+        f"the query's have {query_dim}\n"
+    )
+
+
 def test_identify_empty_gallery(template_path, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_template, rotate_template
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import (
     EmbeddingConfig,
     EmbeddingFormatError,
+    _circular_weights,
     build_synthetic_embeddings,
     load_embeddings,
     save_embeddings,
 )
+from fpfusion.geometry import wrap_signed
 from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
@@ -132,3 +138,71 @@ def test_load_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(EmbeddingFormatError, match="bytes"):
         load_embeddings(path, expected_count=3)
+
+
+def loop_reference(t, cfg):
+    """Every signature of ``t`` built one minutia at a time, each from its
+    own neighbor mask, as vectors and validity."""
+    n = len(t)
+    vectors = np.zeros((n, cfg.dim))
+    valid = np.zeros(n, dtype=bool)
+    positions, thetas = t.positions(), t.thetas()
+    sigma_r = 0.5 / cfg.radial_bins
+    sigma_a = 0.5 * (2.0 * math.pi / cfg.angular_bins)
+    sigma_d = 0.5 * (2.0 * math.pi / cfg.direction_bins)
+    radial_centers = (np.arange(cfg.radial_bins) + 0.5) / cfg.radial_bins
+    log_scale = math.log1p(cfg.synth_radius)
+    for i in range(n):
+        dx = positions[:, 0] - positions[i, 0]
+        dy = positions[:, 1] - positions[i, 1]
+        dist = np.hypot(dx, dy)
+        mask = (dist <= cfg.synth_radius) & (np.arange(n) != i)
+        if not mask.any():
+            continue
+        r = np.log1p(dist[mask]) / log_scale
+        ray = np.arctan2(-dy[mask], dx[mask]) - thetas[i]
+        ddir = wrap_signed(thetas[mask] - thetas[i])
+        w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
+        w_a = _circular_weights(wrap_signed(ray), cfg.angular_bins, sigma_a)
+        w_d = _circular_weights(ddir, cfg.direction_bins, sigma_d)
+        flat = np.einsum("nr,na,nd->rad", w_r, w_a, w_d).ravel()
+        vectors[i, : flat.size] = flat / np.linalg.norm(flat)
+        valid[i] = True
+    return vectors, valid
+
+
+@st.composite
+def templates_near_radius(draw, radius):
+    """0-60 minutiae on an extent up to 400 px; some are copies of another
+    minutia's position and some lie at ``radius`` or 0.5 px either side of
+    it from another minutia, where the neighbor mask decides."""
+    extent = draw(st.floats(1.0, 400.0))
+    coord = st.floats(0.0, extent)
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    n = draw(st.integers(0, 50))
+    minutiae = [Minutia(draw(coord), draw(coord), draw(angle)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 10)) if minutiae else 0):
+        anchor = draw(st.sampled_from(minutiae))
+        r = draw(st.sampled_from([0.0, radius - 0.5, radius, radius + 0.5]))
+        phi = draw(angle)
+        minutiae.append(
+            Minutia(anchor.x + r * math.cos(phi), anchor.y + r * math.sin(phi), draw(angle))
+        )
+    return MinutiaeTemplate("h", tuple(minutiae))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EmbeddingConfig(),
+        EmbeddingConfig(synth_radius=150.0, radial_bins=3, angular_bins=5, direction_bins=7),
+    ],
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_build_equals_loop_reference_exactly(cfg, data):
+    t = data.draw(templates_near_radius(cfg.synth_radius))
+    e = build_synthetic_embeddings(t, cfg)
+    vectors, valid = loop_reference(t, cfg)
+    assert np.array_equal(e.vectors, vectors)
+    assert np.array_equal(e.valid, valid)

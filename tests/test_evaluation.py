@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,19 @@ class TestOutputFiles:
         assert lines[0] == "k,accuracy"
         assert len(lines) == 11
         assert lines[1] == "1,0.100000"
+
+    def test_ids_with_comma_or_quote_round_trip(self, tmp_path):
+        results = [IdentificationResult('q,"1"', (("f,1", 0.5), ('g"2', 0.25), ("h", 0.0)), 1, "emb")]
+        path = tmp_path / "results.csv"
+        write_results(results, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            ['q,"1"', "1", "f,1", "0.500000", "emb"],
+            ['q,"1"', "2", 'g"2', "0.250000", "emb"],
+            ['q,"1"', "3", "h", "0.000000", "emb"],
+        ]
+        assert path.read_text().splitlines()[3] == '"q,""1""",3,h,0.000000,emb'
 
     def test_byte_stable(self, tmp_path):
         results = [IdentificationResult("q", (("g", 1 / 3),), 1, "emb")]

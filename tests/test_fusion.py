@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import fpfusion.fusion as fusion
 from conftest import match_pair, padded, random_template, rotate_template
+from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
 from fpfusion.fusion import CHANNELS, FusionConfig
@@ -181,6 +183,29 @@ class TestMatchAllChannels:
         assert set(out) == set(CHANNELS)
         assert all(r.score == 0.0 for r in out.values())
 
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("field,ch,dim", [("mcc", "mcc", 1536), ("embedding", "emb", 256)])
+    def test_mismatched_entry_is_rejected_before_any_similarity(
+        self, rng, monkeypatch, field, ch, dim
+    ):
+        g = Gallery()
+        query = g.prepare_query(random_template(rng, n=8, tid="q"))
+        entries = [
+            g.prepare_query(random_template(rng, n=8, tid=f"g{i:02d}"))
+            for i in range(fusion._BLOCK + 1)
+        ]
+        d = getattr(entries[-1], field)
+        entries[-1] = replace(entries[-1], **{field: DescriptorSet(d.vectors[:, :100], d.valid)})
+
+        def no_similarity(*args, **kwargs):
+            raise AssertionError("similarity computed before the dimension check")
+
+        monkeypatch.setattr(fusion, "block_cosines", no_similarity)
+        message = f"{ch} descriptors of gallery entry 'g{fusion._BLOCK:02d}' have dimension 100, "
+        with pytest.raises(ValueError, match=f"^{message}the query's have {dim}$"):
+            fusion.match_gallery(query, entries)
 
 
 class TestGalleryEngine:

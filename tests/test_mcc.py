@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_template, rotate_template
 from fpfusion.geometry import angular_difference, wrap_signed
-from fpfusion.mcc import CylinderConfig, build_mcc_set
+from fpfusion.mcc import _CHUNK, CylinderConfig, build_mcc_set
 from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
@@ -162,12 +162,29 @@ def templates_near_reach(draw, reach):
     return MinutiaeTemplate("h", tuple(minutiae))
 
 
-@pytest.mark.parametrize("cfg", [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)])
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_culled_build_equals_dense_reference_exactly(cfg, data):
-    t = data.draw(templates_near_reach(cfg.radius + cfg.cutoff))
+CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]
+
+
+def assert_equals_dense_reference(t, cfg):
     d = build_mcc_set(t, cfg)
     vectors, valid = dense_reference(t, cfg)
     assert np.array_equal(d.vectors, vectors)
     assert np.array_equal(d.valid, valid)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_culled_build_equals_dense_reference_exactly(cfg, data):
+    assert_equals_dense_reference(data.draw(templates_near_reach(cfg.radius + cfg.cutoff)), cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("n", [15, 16, 17, 33])
+def test_chunk_edges_equal_dense_reference_exactly(cfg, n):
+    # the build evaluates a chunk of minutiae at a time, and 16 and 32 are
+    # multiples of it: chunks filled exactly, one short, and a remainder of
+    # one after full chunks
+    assert 16 % _CHUNK == 0
+    rng = np.random.default_rng(n)
+    assert_equals_dense_reference(random_template(rng, n=n, extent=200.0, min_spacing=6.0), cfg)
