@@ -3,7 +3,8 @@
 Configuration precedence is flags > config file > defaults. A command takes
 the flags of the config sections it reads; the key=value config file (``#``
 comments allowed) may set any known key. Exit codes: 0 success, 1 usage
-error, 2 data error.
+error (``UsageError``), 2 data error (any ``OSError`` or ``ValueError``,
+such as a malformed file or a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 
 from fpfusion.embedding import (
     EmbeddingConfig,
-    EmbeddingFormatError,
     build_synthetic_embeddings,
     load_embeddings,
     save_embeddings,
@@ -25,7 +25,7 @@ from fpfusion.evaluation import Gallery, cmc, fuse_ranks, identify_all, write_cm
 from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
-from fpfusion.templates import TemplateFormatError, load_template
+from fpfusion.templates import load_template
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,10 +79,6 @@ CONFIG_KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class UsageError(Exception):
     """A command-line flag value that a configuration rejects (exit 1)."""
 
@@ -110,12 +106,12 @@ def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig
     last: dict[str, str] = {}
     for key, raw in pairs.items():
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         path, attr, cast = CONFIG_KEYS[key]
         try:
             value = cast(raw)
         except ValueError:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
+            raise ValueError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
         changes.setdefault(path, {})[attr] = value
         last[path] = key
     for path, fields in changes.items():
@@ -133,7 +129,7 @@ def load_config_file(path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
     return pairs
@@ -143,7 +139,7 @@ def build_pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         pairs = load_config_file(args.config)
-        cfg = _apply(cfg, pairs, lambda k, exc: ConfigError(f"config key {k}={pairs[k]}: {exc}"))
+        cfg = _apply(cfg, pairs, lambda k, exc: ValueError(f"config key {k}={pairs[k]}: {exc}"))
     # flags override the file; a rejected value is reported under the flag's name
     flags = {k: str(getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k, None) is not None}
     return _apply(
@@ -234,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_match(args) -> int:
-    cfg = build_pipeline_config(args)
+def cmd_match(args, cfg: PipelineConfig) -> int:
     gallery = Gallery(cfg.cylinder, cfg.embedding)
     ta, tb = load_template(args.template_a), load_template(args.template_b)
     query, entry = (
@@ -248,11 +243,10 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
-def cmd_identify(args) -> int:
-    cfg = build_pipeline_config(args)
+def cmd_identify(args, cfg: PipelineConfig) -> int:
     paths = sorted(Path(args.gallery_dir).glob("*.mnt"))
     if not paths:
-        raise ConfigError(f"no *.mnt templates in {args.gallery_dir}")
+        raise ValueError(f"no *.mnt templates in {args.gallery_dir}")
     gallery = Gallery(cfg.cylinder, cfg.embedding)
     for path in paths:
         gallery.enroll(load_template(path))
@@ -267,8 +261,7 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    cfg = build_pipeline_config(args)
+def cmd_benchmark(args, cfg: PipelineConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     gallery_templates, queries, truth = write_dataset(out_dir / "data", cfg.synth, cfg.perturb)
@@ -301,15 +294,13 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def cmd_gen_synth(args) -> int:
-    cfg = build_pipeline_config(args)
+def cmd_gen_synth(args, cfg: PipelineConfig) -> int:
     write_dataset(args.out, cfg.synth, cfg.perturb)
     print(f"wrote {cfg.synth.n_fingers} fingers to {args.out}")
     return EXIT_OK
 
 
-def cmd_describe(args) -> int:
-    cfg = build_pipeline_config(args)
+def cmd_describe(args, cfg: PipelineConfig) -> int:
     t = load_template(args.template)
     d = (
         build_mcc_set(t, cfg.cylinder)
@@ -327,8 +318,7 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
-def cmd_embed_synth(args) -> int:
-    cfg = build_pipeline_config(args)
+def cmd_embed_synth(args, cfg: PipelineConfig) -> int:
     t = load_template(args.template)
     save_embeddings(build_synthetic_embeddings(t, cfg.embedding), args.out)
     print(f"wrote {len(t)} embeddings to {args.out}")
@@ -352,17 +342,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, build_pipeline_config(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        ConfigError,
-        TemplateFormatError,
-        EmbeddingFormatError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -75,11 +75,24 @@ def load_embeddings(path, expected_count: int) -> DescriptorSet:
 def save_embeddings(d: DescriptorSet, path) -> None:
     """Write the binary embedding layout; round-trips within 1e-6 per value.
 
-    Rows are written as they are, so an invalid descriptor must be a zero row.
+    Rows are written as float32, so that form must load back as ``d`` does:
+    every value finite, and a row nonzero exactly when it is valid. An
+    invalid descriptor must therefore be a zero row, and a valid one must
+    not round to zero. A set that fails raises before any file is made.
     """
-    if d.vectors[~d.valid].any():
-        raise ValueError("an invalid embedding must be a zero row to stay invalid in a file")
-    vectors = np.ascontiguousarray(d.vectors, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow shows as inf below
+        vectors = np.ascontiguousarray(d.vectors, dtype="<f4")
+    finite = np.isfinite(vectors).all(axis=1)
+    bad = ~finite | (vectors.any(axis=1) != d.valid)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            reason = "has a value that is not finite as float32"
+        elif d.valid[i]:
+            reason = "is valid but all zero as float32, so it would load as invalid"
+        else:
+            reason = "is invalid, and an invalid embedding must be a zero row to stay invalid"
+        raise ValueError(f"embedding row {i} {reason}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", vectors.shape[0], vectors.shape[1]))

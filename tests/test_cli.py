@@ -150,6 +150,38 @@ def test_identify_empty_gallery(template_path, tmp_path, capsys):
     assert main(["identify", str(template_path), str(empty)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "{dir}"],
+        ["match", "{a}", "{file}/x.mnt"],
+        ["describe", "{a}", "--config", "{dir}"],
+        ["describe", "{a}", "--out", "{dir}"],
+        ["embed-synth", "{a}", "--out", "{dir}"],
+        ["identify", "{a}", "{gallery}", "--out", "{dir}"],
+        ["benchmark", "--out", "{file}", "--n-fingers", "2"],
+        ["gen-synth", "--out", "{file}", "--n-fingers", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_path_that_cannot_be_read_or_written_is_data_error(template_path, tmp_path, argv):
+    # a directory where a file is expected, or a file where a directory is:
+    # unlike permissions, such a conflict holds for every user, root included
+    paths = {"a": template_path, "gallery": template_path.parent}
+    paths["dir"], paths["file"] = tmp_path / "a_dir", tmp_path / "a_file"
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    src = str(Path(fpfusion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "fpfusion.cli", *(arg.format(**paths) for arg in argv)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_describe_and_embed_synth(template_path, tmp_path, capsys):
     out_csv = tmp_path / "desc.csv"
     assert main(["describe", str(template_path), "--what", "emb", "--out", str(out_csv)]) == EXIT_OK

@@ -108,6 +108,32 @@ def test_save_rejects_invalid_row_that_is_not_zero(tmp_path):
     assert not (tmp_path / "x.emb").exists()
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([np.nan, 1.0], "not finite"),
+        ([1e300, 1e300], "not finite"),  # overflows float32
+        ([1e-50, 1e-50], "valid but all zero"),  # underflows float32
+    ],
+    ids=["nan", "overflow", "underflow"],
+)
+def test_save_rejects_row_that_would_not_load_back(tmp_path, row, message):
+    d = DescriptorSet(np.array([[1.0, 0.0], row]), np.ones(2, dtype=bool))
+    with pytest.raises(ValueError, match=f"^embedding row 1 .*{message}"):
+        save_embeddings(d, tmp_path / "x.emb")
+    assert not (tmp_path / "x.emb").exists()
+
+
+def test_file_round_trip_keeps_valid_rows_of_extreme_scale(tmp_path):
+    # the smallest and largest scales whose float32 form is finite and nonzero
+    vectors = np.array([[3e-45, 0.0], [3e38, 3e38], [0.0, 0.0]])
+    path = tmp_path / "x.emb"
+    save_embeddings(DescriptorSet(vectors, np.array([True, True, False])), path)
+    back = load_embeddings(path, expected_count=3)
+    assert back.valid.tolist() == [True, True, False]
+    assert np.allclose(back.vectors, [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.0, 0.0]])
+
+
 def test_load_normalizes(tmp_path):
     d = DescriptorSet(np.array([[2.0, 0.0, 0.0, 0.0]]), np.ones(1, dtype=bool))
     path = tmp_path / "n.emb"

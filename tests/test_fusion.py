@@ -276,6 +276,39 @@ class TestGalleryEngine:
                 assert dict(base[ch].candidates)[t.id] == single[ch].score
 
 
+class TestRigidMotion:
+    """What a rigid motion leaves unchanged. The angle gate compares absolute
+    directions, so rotating one template alone may move ``mcc``, ``feature``
+    and ``score``; only ``emb``, whose similarities are ungated, stays put."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        na=st.integers(0, 30),
+        nb=st.integers(0, 30),
+        moved=st.sampled_from(["a", "b"]),
+        alpha=st.floats(-np.pi, np.pi),
+        shift=st.tuples(st.floats(-300, 300), st.floats(-300, 300)),
+        center=st.tuples(st.floats(-300, 300), st.floats(-300, 300)),
+    )
+    def test_scores_under_rigid_motion(self, seed, na, nb, moved, alpha, shift, center):
+        rng = np.random.default_rng(seed)
+        ta, tb = random_template(rng, n=na, tid="a"), random_template(rng, n=nb, tid="b")
+        base = match_pair(ta, tb)
+
+        def moved_one(t_new):
+            return match_pair(t_new, tb) if moved == "a" else match_pair(ta, t_new)
+
+        def close(other, channels):
+            return all(abs(other[ch].score - base[ch].score) <= 1e-9 for ch in channels)
+
+        t = ta if moved == "a" else tb
+        assert close(moved_one(rotate_template(t, 0.0, *shift)), CHANNELS)
+        both = [rotate_template(x, alpha, *shift, center=center) for x in (ta, tb)]
+        assert close(match_pair(*both), CHANNELS)
+        assert close(moved_one(rotate_template(t, alpha, *shift, center=center)), ["emb"])
+
+
 def ranked(ranks):
     return [IdentificationResult(q, (), r) for q, r in ranks.items()]
 
