@@ -10,6 +10,8 @@ such as a malformed file or a path that cannot be read or written).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -230,6 +232,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path) -> None:
+    """Raise, before any work, the error that writing ``path`` would raise
+    when it is a directory or its parent is not one."""
+    path = Path(path)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_match(args, cfg: PipelineConfig) -> int:
     gallery = Gallery(cfg.cylinder, cfg.embedding)
     ta, tb = load_template(args.template_a), load_template(args.template_b)
@@ -244,6 +259,8 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_identify(args, cfg: PipelineConfig) -> int:
+    if args.out:
+        _check_output(args.out)
     paths = sorted(Path(args.gallery_dir).glob("*.mnt"))
     if not paths:
         raise ValueError(f"no *.mnt templates in {args.gallery_dir}")
@@ -264,6 +281,10 @@ def cmd_identify(args, cfg: PipelineConfig) -> int:
 def cmd_benchmark(args, cfg: PipelineConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [f"results_{ch}.csv" for ch in CHANNELS]
+    outputs += [f"cmc_{name}.csv" for name in (*CHANNELS, "rank")] + ["summary.csv"]
+    for name in outputs:
+        _check_output(out_dir / name)
     gallery_templates, queries, truth = write_dataset(out_dir / "data", cfg.synth, cfg.perturb)
 
     gallery = Gallery(cfg.cylinder, cfg.embedding)

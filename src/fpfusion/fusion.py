@@ -165,9 +165,14 @@ def _match_block(query: GalleryEntry, block: list, cfg: FusionConfig):
         padded[[0, 1, 3], :, : selected.shape[2]] = selected
         padded[2, :, : united.shape[1]] = united
         lists.append(padded)
-    p_rows, p_cols, gamma = lists
     n = np.stack([count[0], count[1], feature[3], count[2]])
-    gamma = np.where(np.arange(PAIR_SLOTS) < n[..., None], gamma, 0.0)
+    live = np.arange(PAIR_SLOTS) < n[..., None]
+    # Every list is relaxed in (row, col) order, as the union is, so two
+    # channels that select the same pairs relax them to the same values.
+    key = np.where(live, lists[0] * width + lists[1], np.iinfo(np.intp).max)
+    order = np.argsort(key, axis=-1, kind="stable")
+    p_rows, p_cols, gamma = (np.take_along_axis(a, order, axis=-1) for a in lists)
+    gamma = np.where(live, gamma, 0.0)
 
     # Compatibilities are computed once per distinct selected pair of an
     # entry (the query side gathered from the geometry of all its minutiae),

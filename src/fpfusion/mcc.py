@@ -7,12 +7,17 @@ directional differences in [-pi, pi). A cell value accumulates Gaussian
 spatial x directional contributions from neighboring minutiae; the result
 is rotation and translation invariant by construction.
 
+Only the cells whose centers lie within the radius belong to the cylinder
+(cells outside it are invalid and would always hold 0), so a row holds
+inside cells x N_D values: 208 x 6 = 1248 at the defaults, the inside cells
+in grid order (row-major over the grid) and each cell's N_D sections
+consecutive.
+
 The spatial kernel is cut at radius + 3 sigma from a cell center, so a
-neighbor farther than 2 * radius + 3 sigma from the minutia reaches no cell
-inside the radius. The kernel is evaluated only on inside cells x neighbors
-within that distance (plus 1 px); cells beyond a neighbor's reach are never
-evaluated and hold exact zeros, so the values equal those of the kernel
-evaluated over all cells and neighbors.
+neighbor farther than 2 * radius + 3 sigma from the minutia reaches no cell.
+The kernel is evaluated only on neighbors within that distance (plus 1 px);
+a neighbor beyond reach is never evaluated and contributes exact zeros, so
+the values equal those of the kernel evaluated over all neighbors.
 
 A template's minutia x neighbor geometry (distances, reach, directional
 kernels, cell centers) is computed once for all minutiae. The spatial
@@ -61,7 +66,7 @@ class CylinderConfig:
 
     @property
     def dim(self) -> int:
-        return self.grid * self.grid * self.sections
+        return len(_cell_offsets(self)) * self.sections
 
     @property
     def cutoff(self) -> float:
@@ -70,17 +75,16 @@ class CylinderConfig:
 
 
 @lru_cache(maxsize=None)
-def _cell_offsets(cfg: CylinderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Local-frame cell centers (n_cells, 2) and the inside-radius mask,
-    built once per configuration and read-only."""
+def _cell_offsets(cfg: CylinderConfig) -> np.ndarray:
+    """Local-frame centers (cells, 2) of the grid cells inside the radius,
+    in grid order, built once per configuration and read-only."""
     step = 2.0 * cfg.radius / cfg.grid
     coords = -cfg.radius + step * (np.arange(cfg.grid) + 0.5)
     px, py = np.meshgrid(coords, coords, indexing="ij")
     offsets = np.stack([px.ravel(), py.ravel()], axis=1)
-    inside = np.hypot(offsets[:, 0], offsets[:, 1]) <= cfg.radius
+    offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) <= cfg.radius]
     offsets.setflags(write=False)
-    inside.setflags(write=False)
-    return offsets, inside
+    return offsets
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +113,8 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     vectors = np.zeros((n, cfg.dim), dtype=np.float64)
     if n == 0:
         return DescriptorSet(vectors=vectors, valid=np.zeros(0, dtype=bool))
-    offsets, inside = _cell_offsets(cfg)
-    cells = np.flatnonzero(inside)
-    ox, oy = offsets[inside].T
+    offsets = _cell_offsets(cfg)
+    ox, oy = offsets.T
     xy, thetas = t.positions(), t.thetas()
 
     # Row i holds the other minutiae in template order: (n, n - 1).
@@ -119,8 +122,8 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     neighbor = slot + (slot >= np.arange(n)[:, None])
     nx, ny = xy[neighbor, 0], xy[neighbor, 1]
     dist = np.hypot(nx - xy[:, 0:1], ny - xy[:, 1:2])
-    # Only a neighbor within radius + cutoff of the minutia can reach an
-    # inside cell; the 1 px margin keeps rounding from dropping one.
+    # Only a neighbor within radius + cutoff of the minutia can reach a
+    # cell; the 1 px margin keeps rounding from dropping one.
     reach = dist <= cfg.radius + cfg.cutoff + 1.0
     valid = (dist <= cfg.cutoff).sum(axis=1) >= cfg.min_neighbors
 
@@ -129,7 +132,7 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     gap = angular_difference(_section_centers(cfg), ddir[..., None])
     directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
 
-    # Inside cell centers in world coordinates, (n, inside cells). math.cos
+    # Cell centers in world coordinates, (n, cells). math.cos
     # and math.sin, not their numpy forms, which may differ by an ulp.
     c = np.array([math.cos(theta) for theta in thetas.tolist()])[:, None]
     s = np.array([math.sin(theta) for theta in thetas.tolist()])[:, None]
@@ -137,8 +140,8 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     wy = xy[:, 1:2] - s * ox + c * oy
 
     # (minutiae, cells, n - 1) spatial kernel of a chunk, cut at radius +
-    # 3 sigma. It is evaluated on inside cells x reachable neighbors and 0
-    # elsewhere; the stack is zeroed again between chunks.
+    # 3 sigma. It is evaluated on reachable neighbors and 0 elsewhere; the
+    # stack is zeroed again between chunks.
     spatial = np.zeros((min(n, _CHUNK), len(offsets), n - 1), dtype=np.float64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -149,9 +152,7 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
             d = np.hypot(wx[row] - nx[row, k, None], wy[row] - ny[row, k, None])
             block = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
             block[d > cfg.cutoff] = 0.0
-            # written cell-major, so consecutive neighbors of a minutia are
-            # adjacent in memory
-            stack[i, cells[:, None], k] = block.T
+            stack[i, :, k] = block
         # Stacked, so each minutia keeps its own (cells, n - 1) @ (n - 1,
         # sections) product.
         values = np.matmul(stack, directional[lo:hi]).reshape(hi - lo, -1)

@@ -7,6 +7,7 @@ import pytest
 
 import fpfusion
 from fpfusion.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fpfusion.mcc import CylinderConfig
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger
 from fpfusion.templates import save_template
 
@@ -180,6 +181,32 @@ def test_path_that_cannot_be_read_or_written_is_data_error(template_path, tmp_pa
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+def _no_identification(*args, **kwargs):
+    raise AssertionError("identification ran before the output path was checked")
+
+
+@pytest.mark.parametrize("out", ["a_dir", "a_file/results.csv", "missing/results.csv"])
+def test_identify_checks_out_before_matching(template_path, tmp_path, out, monkeypatch, capsys):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    monkeypatch.setattr("fpfusion.cli.identify_all", _no_identification)
+    argv = ["identify", str(template_path), str(template_path.parent), "--out", str(tmp_path / out)]
+    assert main(argv) == EXIT_DATA
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("blocked", ["results_mcc.csv", "cmc_rank.csv", "summary.csv"])
+def test_benchmark_checks_outputs_before_any_work(tmp_path, blocked, monkeypatch, capsys):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    monkeypatch.setattr("fpfusion.cli.identify_all", _no_identification)
+    assert main(["benchmark", "--out", str(out), "--n-fingers", "2"]) == EXIT_DATA
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: [Errno 21] Is a directory: '{out / blocked}'"
+    assert not (out / "data").exists()
 
 
 def test_describe_and_embed_synth(template_path, tmp_path, capsys):
@@ -565,7 +592,7 @@ def test_tiny_templates_through_identify(tiny_dir, tmp_path, n, capsys):
 
 
 @pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("what,dim", [("mcc", 1536), ("emb", 256)])
+@pytest.mark.parametrize("what,dim", [("mcc", CylinderConfig().dim), ("emb", 256)])
 def test_tiny_templates_through_describe(tiny_dir, n, what, dim, capsys):
     assert main(["describe", str(tiny_dir / f"z{n}.mnt"), "--what", what]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()

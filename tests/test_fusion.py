@@ -12,7 +12,7 @@ from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
 from fpfusion.fusion import CHANNELS, FusionConfig
-from fpfusion.mcc import build_mcc_set
+from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     RelaxationParams,
@@ -103,6 +103,33 @@ class TestFeatureFusion:
         assert fused.score == single.score
         assert fused.raw_sum == single.raw_sum
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        na=st.integers(0, 30),
+        nb=st.integers(0, 30),
+        dead=st.sampled_from(["mcc", "embedding"]),
+        sides=st.sampled_from(["a", "b", "ab"]),
+    )
+    def test_dead_channel_falls_back_exactly(self, seed, na, nb, dead, sides):
+        # with one channel's descriptors invalid on a side, that channel
+        # selects nothing and the union is the live channel's selection,
+        # relaxed in the same order: score and raw sum are equal bit for bit
+        rng = np.random.default_rng(seed)
+        ta = random_template(rng, n=na, extent=250.0, tid="a")
+        tb = random_template(rng, n=nb, extent=250.0, tid="b")
+        g = Gallery()
+        query, entry = g.prepare_query(ta), g.prepare_query(tb)
+        if "a" in sides:
+            query = replace(query, **{dead: invalidate(getattr(query, dead))})
+        if "b" in sides:
+            entry = replace(entry, **{dead: invalidate(getattr(entry, dead))})
+        scores, raw, _ = fusion.match_gallery(query, [entry])
+        live = CHANNELS.index("emb" if dead == "mcc" else "mcc")
+        feature = CHANNELS.index("feature")
+        assert scores[feature, 0] == scores[live, 0]
+        assert raw[feature, 0] == raw[live, 0]
+
     def test_channel_order_irrelevant(self, rng):
         ta, tb, mcc_a, mcc_b, emb_a, emb_b = descriptor_pair(rng)
         ab = match_pair(ta, tb, emb_a, emb_b)["feature"]
@@ -186,7 +213,7 @@ class TestMatchAllChannels:
 
 
 class TestDimensionCheck:
-    @pytest.mark.parametrize("field,ch,dim", [("mcc", "mcc", 1536), ("embedding", "emb", 256)])
+    @pytest.mark.parametrize("field,ch,dim", [("mcc", "mcc", CylinderConfig().dim), ("embedding", "emb", 256)])
     def test_mismatched_entry_is_rejected_before_any_similarity(
         self, rng, monkeypatch, field, ch, dim
     ):

@@ -7,14 +7,27 @@ from hypothesis import strategies as st
 
 from conftest import random_template, rotate_template
 from fpfusion.geometry import angular_difference, wrap_signed
-from fpfusion.mcc import _CHUNK, CylinderConfig, build_mcc_set
+from fpfusion.mcc import _CHUNK, CylinderConfig, _cell_offsets, _section_centers, build_mcc_set
 from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
+CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]
+
+
+def inside_centers(cfg):
+    """Local-frame centers of the grid cells within the radius, in grid
+    order (row-major over the grid)."""
+    step = 2.0 * cfg.radius / cfg.grid
+    coords = [-cfg.radius + step * (i + 0.5) for i in range(cfg.grid)]
+    return np.array([(x, y) for x in coords for y in coords if math.hypot(x, y) <= cfg.radius])
+
 
 def test_default_dimension():
-    cfg = CylinderConfig()
-    assert cfg.dim == 16 * 16 * 6 == 1536
+    # a row holds the cells inside the radius x sections
+    assert CylinderConfig().dim == 208 * 6 == 1248
+    for cfg in CONFIGS:
+        assert cfg.dim == len(inside_centers(cfg)) * cfg.sections
+        assert np.array_equal(_cell_offsets(cfg), inside_centers(cfg))
 
 
 def test_single_minutia_invalid():
@@ -27,7 +40,7 @@ def test_single_minutia_invalid():
 def test_set_shape_and_empty(rng):
     t = random_template(rng, n=10)
     d = build_mcc_set(t)
-    assert d.vectors.shape == (10, 1536)
+    assert d.vectors.shape == (10, CylinderConfig().dim)
     assert len(build_mcc_set(MinutiaeTemplate("empty", ()))) == 0
 
 
@@ -103,23 +116,19 @@ def test_config_rejects_non_finite(field, value):
 
 
 def test_cached_cell_grid_is_read_only():
-    from fpfusion.mcc import _cell_offsets, _section_centers
-
     cfg = CylinderConfig()
-    offsets, inside = _cell_offsets(cfg)
-    assert _cell_offsets(cfg)[0] is offsets
-    for arr in (offsets, inside, _section_centers(cfg)):
+    offsets = _cell_offsets(cfg)
+    assert _cell_offsets(cfg) is offsets
+    for arr in (offsets, _section_centers(cfg)):
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
 def dense_reference(t, cfg):
-    """Every cylinder of ``t`` from the kernel over all cells x all neighbors,
-    without culling: the spatial kernel is evaluated everywhere, then zeroed
-    beyond the cutoff and outside the radius."""
-    from fpfusion.mcc import _cell_offsets, _section_centers
-
-    offsets, inside = _cell_offsets(cfg)
+    """Every cylinder of ``t`` from the kernel over the inside cells x all
+    neighbors, without culling: the spatial kernel is evaluated everywhere,
+    then zeroed beyond the cutoff."""
+    offsets = inside_centers(cfg)
     n = len(t)
     vectors = np.zeros((n, cfg.dim))
     valid = np.zeros(n, dtype=bool)
@@ -133,7 +142,6 @@ def dense_reference(t, cfg):
         d = np.hypot(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
         spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
         spatial[d > cfg.cutoff] = 0.0
-        spatial[~inside, :] = 0.0
         ddir = wrap_signed(m.theta - nthetas)
         gap = angular_difference(_section_centers(cfg)[None, :], ddir[:, None])
         values = spatial @ np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
@@ -160,9 +168,6 @@ def templates_near_reach(draw, reach):
             Minutia(anchor.x + r * math.cos(phi), anchor.y + r * math.sin(phi), draw(angle))
         )
     return MinutiaeTemplate("h", tuple(minutiae))
-
-
-CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]
 
 
 def assert_equals_dense_reference(t, cfg):
