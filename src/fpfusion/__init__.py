@@ -6,7 +6,7 @@ similarity, consolidated by relaxation into a global match score and
 evaluated with rank-k / CMC identification benchmarks.
 """
 
-from fpfusion.geometry import angular_difference, euclidean_distance
+from fpfusion.geometry import angular_difference
 from fpfusion.templates import Minutia, MinutiaeTemplate, load_template, save_template
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.mcc import CylinderConfig, build_mcc_set
@@ -16,8 +16,8 @@ from fpfusion.embedding import (
     load_embeddings,
     save_embeddings,
 )
-from fpfusion.pairing import cosine_similarity, compute_n_r, compute_n_p
-from fpfusion.relaxation import RelaxationParams, pair_compatibility
+from fpfusion.pairing import compute_n_r, compute_n_p
+from fpfusion.relaxation import RelaxationParams
 from fpfusion.fusion import FusionConfig
 from fpfusion.evaluation import (
     Gallery,
@@ -34,7 +34,6 @@ __all__ = [
     "load_template",
     "save_template",
     "angular_difference",
-    "euclidean_distance",
     "DescriptorSet",
     "CylinderConfig",
     "build_mcc_set",
@@ -42,11 +41,9 @@ __all__ = [
     "build_synthetic_embeddings",
     "load_embeddings",
     "save_embeddings",
-    "cosine_similarity",
     "compute_n_r",
     "compute_n_p",
     "RelaxationParams",
-    "pair_compatibility",
     "FusionConfig",
     "Gallery",
     "IdentificationResult",

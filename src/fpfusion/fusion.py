@@ -9,8 +9,11 @@ ranks, not scores, and lives in ``evaluation.fuse_ranks``.
 One query is scored against a block of gallery entries at a time: the
 similarity matrices of the block are padded into one stack, pairs are
 selected on all of them in one pass, and the selected pairs of every
-entry and channel are relaxed in one pass. A single template pair is the
-one-entry case of the same engine.
+entry and channel are relaxed in one pass. A block holds as many entries
+as fit an element budget, so a ~12-minutia latent query scores 100
+fingers in two passes while a dense query's stacks stay bounded; the
+query's own pair geometry is built once per call. A single template
+pair is the one-entry case of the same engine.
 """
 
 from __future__ import annotations
@@ -93,10 +96,20 @@ def _fused_matrix(mcc: tuple, emb: tuple, cfg: FusionConfig) -> tuple:
     return cfg.w1 * v_mcc + cfg.w2 * v_emb, gated
 
 
-# Gallery entries per padded pass. It bounds the padded stacks whatever
-# the gallery size: for latent queries (~16 x 60 matrices) the work stack
-# is ~0.4 MB and one identification peaks below 2 MB of temporaries.
-_BLOCK = 16
+# Elements of the padded stacks of one pass. An entry costs its three
+# (r, width) selection matrices plus its four (PAIR_SLOTS, PAIR_SLOTS)
+# relaxation matrices, so a latent query (~12 x 60) puts ~56 entries in a
+# block and a dense one (~90 x 120) ~7. The tracemalloc peak of one
+# match_gallery call, against fixed 16-entry blocks: 4.2 MB (max 6.0)
+# instead of 1.3 (1.7) for a latent query on 100 fingers, 4.5 MB (max 4.9)
+# instead of 11.3 (12.8) for a dense query on 40.
+_BUDGET = 1 << 18
+
+
+def _entries_per_block(rows: int, width: int) -> int:
+    """Gallery entries per pass for a query of ``rows`` minutiae against
+    entries at most ``width`` wide; at least 1."""
+    return max(1, _BUDGET // (3 * rows * width + 4 * PAIR_SLOTS**2))
 
 
 def _union_pairs(rows, cols, scores, count, shape):
@@ -141,11 +154,12 @@ def _select_block(query: GalleryEntry, block: list, slot: np.ndarray, theta_b, c
     return (*(a.reshape(3, size, -1) for a in (rows, cols, scores)), count.reshape(3, size))
 
 
-def _match_block(query: GalleryEntry, block: list, cfg: FusionConfig):
+def _match_block(query: GalleryEntry, side_a: tuple, block: list, cfg: FusionConfig):
     """Score one query against a block of B gallery entries on every channel.
 
-    Returns the scores, the raw sums of the top relaxed values and the
-    pairs used, each (len(CHANNELS), B).
+    ``side_a`` is the query's ``side_geometry``. Returns the scores, the
+    raw sums of the top relaxed values and the pairs used, each
+    (len(CHANNELS), B).
     """
     ta = query.template
     counts = np.array([len(e.template) for e in block], dtype=np.intp)
@@ -183,7 +197,6 @@ def _match_block(query: GalleryEntry, block: list, cfg: FusionConfig):
     ub, us = np.nonzero(np.arange(u_rows.shape[1]) < u_n[:, None])
     index = np.zeros(shape, dtype=np.intp)
     index[ub, u_rows[ub, us], u_cols[ub, us]] = us
-    side_a = side_geometry(ta.positions(), ta.thetas())
     rho_u = compatibilities(
         tuple(m[u_rows[:, :, None], u_rows[:, None, :]] for m in side_a),
         side_geometry(xy_b[entry, u_cols], theta_b[entry, u_cols]),
@@ -191,6 +204,7 @@ def _match_block(query: GalleryEntry, block: list, cfg: FusionConfig):
     )
     pos = index[entry[None], p_rows, p_cols]
     rho = rho_u[entry[None, :, :, None], pos[..., :, None], pos[..., None, :]]
+    del rho_u, index, pos  # not read by relaxation; lowers the peak
 
     n = n.reshape(-1)
     relaxed = relax_scores(
@@ -201,7 +215,8 @@ def _match_block(query: GalleryEntry, block: list, cfg: FusionConfig):
 
 
 def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None = None):
-    """Score one query against gallery entries on every channel, block by block.
+    """Score one query against gallery entries on every channel, in blocks
+    sized by the element budget.
 
     ``query`` and ``entries`` are ``GalleryEntry`` objects. Returns the
     scores, raw sums and pairs used, each (len(CHANNELS), len(entries)); an
@@ -219,7 +234,11 @@ def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None =
     if len(query.template) == 0 or not entries:
         zeros = np.zeros((len(CHANNELS), len(entries)))
         return zeros, zeros.copy(), zeros.astype(np.intp)
+    ta = query.template
+    side_a = side_geometry(ta.positions(), ta.thetas())
+    step = _entries_per_block(len(ta), max(len(e.template) for e in entries))
     parts = [
-        _match_block(query, entries[i : i + _BLOCK], cfg) for i in range(0, len(entries), _BLOCK)
+        _match_block(query, side_a, entries[i : i + step], cfg)
+        for i in range(0, len(entries), step)
     ]
     return tuple(np.concatenate(column, axis=1) for column in zip(*parts))

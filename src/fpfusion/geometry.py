@@ -44,30 +44,6 @@ def angular_difference(theta1, theta2):
     return out
 
 
-def euclidean_distance(a, b) -> float:
-    """Euclidean distance between the positions of two minutiae."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def direction_difference(a, b) -> float:
-    """Circular distance between two minutia directions, in [0, pi]."""
-    return angular_difference(a.theta, b.theta)
-
-
-def radial_angle(a, b) -> float:
-    """Angle between a's direction and the ray from a to b, in [0, pi].
-
-    Asymmetric: radial_angle(a, b) and radial_angle(b, a) generally differ.
-    Co-located minutiae return 0 (synthetic perturbation may collide points;
-    matching must not abort).
-    """
-    dy = a.y - b.y
-    dx = b.x - a.x
-    if dx == 0.0 and dy == 0.0:
-        return 0.0
-    return angular_difference(a.theta, math.atan2(dy, dx))
-
-
 def rotate_offsets(dx, dy, alpha: float):
     """Rotate offset vectors by ``alpha`` under the package's y-down convention."""
     c, s = math.cos(alpha), math.sin(alpha)

@@ -27,19 +27,6 @@ def compute_n_p(len_a, len_b):
     return np.minimum(MAX_PAIRS_SCORE, np.minimum(len_a, len_b))
 
 
-def cosine_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Cosine of two nonzero vectors, clamped into [-1, 1]."""
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if v1.shape != v2.shape:
-        raise ValueError(f"dimension mismatch: {v1.shape} vs {v2.shape}")
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(np.clip(v1 @ v2 / (n1 * n2), -1.0, 1.0))
-
-
 def unit_rows(d: DescriptorSet, out: np.ndarray | None = None) -> DescriptorSet:
     """The descriptors divided by their norms; a zero row becomes invalid.
 

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fpfusion.geometry import (
-    angular_difference,
-    direction_difference,
-    euclidean_distance,
-    radial_angle,
-)
+from fpfusion.geometry import angular_difference
 from fpfusion.pairing import MAX_PAIRS_SCORE, MAX_PAIRS_SELECT
-from fpfusion.templates import Minutia
 
 # Pair slots of one relaxation: the feature channel relaxes the union of two
 # selections. Sums run over this fixed width, so a score never depends on
@@ -56,30 +50,6 @@ def _sigmoid_product(d1, d2, d3, params: RelaxationParams):
     for d, mu, tau in zip((d1, d2, d3), params.mu, params.tau):
         out = out / (1.0 + np.exp(-tau * (d - mu)))
     return out
-
-
-def pair_compatibility(
-    t_pair: tuple[Minutia, Minutia],
-    k_pair: tuple[Minutia, Minutia],
-    params: RelaxationParams | None = None,
-) -> float:
-    """Geometric compatibility of two minutia pairs, in (0, 1).
-
-    Compares, between the A side and the B side: the spatial distance
-    (scaled by 1/distance_scale), the direction difference and the radial
-    angle of the two involved minutiae; each discrepancy passes through a
-    sigmoid and the three factors multiply.
-    """
-    params = params or RelaxationParams()
-    a_t, b_t = t_pair
-    a_k, b_k = k_pair
-    d1 = abs(euclidean_distance(a_t, a_k) - euclidean_distance(b_t, b_k))
-    d1 /= params.distance_scale
-    d2 = abs(
-        angular_difference(direction_difference(a_t, a_k), direction_difference(b_t, b_k))
-    )
-    d3 = abs(angular_difference(radial_angle(a_t, a_k), radial_angle(b_t, b_k)))
-    return float(_sigmoid_product(d1, d2, d3, params))
 
 
 def _pairwise_radial(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -135,8 +105,9 @@ def relax_scores(
     others = np.maximum(n - 1, 1)[:, None]
     w = params.weight
     relaxed = gamma
+    product = np.empty_like(peers)
     for _ in range(params.iterations):
-        support = (peers * relaxed[:, None, :]).sum(axis=2) / others
+        support = np.multiply(peers, relaxed[:, None, :], out=product).sum(axis=2) / others
         relaxed = w * relaxed + (1.0 - w) * support
     return np.where((n > 1)[:, None], relaxed, gamma)
 

@@ -6,6 +6,8 @@ import pytest
 
 from fpfusion.evaluation import Gallery
 from fpfusion.fusion import CHANNELS, match_gallery
+from fpfusion.geometry import angular_difference
+from fpfusion.relaxation import RelaxationParams, _sigmoid_product
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 
@@ -44,6 +46,70 @@ def padded(a, shape, fill=0.0):
     out = np.full((1, *shape), fill)
     out[(0, *(slice(0, k) for k in np.shape(a)))] = a
     return out
+
+
+# Scalar references the kernels are checked against.
+
+
+def cosine_similarity(v1: np.ndarray, v2: np.ndarray) -> float:
+    """Cosine of two nonzero vectors, clamped into [-1, 1]."""
+    v1 = np.asarray(v1, dtype=np.float64)
+    v2 = np.asarray(v2, dtype=np.float64)
+    if v1.shape != v2.shape:
+        raise ValueError(f"dimension mismatch: {v1.shape} vs {v2.shape}")
+    n1 = np.linalg.norm(v1)
+    n2 = np.linalg.norm(v2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ValueError("cosine similarity undefined for zero vectors")
+    return float(np.clip(v1 @ v2 / (n1 * n2), -1.0, 1.0))
+
+
+def euclidean_distance(a, b) -> float:
+    """Euclidean distance between the positions of two minutiae."""
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def direction_difference(a, b) -> float:
+    """Circular distance between two minutia directions, in [0, pi]."""
+    return angular_difference(a.theta, b.theta)
+
+
+def radial_angle(a, b) -> float:
+    """Angle between a's direction and the ray from a to b, in [0, pi].
+
+    Asymmetric: radial_angle(a, b) and radial_angle(b, a) generally differ.
+    Co-located minutiae return 0 (synthetic perturbation may collide points;
+    matching must not abort).
+    """
+    dy = a.y - b.y
+    dx = b.x - a.x
+    if dx == 0.0 and dy == 0.0:
+        return 0.0
+    return angular_difference(a.theta, math.atan2(dy, dx))
+
+
+def pair_compatibility(
+    t_pair: tuple[Minutia, Minutia],
+    k_pair: tuple[Minutia, Minutia],
+    params: RelaxationParams | None = None,
+) -> float:
+    """Geometric compatibility of two minutia pairs, in (0, 1).
+
+    Compares, between the A side and the B side: the spatial distance
+    (scaled by 1/distance_scale), the direction difference and the radial
+    angle of the two involved minutiae; each discrepancy passes through a
+    sigmoid and the three factors multiply.
+    """
+    params = params or RelaxationParams()
+    a_t, b_t = t_pair
+    a_k, b_k = k_pair
+    d1 = abs(euclidean_distance(a_t, a_k) - euclidean_distance(b_t, b_k))
+    d1 /= params.distance_scale
+    d2 = abs(
+        angular_difference(direction_difference(a_t, a_k), direction_difference(b_t, b_k))
+    )
+    d3 = abs(angular_difference(radial_angle(a_t, a_k), radial_angle(b_t, b_k)))
+    return float(_sigmoid_product(d1, d2, d3, params))
 
 
 class PairScore(NamedTuple):

@@ -13,19 +13,25 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import match_pair, padded, random_template, rotate_template
+from conftest import (
+    cosine_similarity,
+    match_pair,
+    pair_compatibility,
+    padded,
+    random_template,
+    rotate_template,
+)
 from fpfusion.cli import main
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
 from fpfusion.evaluation import Gallery, identify_all, write_cmc, write_results
 from fpfusion.fusion import CHANNELS, FusionConfig
 from fpfusion.mcc import build_mcc_set
-from fpfusion.pairing import cosine_similarity, select_pairs
+from fpfusion.pairing import select_pairs
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     RelaxationParams,
     compatibilities,
-    pair_compatibility,
     relax_scores,
     side_geometry,
 )

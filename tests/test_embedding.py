@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_template, rotate_template
+from conftest import cosine_similarity, random_template, rotate_template
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import (
     EmbeddingConfig,
@@ -16,7 +16,6 @@ from fpfusion.embedding import (
     save_embeddings,
 )
 from fpfusion.geometry import wrap_signed
-from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 

@@ -21,6 +21,7 @@ from fpfusion.relaxation import (
     side_geometry,
     top_scores,
 )
+from fpfusion.synthetic import PerturbConfig, SynthConfig, generate_gallery, perturb_to_latent
 from fpfusion.templates import MinutiaeTemplate
 
 
@@ -219,9 +220,11 @@ class TestDimensionCheck:
     ):
         g = Gallery()
         query = g.prepare_query(random_template(rng, n=8, tid="q"))
+        # the mismatched entry is the first of the second block
+        first_block = fusion._entries_per_block(8, 8)
         entries = [
-            g.prepare_query(random_template(rng, n=8, tid=f"g{i:02d}"))
-            for i in range(fusion._BLOCK + 1)
+            g.prepare_query(random_template(rng, n=8, tid=f"g{i:03d}"))
+            for i in range(first_block + 1)
         ]
         d = getattr(entries[-1], field)
         entries[-1] = replace(entries[-1], **{field: DescriptorSet(d.vectors[:, :100], d.valid)})
@@ -230,7 +233,7 @@ class TestDimensionCheck:
             raise AssertionError("similarity computed before the dimension check")
 
         monkeypatch.setattr(fusion, "block_cosines", no_similarity)
-        message = f"{ch} descriptors of gallery entry 'g{fusion._BLOCK:02d}' have dimension 100, "
+        message = f"{ch} descriptors of gallery entry 'g{first_block:03d}' have dimension 100, "
         with pytest.raises(ValueError, match=f"^{message}the query's have {dim}$"):
             fusion.match_gallery(query, entries)
 
@@ -262,16 +265,23 @@ class TestGalleryEngine:
 
     def test_kernel_calls_per_block_not_per_entry(self, rng, monkeypatch):
         one_block = {"select_pairs": 1, "relax_scores": 1}
+        per_block = fusion._entries_per_block(10, 10)
+        assert per_block > 1
         assert self.kernel_calls(rng, monkeypatch, 3) == one_block
-        assert self.kernel_calls(rng, monkeypatch, fusion._BLOCK) == one_block
-        blocks = -(-30 // fusion._BLOCK)
-        assert self.kernel_calls(rng, monkeypatch, 30) == {k: blocks for k in one_block}
+        assert self.kernel_calls(rng, monkeypatch, per_block) == one_block
+        two_blocks = {k: 2 for k in one_block}
+        assert self.kernel_calls(rng, monkeypatch, per_block + 1) == two_blocks
+
+    # At most this many entries per block whatever the template sizes: each
+    # entry costs at least its relaxation stack.
+    SMALL_BLOCK = 16
+    SMALL_BUDGET = SMALL_BLOCK * 4 * PAIR_SLOTS**2
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        # every gallery spans at least two blocks
+        # under SMALL_BUDGET, every gallery spans at least two blocks
         sizes=st.lists(
-            st.integers(0, 14), min_size=fusion._BLOCK - 1, max_size=2 * fusion._BLOCK + 4
+            st.integers(0, 14), min_size=SMALL_BLOCK - 1, max_size=2 * SMALL_BLOCK + 4
         ),
         query_size=st.integers(0, 14),
         seed=st.integers(0, 2**32 - 1),
@@ -292,8 +302,11 @@ class TestGalleryEngine:
                 gallery.enroll(templates[i])
             return identify_all(gallery, gallery.prepare_query(tq))
 
-        base = identify(range(len(templates)))
-        shuffled = identify(rng.permutation(len(templates)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusion, "_BUDGET", self.SMALL_BUDGET)
+            assert fusion._entries_per_block(0, 0) == self.SMALL_BLOCK
+            base = identify(range(len(templates)))
+            shuffled = identify(rng.permutation(len(templates)))
         for ch in CHANNELS:
             assert base[ch].candidates == shuffled[ch].candidates
 
@@ -301,6 +314,79 @@ class TestGalleryEngine:
             single = match_pair(tq, t)
             for ch in CHANNELS:
                 assert dict(base[ch].candidates)[t.id] == single[ch].score
+
+
+STYLES = {
+    # (gallery, query perturbation) as the latent-1n and dense-1n benchmarks
+    # make them, with fewer fingers
+    "latent": (SynthConfig(seed=3, n_fingers=24), PerturbConfig()),
+    "dense": (
+        SynthConfig(seed=3, n_fingers=10, min_minutiae=80, max_minutiae=120, extent=(700.0, 700.0)),
+        PerturbConfig(
+            keep_min=0.85, keep_max=0.95, crop_radius_min=600.0, crop_radius_max=700.0,
+            spurious_mean=5.0,
+        ),
+    ),
+}
+
+
+def styled_gallery(style, n_queries):
+    """Entries of a ``STYLES`` gallery and queries perturbed from its fingers."""
+    synth, perturb = STYLES[style]
+    fingers = generate_gallery(synth)
+    g = Gallery()
+    for t in fingers:
+        g.enroll(t)
+    queries = [
+        g.prepare_query(perturb_to_latent(fingers[i], np.random.default_rng([i, 1]), perturb)[0])
+        for i in range(n_queries)
+    ]
+    return list(g.entries()), queries
+
+
+class TestBlockBudget:
+    @pytest.mark.parametrize("style", sorted(STYLES))
+    def test_block_size_moves_no_output(self, monkeypatch, style):
+        entries, queries = styled_gallery(style, 3)
+        width = max(len(e.template) for e in entries)
+        for q in queries:
+            assert fusion._entries_per_block(len(q.template), width) > 1
+            default = fusion.match_gallery(q, entries)
+            monkeypatch.setattr(fusion, "_BUDGET", 1)  # one entry per block
+            single = fusion.match_gallery(q, entries)
+            monkeypatch.undo()
+            for a, b in zip(default, single):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "style,budget",
+        # the default; one entry per block, each over budget; a budget at
+        # which latent entries cost about as much in relaxation as in selection
+        [("dense", None), ("dense", 8 * PAIR_SLOTS**2), ("latent", 1 << 15)],
+    )
+    def test_blocks_stay_within_budget(self, monkeypatch, style, budget):
+        """The padded selection and relaxation stacks of a block hold at most
+        ``_BUDGET`` elements, unless the block holds a single entry."""
+        entries, (query,) = styled_gallery(style, 1)
+        if budget is not None:
+            monkeypatch.setattr(fusion, "_BUDGET", budget)
+        shapes = {"select_pairs": [], "relax_scores": []}
+        for name, calls in shapes.items():
+
+            def recorded(stack, *args, _fn=getattr(fusion, name), _calls=calls):
+                _calls.append(stack.shape)
+                return _fn(stack, *args)
+
+            monkeypatch.setattr(fusion, name, recorded)
+        fusion.match_gallery(query, entries)
+        assert len(shapes["select_pairs"]) == len(shapes["relax_scores"]) > 1
+        sizes = []
+        for (k_select, r, width), (k_relax, p, _) in zip(*shapes.values()):
+            size = k_select // 3
+            assert k_select == 3 * size and k_relax == 4 * size and p == PAIR_SLOTS
+            assert size == 1 or 3 * size * r * width + 4 * size * p * p <= fusion._BUDGET
+            sizes.append(size)
+        assert sum(sizes) == len(entries)
 
 
 class TestRigidMotion:

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fpfusion.geometry import (
-    angular_difference,
-    direction_difference,
-    euclidean_distance,
-    normalize_angle,
-    radial_angle,
-    wrap_signed,
-)
+from conftest import direction_difference, euclidean_distance, radial_angle
+from fpfusion.geometry import angular_difference, normalize_angle, wrap_signed
 from fpfusion.templates import Minutia
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)

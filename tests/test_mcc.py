@@ -5,10 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_template, rotate_template
+from conftest import cosine_similarity, random_template, rotate_template
 from fpfusion.geometry import angular_difference, wrap_signed
 from fpfusion.mcc import _CHUNK, CylinderConfig, _cell_offsets, _section_centers, build_mcc_set
-from fpfusion.pairing import cosine_similarity
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]

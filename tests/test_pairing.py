@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import padded
+from conftest import cosine_similarity, padded
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.fusion import GalleryEntry
 from fpfusion.pairing import (
@@ -11,7 +11,6 @@ from fpfusion.pairing import (
     block_cosines,
     compute_n_p,
     compute_n_r,
-    cosine_similarity,
     select_pairs,
     unit_rows,
 )

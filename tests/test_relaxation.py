@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import padded, random_template, rotate_template
+from conftest import pair_compatibility, padded, random_template, rotate_template
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     RelaxationParams,
     compatibilities,
-    pair_compatibility,
     relax_scores,
     side_geometry,
     top_scores,

@@ -4,9 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import cosine_similarity
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.mcc import build_mcc_set
-from fpfusion.pairing import cosine_similarity
 from fpfusion.synthetic import (
     PerturbConfig,
     SynthConfig,
