@@ -125,7 +125,7 @@ def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig
 
 
 def load_config_file(path) -> dict[str, str]:
-    pairs = {}
+    pairs, first = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -133,7 +133,11 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: key {key} repeats line {first[key]}")
+        first[key] = lineno
+        pairs[key] = value.strip()
     return pairs
 
 

@@ -9,11 +9,13 @@ ranks, not scores, and lives in ``evaluation.fuse_ranks``.
 One query is scored against a block of gallery entries at a time: the
 similarity matrices of the block are padded into one stack, pairs are
 selected on all of them in one pass, and the selected pairs of every
-entry and channel are relaxed in one pass. A block holds as many entries
-as fit an element budget, so a ~12-minutia latent query scores 100
-fingers in two passes while a dense query's stacks stay bounded; the
-query's own pair geometry is built once per call. A single template
-pair is the one-entry case of the same engine.
+entry and channel are relaxed in one pass. Relaxation touches only live
+pair slots: each list's compatibility rows are gathered by flat index for
+the pairs it holds, and no row is built for padding. A block holds as
+many entries as fit an element budget, so a ~12-minutia latent query
+scores 100 fingers in two passes while a dense query's stacks stay
+bounded; the query's own pair geometry is built once per call. A single
+template pair is the one-entry case of the same engine.
 """
 
 from __future__ import annotations
@@ -97,12 +99,14 @@ def _fused_matrix(mcc: tuple, emb: tuple, cfg: FusionConfig) -> tuple:
 
 
 # Elements of the padded stacks of one pass. An entry costs its three
-# (r, width) selection matrices plus its four (PAIR_SLOTS, PAIR_SLOTS)
-# relaxation matrices, so a latent query (~12 x 60) puts ~56 entries in a
-# block and a dense one (~90 x 120) ~7. The tracemalloc peak of one
-# match_gallery call, against fixed 16-entry blocks: 4.2 MB (max 6.0)
-# instead of 1.3 (1.7) for a latent query on 100 fingers, 4.5 MB (max 4.9)
-# instead of 11.3 (12.8) for a dense query on 40.
+# (r, width) selection matrices plus 4 * PAIR_SLOTS**2 for relaxation, which
+# bounds both its compatibility stack (at most (3 * 12)**2 selected pairs)
+# and its live relaxation rows (at most 4 lists of PAIR_SLOTS rows). A
+# latent query (~12 x 60) puts ~56 entries in a block and a dense one
+# (~90 x 120) ~7. The tracemalloc peak of one match_gallery call, against
+# fixed 16-entry blocks: 4.2 MB (max 6.0) instead of 1.3 (1.7) for a latent
+# query on 100 fingers, 4.5 MB (max 4.9) instead of 11.3 (12.8) for a dense
+# query on 40; relaxing only live rows leaves these peaks unchanged.
 _BUDGET = 1 << 18
 
 
@@ -121,15 +125,19 @@ def _union_pairs(rows, cols, scores, count, shape):
     entry's union comes out sorted by (row, col) as rows, cols and scores
     (B, largest union), with the union sizes (B,).
     """
+    size, r, width = shape
     live = np.arange(rows.shape[2]) < count[..., None]
-    channel, b, slot = np.nonzero(live)
-    grid = np.full(shape, -np.inf)
-    np.maximum.at(grid, (b, rows[channel, b, slot], cols[channel, b, slot]), scores[live])
-    b, i, j = np.nonzero(grid > -np.inf)  # row-major: sorted by (entry, row, col)
-    n = np.bincount(b, minlength=shape[0])
-    pos = np.arange(len(b)) - np.repeat(np.cumsum(n) - n, n)
-    out = [np.zeros((shape[0], max(int(n.max()), 1)), dtype=d) for d in (np.intp, np.intp, float)]
-    out[0][b, pos], out[1][b, pos], out[2][b, pos] = i, j, grid[b, i, j]
+    grid = np.full(size * r * width, -np.inf)
+    b = np.nonzero(live)[1]
+    np.maximum.at(grid, (b * r + rows[live]) * width + cols[live], scores[live])
+    cell = np.flatnonzero(grid > -np.inf)  # sorted by (entry, row, col)
+    b, within = np.divmod(cell, r * width)
+    n = np.bincount(b, minlength=size)
+    big = max(int(n.max()), 1)
+    at = b * big + np.arange(len(b)) - np.repeat(np.cumsum(n) - n, n)
+    out = [np.zeros((size, big), dtype=d) for d in (np.intp, np.intp, float)]
+    for a, values in zip(out, (within // width, within % width, np.take(grid, cell))):
+        np.put(a, at, values)
     return (*out, n)
 
 
@@ -167,7 +175,8 @@ def _match_block(query: GalleryEntry, side_a: tuple, block: list, cfg: FusionCon
     slot = np.arange(width) < counts[:, None]
     theta_b = pad_rows(slot, [e.template.thetas() for e in block])
     xy_b = pad_rows(slot, [e.template.positions() for e in block])
-    shape = (size, len(ta), width)
+    r = len(ta)
+    shape = (size, r, width)
     rows, cols, scores, count = _select_block(query, block, slot, theta_b, cfg)
 
     # Pair lists in CHANNELS order, PAIR_SLOTS wide; feature is the union
@@ -190,26 +199,31 @@ def _match_block(query: GalleryEntry, side_a: tuple, block: list, cfg: FusionCon
 
     # Compatibilities are computed once per distinct selected pair of an
     # entry (the query side gathered from the geometry of all its minutiae),
-    # then gathered into each channel's list: the values equal a per-list
-    # computation, element for element.
+    # then gathered into the live rows of each channel's list: the values
+    # equal a per-list computation, element for element. Every gather takes
+    # flat indices.
     u_rows, u_cols, _, u_n = _union_pairs(rows, cols, scores, count, shape)
+    big = u_rows.shape[1]
     entry = np.arange(size)[:, None]
-    ub, us = np.nonzero(np.arange(u_rows.shape[1]) < u_n[:, None])
-    index = np.zeros(shape, dtype=np.intp)
-    index[ub, u_rows[ub, us], u_cols[ub, us]] = us
+    united = np.flatnonzero(np.arange(big) < u_n[:, None])
+    index = np.zeros(size * r * width, dtype=np.intp)
+    cell = ((united // big) * r + np.take(u_rows, united)) * width + np.take(u_cols, united)
+    np.put(index, cell, united % big)
+    col = entry * width + u_cols
     rho_u = compatibilities(
-        tuple(m[u_rows[:, :, None], u_rows[:, None, :]] for m in side_a),
-        side_geometry(xy_b[entry, u_cols], theta_b[entry, u_cols]),
+        tuple(np.take(m, u_rows[:, :, None] * r + u_rows[:, None, :]) for m in side_a),
+        side_geometry(np.take(xy_b.reshape(-1, 2), col, axis=0), np.take(theta_b, col)),
         cfg.relaxation,
     )
-    pos = index[entry[None], p_rows, p_cols]
-    rho = rho_u[entry[None, :, :, None], pos[..., :, None], pos[..., None, :]]
+    pos = np.take(index, (entry * r + p_rows) * width + p_cols).reshape(-1, PAIR_SLOTS)
+    n = n.reshape(-1)
+    at = np.flatnonzero(live)  # live slots, list-major
+    lst = at // PAIR_SLOTS
+    start = ((lst % size) * big + np.take(pos, at)) * big
+    rho = np.take(rho_u, start[:, None] + np.take(pos, lst, axis=0))
     del rho_u, index, pos  # not read by relaxation; lowers the peak
 
-    n = n.reshape(-1)
-    relaxed = relax_scores(
-        rho.reshape(-1, PAIR_SLOTS, PAIR_SLOTS), gamma.reshape(-1, PAIR_SLOTS), n, cfg.relaxation
-    )
+    relaxed = relax_scores(rho, gamma.reshape(-1, PAIR_SLOTS), n, cfg.relaxation)
     n_p = np.tile(compute_n_p(len(ta), counts), 4)
     return tuple(a.reshape(4, size) for a in top_scores(relaxed, n, n_p))
 

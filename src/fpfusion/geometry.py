@@ -36,8 +36,12 @@ def angular_difference(theta1, theta2):
 
     Accepts scalars or numpy arrays; inputs need not be pre-normalized.
     """
-    # fmod equals % on a non-negative dividend, bit for bit, and is faster
-    d = np.fmod(np.abs(np.asarray(theta1) - np.asarray(theta2)), TWO_PI)
+    d = np.abs(np.asarray(theta1) - np.asarray(theta2))
+    # fmod equals % on a non-negative dividend, bit for bit, and is faster;
+    # it returns x itself for 0 <= x < 2*pi, so it is skipped when every
+    # difference is that small (NaN fails the test and takes the fmod)
+    if d.size and not d.max() < TWO_PI:
+        d = np.fmod(d, TWO_PI)
     out = np.minimum(d, TWO_PI - d)
     if out.ndim == 0:
         return float(out)

@@ -91,25 +91,32 @@ def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> n
 def relax_scores(
     rho: np.ndarray, gamma: np.ndarray, n: np.ndarray, params: RelaxationParams
 ) -> np.ndarray:
-    """Synchronous relaxation of K padded pair lists at once.
+    """Synchronous relaxation of K pair lists at once.
 
-    ``rho`` (K, P, P) and initial scores ``gamma`` (K, P) hold list k's
-    ``n[k]`` pairs first; ``rho`` is overwritten. Each iteration mixes
-    every score with the compatibility-weighted mean of the other live
-    pairs' previous scores. A one-pair list has no peers and keeps its
-    initial score; values past ``n[k]`` are undefined.
+    Initial scores ``gamma`` (K, P) hold list k's ``n[k]`` pairs first.
+    ``rho`` holds only the live compatibility rows, (n.sum(), P) and
+    list-major: row j is pair p < n[k] of list k, its entry q the
+    compatibility of pairs p and q; ``rho`` is overwritten. Each iteration
+    mixes every score with the compatibility-weighted mean of the other
+    live pairs' previous scores, summed over all P slots of the row (dead
+    slots add +0), so a score never depends on which lists share the call.
+    A one-pair list has no peers and keeps its initial score; values past
+    ``n[k]`` are undefined.
     """
-    slots = np.arange(rho.shape[-1])
-    live = slots[None, :] < n[:, None]
-    peers = np.multiply(rho, live[:, None, :] & (slots[:, None] != slots[None, :]), out=rho)
-    others = np.maximum(n - 1, 1)[:, None]
+    width = gamma.shape[1]
+    slots = np.arange(width)
+    live = slots < n[:, None]
+    at = np.flatnonzero(live)  # live slots, list-major
+    owner = at // width
+    others = np.maximum(n - 1, 1)[owner]
+    peers = np.multiply(rho, live[owner] & (slots != (at % width)[:, None]), out=rho)
     w = params.weight
-    relaxed = gamma
-    product = np.empty_like(peers)
+    state = np.where(live, gamma, 0.0)
     for _ in range(params.iterations):
-        support = np.multiply(peers, relaxed[:, None, :], out=product).sum(axis=2) / others
-        relaxed = w * relaxed + (1.0 - w) * support
-    return np.where((n > 1)[:, None], relaxed, gamma)
+        mixed = np.take(state, owner, axis=0)
+        support = np.multiply(peers, mixed, out=mixed).sum(axis=1) / others
+        np.put(state, at, w * np.take(state, at) + (1.0 - w) * support)
+    return np.where((n > 1)[:, None], state, gamma)
 
 
 def top_scores(relaxed: np.ndarray, n: np.ndarray, n_p: np.ndarray):

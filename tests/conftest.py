@@ -10,7 +10,6 @@ from fpfusion.geometry import angular_difference
 from fpfusion.relaxation import RelaxationParams, _sigmoid_product
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
-
 def random_template(rng, n=12, extent=300.0, tid="t", min_spacing=10.0):
     """Spaced random template for descriptor/matcher tests."""
     minutiae = []
@@ -110,6 +109,29 @@ def pair_compatibility(
     )
     d3 = abs(angular_difference(radial_angle(a_t, a_k), radial_angle(b_t, b_k)))
     return float(_sigmoid_product(d1, d2, d3, params))
+
+
+def relax_padded(rho, gamma, n, params: RelaxationParams):
+    """Relaxation of K zero-padded pair lists, (K, P, P) ``rho`` and (K, P)
+    ``gamma``, each list's ``n[k]`` pairs first: the padded form the
+    row-form ``relaxation.relax_scores`` must equal. ``rho`` is overwritten."""
+    slots = np.arange(rho.shape[-1])
+    live = slots[None, :] < n[:, None]
+    peers = np.multiply(rho, live[:, None, :] & (slots[:, None] != slots[None, :]), out=rho)
+    others = np.maximum(n - 1, 1)[:, None]
+    w = params.weight
+    relaxed = gamma
+    product = np.empty_like(peers)
+    for _ in range(params.iterations):
+        support = np.multiply(peers, relaxed[:, None, :], out=product).sum(axis=2) / others
+        relaxed = w * relaxed + (1.0 - w) * support
+    return np.where((n > 1)[:, None], relaxed, gamma)
+
+
+def live_rows(rho, n):
+    """The live rows of a padded (K, P, P) ``rho``, list-major: the (n.sum(),
+    P) input of ``relax_scores``."""
+    return rho[np.arange(rho.shape[1]) < n[:, None]]
 
 
 class PairScore(NamedTuple):

@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import (
     cosine_similarity,
+    live_rows,
     match_pair,
     pair_compatibility,
     padded,
@@ -73,14 +74,15 @@ def test_criterion_2_relaxation_oracle():
         params = RelaxationParams(
             weight=float(rng.uniform(0, 1)), iterations=int(rng.integers(1, 6))
         )
-        # the pair list (i, i), i < n, relaxed in one PAIR_SLOTS-wide list
+        # the pair list (i, i), i < n, relaxed as the live rows of one
+        # PAIR_SLOTS-wide list
         rho = compatibilities(
             side_geometry(ta.positions()[:n], ta.thetas()[:n]),
             side_geometry(tb.positions()[:n], tb.thetas()[:n]),
             params,
         )
-        rho_p, gamma_p = padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), padded(gamma0, (PAIR_SLOTS,))
-        out = relax_scores(rho_p, gamma_p, np.array([n]), params)
+        rho_p = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), np.array([n]))
+        out = relax_scores(rho_p, padded(gamma0, (PAIR_SLOTS,)), np.array([n]), params)
         # straight-line reference
         if n == 1:
             expected = [float(gamma0[0])]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -409,6 +411,18 @@ def test_config_key_order_does_not_matter_for_describe(template_path, tmp_path):
     assert outs[0].count(b",") == (1024 + 2 - 1) * (15 + 1)  # 15 minutiae, 1024 values each
 
 
+@pytest.mark.parametrize("lines", [["w1=0.2", "w1=0.9"], ["w1=0.9", "w1=0.2"]])
+def test_config_file_repeated_key_is_data_error(template_path, tmp_path, lines, capsys):
+    # the last line would otherwise win, so the score would depend on key order
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text("\n".join([lines[0], "# comment", "w2=0.5", lines[1]]) + "\n")
+    args = ["match", str(template_path), str(template_path), "--matcher", "score"]
+    assert main([*args, "--config", str(cfg)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:4: key w1 repeats line 1\n"
+
+
 @pytest.mark.parametrize(
     "lines", [["min_minutiae=70", "max_minutiae=80"], ["keep_min=0.9", "keep_max=0.95"]]
 )
@@ -609,3 +623,19 @@ def test_tiny_templates_through_embed_synth(tiny_dir, tmp_path, n, capsys):
     assert capsys.readouterr().out == f"wrote {n} embeddings to {emb}\n"
     back = load_embeddings(emb, n)
     assert back.vectors.shape == (n, 256) and not back.valid.any()
+
+
+FROZEN_RESULTS = json.loads(
+    (Path(__file__).parent / "data" / "benchmark_seed42_30_results.json").read_text()
+)
+
+
+def test_benchmark_results_bytes_are_frozen(tmp_path, capsys):
+    """The seeded benchmark's result files match their recorded sha256
+    digests, so any moved score or rank fails."""
+    out = tmp_path / "bench"
+    assert main([*FROZEN_RESULTS["argv"], "--out", str(out)]) == EXIT_OK
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("results_*.csv")
+    }
+    assert written == FROZEN_RESULTS["sha256"]

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fpfusion.fusion as fusion
-from conftest import match_pair, padded, random_template, rotate_template
+from conftest import live_rows, match_pair, padded, random_template, rotate_template
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
@@ -52,8 +52,8 @@ class TestMatchSingle:
         # recurrence with the self-geometry compatibility matrix
         params = RelaxationParams()
         side = side_geometry(ta.positions(), ta.thetas())
-        rho = padded(compatibilities(side, side, params), (PAIR_SLOTS, PAIR_SLOTS))
         n = np.array([10])
+        rho = live_rows(padded(compatibilities(side, side, params), (PAIR_SLOTS, PAIR_SLOTS)), n)
         relaxed = relax_scores(rho, padded(np.ones(10), (PAIR_SLOTS,)), n, params)
         expected = top_scores(relaxed, n, np.array([8]))[0][0]
         assert result.score == pytest.approx(expected, abs=1e-6)
@@ -153,8 +153,10 @@ class TestFeatureFusion:
             side_geometry(tb.positions()[cols], tb.thetas()[cols]),
             params,
         )
-        rho, gamma = padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), padded(gamma, (PAIR_SLOTS,))
-        relaxed = relax_scores(rho, gamma, np.array([8]), params)[0]
+        n = np.array([8])
+        rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
+        gamma = padded(gamma, (PAIR_SLOTS,))
+        relaxed = relax_scores(rho, gamma, n, params)[0]
         assert relaxed[:6].min() > relaxed[6:8].max()
 
 
@@ -371,13 +373,19 @@ class TestBlockBudget:
         if budget is not None:
             monkeypatch.setattr(fusion, "_BUDGET", budget)
         shapes = {"select_pairs": [], "relax_scores": []}
-        for name, calls in shapes.items():
 
-            def recorded(stack, *args, _fn=getattr(fusion, name), _calls=calls):
-                _calls.append(stack.shape)
-                return _fn(stack, *args)
+        def recorded_select(stack, *args, _fn=fusion.select_pairs):
+            shapes["select_pairs"].append(stack.shape)
+            return _fn(stack, *args)
 
-            monkeypatch.setattr(fusion, name, recorded)
+        def recorded_relax(rho, gamma, n, *args, _fn=fusion.relax_scores):
+            # the live rows of the block's (K, P) lists, as (K, P, live rows)
+            assert rho.shape == (n.sum(), gamma.shape[1]) and len(n) == len(gamma)
+            shapes["relax_scores"].append((*gamma.shape, len(rho)))
+            return _fn(rho, gamma, n, *args)
+
+        monkeypatch.setattr(fusion, "select_pairs", recorded_select)
+        monkeypatch.setattr(fusion, "relax_scores", recorded_relax)
         fusion.match_gallery(query, entries)
         assert len(shapes["select_pairs"]) == len(shapes["relax_scores"]) > 1
         sizes = []

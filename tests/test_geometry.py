@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import direction_difference, euclidean_distance, radial_angle
 from fpfusion.geometry import angular_difference, normalize_angle, wrap_signed
@@ -106,3 +106,47 @@ def test_radial_angle_colocated_convention():
 def test_normalize_angle_stays_below_two_pi(theta):
     assert 0.0 <= normalize_angle(theta) < 2 * math.pi
     assert Minutia(0, 0, theta).theta == 0.0
+
+
+def fmod_reference(theta1, theta2):
+    """``angular_difference`` as one unconditional fmod pass."""
+    d = np.fmod(np.abs(np.asarray(theta1) - np.asarray(theta2)), 2 * math.pi)
+    return np.minimum(d, 2 * math.pi - d)
+
+
+def same_bits(got, expected):
+    return np.shape(got) == np.shape(expected) and (
+        np.asarray(got, dtype=float).tobytes() == np.asarray(expected, dtype=float).tobytes()
+    )
+
+
+special = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 2 * math.pi, 4 * math.pi])
+any_angle = st.floats(-1e6, 1e6) | special
+
+
+@given(
+    st.lists(any_angle, min_size=0, max_size=12),
+    st.lists(any_angle, min_size=0, max_size=12),
+    any_angle,
+)
+@example([0.3, 2 * math.pi, -20.0, math.inf, math.nan], [1.2, 0.0, 3.0, 0.0, 1.0], 7.0)
+def test_angular_difference_equals_fmod_form_bit_for_bit(a, b, scalar):
+    """Scalars, 0-d, empty and array inputs, broadcasts, differences of 2*pi
+    and more, negatives, +-inf and NaN."""
+    k = min(len(a), len(b))
+    a, b = np.array(a[:k], dtype=float), np.array(b[:k], dtype=float)
+    cases = [
+        (a, b),
+        (a, scalar),
+        (scalar, b),
+        (a[:, None], b[None, :]),
+        (np.array(scalar), a),
+        (np.zeros((0, 3)), scalar),
+    ]
+    if k:
+        cases += [(float(a[0]), float(b[0])), (np.array(a[0]), np.array(scalar))]
+    with np.errstate(invalid="ignore"):
+        for t1, t2 in cases:
+            got, expected = angular_difference(t1, t2), fmod_reference(t1, t2)
+            assert same_bits(got, expected)
+            assert isinstance(got, float) == (np.ndim(expected) == 0)

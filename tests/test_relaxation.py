@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import pair_compatibility, padded, random_template, rotate_template
+from conftest import (
+    live_rows,
+    pair_compatibility,
+    padded,
+    random_template,
+    relax_padded,
+    rotate_template,
+)
+from fpfusion.pairing import MAX_PAIRS_SCORE
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     RelaxationParams,
@@ -111,13 +121,15 @@ class TestCompatibility:
 
 
 class TestRelax:
-    """``relax_scores`` on one pair list, zero-padded to PAIR_SLOTS."""
+    """``relax_scores`` on the live rows of one pair list, zero-padded to
+    PAIR_SLOTS."""
 
     @staticmethod
     def relaxed(rho, gamma, params=None):
-        n = len(gamma)
-        rho, gamma = padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), padded(gamma, (PAIR_SLOTS,))
-        return relax_scores(rho, gamma, np.array([n]), params or RelaxationParams())[0, :n]
+        n = np.array([len(gamma)])
+        rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
+        gamma = padded(gamma, (PAIR_SLOTS,))
+        return relax_scores(rho, gamma, n, params or RelaxationParams())[0, : n[0]]
 
     def test_two_pair_hand_example(self):
         # rho = 1 everywhere off-diagonal, gamma0 = (0.8, 0.6), one iteration
@@ -235,3 +247,41 @@ class TestMatchScore:
         values[2] += 0.1
         bumped, _ = self.top(values, 4)
         assert bumped >= base
+
+
+class TestRowForm:
+    """The row-form ``relax_scores`` against the padded (K, P, P) oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.lists(st.integers(0, PAIR_SLOTS), min_size=1, max_size=8),
+        gamma_kind=st.sampled_from(["uniform", "zero", "negative-zero", "negative", "signed"]),
+        weight=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        iterations=st.integers(0, 6),
+    )
+    @example(seed=0, n=list(range(PAIR_SLOTS + 1)), gamma_kind="signed", weight=0.5, iterations=5)
+    def test_equals_padded_oracle(self, seed, n, gamma_kind, weight, iterations):
+        rng = np.random.default_rng(seed)
+        n = np.array(n)
+        size = len(n)
+        rho = rng.uniform(0.0, 1.0, (size, PAIR_SLOTS, PAIR_SLOTS))
+        rho[rng.random(rho.shape) < 0.2] = 0.0
+        gamma = {
+            "uniform": lambda: rng.uniform(0.0, 1.0, (size, PAIR_SLOTS)),
+            "zero": lambda: np.zeros((size, PAIR_SLOTS)),
+            "negative-zero": lambda: np.full((size, PAIR_SLOTS), -0.0),
+            "negative": lambda: -rng.uniform(0.0, 1.0, (size, PAIR_SLOTS)),
+            "signed": lambda: rng.uniform(-1.0, 1.0, (size, PAIR_SLOTS)),
+        }[gamma_kind]()
+        live = np.arange(PAIR_SLOTS) < n[:, None]
+        n_p = rng.integers(0, MAX_PAIRS_SCORE + 1, size)
+        params = RelaxationParams(weight=weight, iterations=iterations)
+
+        # the engine zeroes the padding of gamma; the row form never reads it
+        oracle = relax_padded(rho.copy(), np.where(live, gamma, 0.0), n, params)
+        expected = top_scores(oracle, n, n_p)
+        got = top_scores(relax_scores(live_rows(rho, n), gamma, n, params), n, n_p)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not np.signbit(got[0]).any()
