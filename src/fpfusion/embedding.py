@@ -138,7 +138,10 @@ def build_synthetic_embeddings(
     np.fill_diagonal(mask, False)
     i, j = np.nonzero(mask)
     r = np.log1p(dist[i, j]) / log_scale
-    # ray angle from i to neighbor, rotated into the minutia frame
+    # ray angle from i to neighbor, rotated into the minutia frame. Where
+    # y_i == y_j, -dy is -0.0, so a ray towards smaller x is -pi here, not
+    # the +pi of relaxation's arctan2(y_i - y_j, x_j - x_i); once the minutia
+    # direction is taken off and wrapped, the two differ by up to 8.9e-16.
     ray = np.arctan2(-dy[i, j], dx[i, j]) - thetas[i]
     ddir = wrap_signed(thetas[j] - thetas[i])
 

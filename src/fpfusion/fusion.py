@@ -9,13 +9,15 @@ ranks, not scores, and lives in ``evaluation.fuse_ranks``.
 One query is scored against a block of gallery entries at a time: the
 similarity matrices of the block are padded into one stack, pairs are
 selected on all of them in one pass, and the selected pairs of every
-entry and channel are relaxed in one pass. Relaxation touches only live
-pair slots: each list's compatibility rows are gathered by flat index for
-the pairs it holds, and no row is built for padding. A block holds as
-many entries as fit an element budget, so a ~12-minutia latent query
-scores 100 fingers in two passes while a dense query's stacks stay
-bounded; the query's own pair geometry is built once per call. A single
-template pair is the one-entry case of the same engine.
+entry and channel are relaxed in one pass. All four pair lists of an
+entry are read off one union of its selections, sorted by (row, col),
+and compatibilities are computed once per union pair. Relaxation touches
+only live pair slots: each list's compatibility rows are gathered by
+flat index for the pairs it holds, and no row is built for padding. A
+block holds as many entries as fit an element budget, so a ~12-minutia
+latent query scores 100 fingers in two passes while a dense query's
+stacks stay bounded; the query's own pair geometry is built once per
+call. A single template pair is the one-entry case of the same engine.
 """
 
 from __future__ import annotations
@@ -78,24 +80,22 @@ class GalleryEntry:
                 raise ValueError(f"{name} count {len(d)} != template size {len(self.template)}")
 
 
-def _fused_matrix(mcc: tuple, emb: tuple, cfg: FusionConfig) -> tuple:
-    """Weighted sum of the channel matrices, each given as (values, gated).
+def _fused_matrix(work: np.ndarray, gated_mcc, gated_emb, cfg: FusionConfig) -> np.ndarray:
+    """Write the weighted sum of the channel matrices ``work[0]`` (mcc) and
+    ``work[1]`` (emb) into ``work[2]``; return its gate.
 
     A gated entry contributes 0 for its channel; the fused entry is gated
     only when every positively-weighted channel gates it, so embedding
     information survives where the angle gate fires while a zero-weight
     channel drops out entirely (w1=1, w2=0 reproduces the single-channel
-    pipeline exactly). Returns the fused (values, gated).
+    pipeline exactly).
     """
-    (values_mcc, gated_mcc), (values_emb, gated_emb) = mcc, emb
-    v_mcc = np.where(gated_mcc, 0.0, values_mcc)
-    v_emb = np.where(gated_emb, 0.0, values_emb)
-    gated = np.ones_like(gated_mcc)
-    if cfg.w1 > 0:
-        gated &= gated_mcc
-    if cfg.w2 > 0:
-        gated &= gated_emb
-    return cfg.w1 * v_mcc + cfg.w2 * v_emb, gated
+    fused = np.multiply(work[0], cfg.w1, out=work[2])
+    np.copyto(fused, 0.0, where=gated_mcc)
+    scaled = np.multiply(work[1], cfg.w2)
+    np.copyto(scaled, 0.0, where=gated_emb)
+    fused += scaled
+    return (gated_mcc | (cfg.w1 == 0)) & (gated_emb | (cfg.w2 == 0))
 
 
 # Elements of the padded stacks of one pass. An entry costs its three
@@ -106,7 +106,8 @@ def _fused_matrix(mcc: tuple, emb: tuple, cfg: FusionConfig) -> tuple:
 # (~90 x 120) ~7. The tracemalloc peak of one match_gallery call, against
 # fixed 16-entry blocks: 4.2 MB (max 6.0) instead of 1.3 (1.7) for a latent
 # query on 100 fingers, 4.5 MB (max 4.9) instead of 11.3 (12.8) for a dense
-# query on 40; relaxing only live rows leaves these peaks unchanged.
+# query on 40; reading every pair list off one union and fusing in place
+# lowered them to about 3.3 (5.5) and 3.0 (3.3) MB.
 _BUDGET = 1 << 18
 
 
@@ -116,29 +117,36 @@ def _entries_per_block(rows: int, width: int) -> int:
     return max(1, _BUDGET // (3 * rows * width + 4 * PAIR_SLOTS**2))
 
 
+def _packed(group, n, width):
+    """Flat index of each element in a (len(n), ``width``) array whose row
+    g holds, first, the ``n[g]`` elements of group g; ``group`` is sorted."""
+    return group * width + np.arange(len(group)) - np.repeat(np.cumsum(n) - n, n)
+
+
 def _union_pairs(rows, cols, scores, count, shape):
     """Per gallery entry, the union of several selections.
 
     ``rows``, ``cols`` and ``scores`` are (C, B, R) selections with
-    ``count`` (C, B) live pairs each; ``shape`` is the block's (B, r,
-    width). A pair selected more than once keeps its largest score. Each
-    entry's union comes out sorted by (row, col) as rows, cols and scores
-    (B, largest union), with the union sizes (B,).
+    ``count`` (C, B) live pairs each, none of which selects a cell twice;
+    ``shape`` is the block's (r, width). Each entry's union comes out
+    sorted by (row, col) as rows and cols (B, largest union), with every
+    selection's score at each union slot (C, B, largest union), -inf where
+    it did not select the pair. Padding slots hold pair (0, 0) at -inf in
+    every selection.
     """
-    size, r, width = shape
+    r, width = shape
     live = np.arange(rows.shape[2]) < count[..., None]
-    grid = np.full(size * r * width, -np.inf)
-    b = np.nonzero(live)[1]
-    np.maximum.at(grid, (b * r + rows[live]) * width + cols[live], scores[live])
-    cell = np.flatnonzero(grid > -np.inf)  # sorted by (entry, row, col)
-    b, within = np.divmod(cell, r * width)
-    n = np.bincount(b, minlength=size)
+    k, b, _ = np.nonzero(live)
+    cell, slot = np.unique((b * r + rows[live]) * width + cols[live], return_inverse=True)
+    b, within = np.divmod(cell, r * width)  # sorted by (entry, row, col)
+    n = np.bincount(b, minlength=count.shape[1])
     big = max(int(n.max()), 1)
-    at = b * big + np.arange(len(b)) - np.repeat(np.cumsum(n) - n, n)
-    out = [np.zeros((size, big), dtype=d) for d in (np.intp, np.intp, float)]
-    for a, values in zip(out, (within // width, within % width, np.take(grid, cell))):
-        np.put(a, at, values)
-    return (*out, n)
+    at = _packed(b, n, big)
+    united = np.zeros(len(n) * big, dtype=np.intp)
+    np.put(united, at, within)
+    held = np.full((len(rows), len(n) * big), -np.inf)
+    held[k, np.take(at, slot)] = scores[live]
+    return (*np.divmod(united.reshape(-1, big), width), held.reshape(len(rows), -1, big))
 
 
 def _select_block(query: GalleryEntry, block: list, slot: np.ndarray, theta_b, cfg: FusionConfig):
@@ -154,7 +162,7 @@ def _select_block(query: GalleryEntry, block: list, slot: np.ndarray, theta_b, c
     work = np.zeros((3, size, len(ta), width))
     gated_mcc = block_cosines(query.mcc, [e.mcc for e in block], slot, work[0]) | turned
     gated_emb = block_cosines(query.embedding, [e.embedding for e in block], slot, work[1])
-    work[2], gated_fused = _fused_matrix((work[0], gated_mcc), (work[1], gated_emb), cfg)
+    gated_fused = _fused_matrix(work, gated_mcc, gated_emb, cfg)
     for k, gated in enumerate((gated_mcc, gated_emb, gated_fused)):
         np.copyto(work[k], -np.inf, where=gated)
     n_r = compute_n_r(len(ta), slot.sum(axis=1))
@@ -176,54 +184,42 @@ def _match_block(query: GalleryEntry, side_a: tuple, block: list, cfg: FusionCon
     theta_b = pad_rows(slot, [e.template.thetas() for e in block])
     xy_b = pad_rows(slot, [e.template.positions() for e in block])
     r = len(ta)
-    shape = (size, r, width)
     rows, cols, scores, count = _select_block(query, block, slot, theta_b, cfg)
 
-    # Pair lists in CHANNELS order, PAIR_SLOTS wide; feature is the union
-    # of the mcc and emb selections.
-    feature = _union_pairs(rows[:2], cols[:2], scores[:2], count[:2], shape)
-    lists = []
-    for selected, united in zip((rows, cols, scores), feature):
-        padded = np.zeros((4, size, PAIR_SLOTS), dtype=selected.dtype)
-        padded[[0, 1, 3], :, : selected.shape[2]] = selected
-        padded[2, :, : united.shape[1]] = united
-        lists.append(padded)
-    n = np.stack([count[0], count[1], feature[3], count[2]])
-    live = np.arange(PAIR_SLOTS) < n[..., None]
-    # Every list is relaxed in (row, col) order, as the union is, so two
-    # channels that select the same pairs relax them to the same values.
-    key = np.where(live, lists[0] * width + lists[1], np.iinfo(np.intp).max)
-    order = np.argsort(key, axis=-1, kind="stable")
-    p_rows, p_cols, gamma = (np.take_along_axis(a, order, axis=-1) for a in lists)
-    gamma = np.where(live, gamma, 0.0)
+    # Pair lists in CHANNELS order, all read off the union of the block's
+    # selections: each holds its pairs in (row, col) order, so two channels
+    # that select the same pairs relax them to the same values. feature holds
+    # the mcc and emb pairs, a pair both select at its larger score.
+    u_rows, u_cols, held = _union_pairs(rows, cols, scores, count, (r, width))
+    big = u_rows.shape[1]
+    mcc, emb, fused = held
+    lists = np.stack([mcc, emb, np.maximum(mcc, emb), fused]).reshape(-1, big)
+    live = lists > -np.inf
+    n = np.count_nonzero(live, axis=1)
+    at = np.flatnonzero(live)  # live slots, list-major
+    lst, union_at = np.divmod(at, big)
+    slot_at = _packed(lst, n, PAIR_SLOTS)
+    gamma = np.zeros((4 * size, PAIR_SLOTS))
+    pos = np.zeros((4 * size, PAIR_SLOTS), dtype=np.intp)
+    np.put(gamma, slot_at, np.take(lists, at))
+    np.put(pos, slot_at, union_at)
 
     # Compatibilities are computed once per distinct selected pair of an
     # entry (the query side gathered from the geometry of all its minutiae),
-    # then gathered into the live rows of each channel's list: the values
-    # equal a per-list computation, element for element. Every gather takes
-    # flat indices.
-    u_rows, u_cols, _, u_n = _union_pairs(rows, cols, scores, count, shape)
-    big = u_rows.shape[1]
-    entry = np.arange(size)[:, None]
-    united = np.flatnonzero(np.arange(big) < u_n[:, None])
-    index = np.zeros(size * r * width, dtype=np.intp)
-    cell = ((united // big) * r + np.take(u_rows, united)) * width + np.take(u_cols, united)
-    np.put(index, cell, united % big)
-    col = entry * width + u_cols
+    # then gathered into the live rows of each list: the values equal a
+    # per-list computation, element for element. Every gather takes flat
+    # indices.
+    col = np.arange(size)[:, None] * width + u_cols
     rho_u = compatibilities(
         tuple(np.take(m, u_rows[:, :, None] * r + u_rows[:, None, :]) for m in side_a),
         side_geometry(np.take(xy_b.reshape(-1, 2), col, axis=0), np.take(theta_b, col)),
         cfg.relaxation,
     )
-    pos = np.take(index, (entry * r + p_rows) * width + p_cols).reshape(-1, PAIR_SLOTS)
-    n = n.reshape(-1)
-    at = np.flatnonzero(live)  # live slots, list-major
-    lst = at // PAIR_SLOTS
-    start = ((lst % size) * big + np.take(pos, at)) * big
+    start = ((lst % size) * big + union_at) * big
     rho = np.take(rho_u, start[:, None] + np.take(pos, lst, axis=0))
-    del rho_u, index, pos  # not read by relaxation; lowers the peak
+    del rho_u, pos  # not read by relaxation; lowers the peak
 
-    relaxed = relax_scores(rho, gamma.reshape(-1, PAIR_SLOTS), n, cfg.relaxation)
+    relaxed = relax_scores(rho, gamma, n, cfg.relaxation)
     n_p = np.tile(compute_n_p(len(ta), counts), 4)
     return tuple(a.reshape(4, size) for a in top_scores(relaxed, n, n_p))
 

@@ -53,8 +53,9 @@ class MinutiaeTemplate:
     The minutia order is the index space used by descriptor sets,
     similarity matrices and pair sets. Empty templates are legal inputs;
     matchers score them 0. Width and height are both set (non-negative)
-    or both None. Positions and directions are held as read-only arrays
-    built once at construction.
+    or both None. The positions' span must be finite, so every offset and
+    distance between two minutiae is. Positions and directions are held as
+    read-only arrays built once at construction.
     """
 
     id: str
@@ -69,6 +70,11 @@ class MinutiaeTemplate:
         object.__setattr__(self, "minutiae", tuple(self.minutiae))
         xy = np.array([(m.x, m.y) for m in self.minutiae], dtype=np.float64).reshape(-1, 2)
         theta = np.array([m.theta for m in self.minutiae], dtype=np.float64)
+        if len(xy) > 1:
+            with np.errstate(over="ignore"):  # an overflow shows as inf below
+                span = np.hypot(*np.ptp(xy, axis=0))
+            if not np.isfinite(span):
+                raise ValueError(f"minutia positions span {span}: offsets between them overflow")
         xy.flags.writeable = theta.flags.writeable = False
         # plain attributes, not fields: equality, hashing and repr ignore them
         object.__setattr__(self, "_xy", xy)
@@ -152,7 +158,10 @@ def load_template(path) -> MinutiaeTemplate:
                 minutiae.append(Minutia(values[0], values[1], values[2], quality))
             except ValueError as exc:
                 raise TemplateFormatError(f"{path}:{lineno}: {exc}") from None
-    return MinutiaeTemplate(tid, tuple(minutiae), width, height)
+    try:
+        return MinutiaeTemplate(tid, tuple(minutiae), width, height)
+    except ValueError as exc:
+        raise TemplateFormatError(f"{path}: {exc}") from None
 
 
 def save_template(t: MinutiaeTemplate, path) -> None:

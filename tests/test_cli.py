@@ -279,6 +279,15 @@ def test_quality_outside_unit_interval_is_data_error(tmp_path, capsys):
     assert "quality" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["match", "{far}", "{good}"], ["describe", "{far}", "--what", "emb"]])
+def test_positions_whose_span_overflows_are_data_error(template_path, tmp_path, command, capsys):
+    far = tmp_path / "far.mnt"
+    far.write_text("1e308 0 0\n-1e308 5 1\n10 10 2\n")
+    argv = [a.format(far=far, good=template_path) for a in command]
+    assert main(argv) == EXIT_DATA
+    assert f"{far}: minutia positions span inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags,message",
     [

@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from fpfusion.evaluation import (
     write_cmc,
     write_results,
 )
-from fpfusion.fusion import CHANNELS
+from fpfusion.fusion import CHANNELS, FusionConfig
+from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
 from fpfusion.templates import MinutiaeTemplate
 
 
@@ -249,3 +253,47 @@ class TestCmcDepth:
         with pytest.raises(IndexError):
             curve[k]
         assert curve[1] == 0.5 and curve[2] == 1.0
+
+
+# Identifications whose result bytes no other test pins: dense templates
+# with near-full queries, and the seed-42 30-finger benchmark set with one
+# fusion weight at 0.
+FROZEN_IDENTIFICATION_CASES = {
+    "dense": (
+        SynthConfig(seed=42, n_fingers=10, min_minutiae=80, max_minutiae=120, extent=(700.0, 700.0)),
+        PerturbConfig(
+            keep_min=0.85, keep_max=0.95, crop_radius_min=600.0, crop_radius_max=700.0,
+            spurious_mean=5.0,
+        ),
+        FusionConfig(),
+    ),
+    "w1=1,w2=0": (SynthConfig(seed=42, n_fingers=30), PerturbConfig(), FusionConfig(w1=1.0, w2=0.0)),
+    "w1=0,w2=1": (SynthConfig(seed=42, n_fingers=30), PerturbConfig(), FusionConfig(w1=0.0, w2=1.0)),
+}
+FROZEN_IDENTIFICATION = json.loads(
+    (Path(__file__).parent / "data" / "identification_results.json").read_text()
+)
+
+
+def identification_digests(case, work):
+    """sha256 of each channel's ``write_results`` file for every query of a
+    ``FROZEN_IDENTIFICATION_CASES`` dataset, as ``fpfusion benchmark`` runs it."""
+    synth, perturb, cfg = FROZEN_IDENTIFICATION_CASES[case]
+    fingers, queries, truth = write_dataset(work / "data", synth, perturb)
+    gallery = Gallery()
+    for t in fingers:
+        gallery.enroll(t)
+    results = [
+        identify_all(gallery, gallery.prepare_query(q), cfg, mate_id=truth[q.id]) for q in queries
+    ]
+    digests = {}
+    for ch in CHANNELS:
+        path = work / f"results_{ch}.csv"
+        write_results([r[ch] for r in results], path)
+        digests[ch] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_IDENTIFICATION_CASES))
+def test_identification_results_bytes_are_frozen(tmp_path, case):
+    assert identification_digests(case, tmp_path) == FROZEN_IDENTIFICATION[case]

@@ -175,23 +175,23 @@ class TestScoreFusion:
         fused, single = results["score"], results["emb"]
         assert fused.score == pytest.approx(single.score, abs=1e-12)
 
+    @staticmethod
+    def fused(values_mcc, gated_mcc, values_emb, gated_emb):
+        """``_fused_matrix`` on a (3, 1, 1) work stack: the fused (values, gated)."""
+        work = np.array([[[values_mcc]], [[values_emb]], [[np.nan]]])
+        gates = np.array([[gated_mcc]]), np.array([[gated_emb]])
+        gated = fusion._fused_matrix(work, *gates, FusionConfig())
+        return work[2], gated
+
     def test_entry_arithmetic(self):
-        s_mcc = (np.array([[0.8]]), np.array([[False]]))
-        s_emb = (np.array([[0.6]]), np.array([[False]]))
-        values, _ = fusion._fused_matrix(s_mcc, s_emb, FusionConfig())
+        values, _ = self.fused(0.8, False, 0.6, False)
         assert values[0, 0] == pytest.approx(0.7)
 
     def test_gated_entry_contributes_zero(self):
-        s_mcc = (np.array([[0.8]]), np.array([[True]]))
-        s_emb = (np.array([[0.6]]), np.array([[False]]))
-        values, gated = fusion._fused_matrix(s_mcc, s_emb, FusionConfig())
+        values, gated = self.fused(0.8, True, 0.6, False)
         assert values[0, 0] == pytest.approx(0.3)
         assert not gated[0, 0]
-        _, both = fusion._fused_matrix(
-            (np.array([[0.8]]), np.array([[True]])),
-            (np.array([[0.6]]), np.array([[True]])),
-            FusionConfig(),
-        )
+        _, both = self.fused(0.8, True, 0.6, True)
         assert both[0, 0]
 
     def test_weight_validation(self):
@@ -316,6 +316,58 @@ class TestGalleryEngine:
             single = match_pair(tq, t)
             for ch in CHANNELS:
                 assert dict(base[ch].candidates)[t.id] == single[ch].score
+
+
+@st.composite
+def block_selections(draw):
+    """(3, B, R) selections of a block as ``select_pairs`` makes them: within
+    a selection distinct rows and distinct columns, 0 to R live pairs, and
+    pair (0, 0) at score 7 past the count. Small matrices make selections
+    share pairs, each at its own score."""
+    size, r, width = (draw(st.integers(1, n)) for n in (4, 4, 5))
+    depth = min(r, width)
+    rows, cols = np.zeros((2, 3, size, depth), dtype=np.intp)
+    scores = np.full((3, size, depth), 7.0)
+    count = np.zeros((3, size), dtype=np.intp)
+    for c in range(3):
+        for b in range(size):
+            n = count[c, b] = draw(st.integers(0, depth))
+            rows[c, b, :n] = draw(st.permutations(range(r)))[:n]
+            cols[c, b, :n] = draw(st.permutations(range(width)))[:n]
+            scores[c, b, :n] = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return rows, cols, scores, count, (r, width)
+
+
+class TestUnionPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(block_selections())
+    def test_matches_set_oracle(self, selection):
+        rows, cols, scores, count, shape = selection
+        u_rows, u_cols, held = fusion._union_pairs(rows, cols, scores, count, shape)
+        size = count.shape[1]
+        # the engine counts a list's finite slots, so padding must be -inf
+        n = np.count_nonzero((held > -np.inf).any(axis=0), axis=1)
+        chosen = [
+            [
+                {(rows[c, b, p], cols[c, b, p]): scores[c, b, p] for p in range(count[c, b])}
+                for b in range(size)
+            ]
+            for c in range(3)
+        ]
+        for b in range(size):
+            union = sorted(set().union(*(chosen[c][b] for c in range(3))))
+            m = len(union)
+            assert n[b] == m
+            # padding gathers pair (0, 0), which every entry has
+            assert np.array_equal(u_rows[b, m:], np.zeros(u_rows.shape[1] - m))
+            assert np.array_equal(u_cols[b, m:], np.zeros(u_cols.shape[1] - m))
+            assert np.array_equal(u_rows[b, :m], [row for row, _ in union])
+            assert np.array_equal(u_cols[b, :m], [col for _, col in union])
+            for c in range(3):
+                expected = [chosen[c][b].get(pair, -np.inf) for pair in union]
+                assert np.array_equal(held[c, b, :m], expected)
+        assert u_rows.shape == u_cols.shape == (size, max(1, max(n)))
+        assert held.shape == (3, *u_rows.shape)
 
 
 STYLES = {

@@ -188,6 +188,28 @@ def test_size_half_set_or_negative_rejected(dims):
         MinutiaeTemplate("t", (), *dims)
 
 
+@pytest.mark.parametrize(
+    "positions",
+    [[(1e308, 0.0), (-1e308, 5.0)], [(0.0, -1e308), (5.0, 1e308)], [(0.0, 0.0), (1.3e308, 1.3e308)]],
+)
+def test_span_that_overflows_rejected(positions):
+    with pytest.raises(ValueError, match="span inf"):
+        MinutiaeTemplate("t", tuple(Minutia(x, y, 0.0) for x, y in positions))
+
+
+@pytest.mark.parametrize("positions", [[(1e308, -1e308)], [(1e200, 0.0), (-1e200, 0.0)]])
+def test_far_positions_with_finite_span_accepted(positions):
+    t = MinutiaeTemplate("t", tuple(Minutia(x, y, 0.0) for x, y in positions))
+    assert t.positions().tolist() == [list(p) for p in positions]
+
+
+def test_load_span_that_overflows_names_path(tmp_path):
+    path = tmp_path / "far.mnt"
+    path.write_text("1e308 0 0\n-1e308 5 1\n")
+    with pytest.raises(TemplateFormatError, match=re.escape(f"{path}: minutia positions span inf")):
+        load_template(path)
+
+
 TWO_PI = 2 * math.pi
 coordinate = st.floats(-1e4, 1e4)
 angle = st.one_of(
