@@ -269,8 +269,15 @@ def cmd_identify(args, cfg: PipelineConfig) -> int:
     if not paths:
         raise ValueError(f"no *.mnt templates in {args.gallery_dir}")
     gallery = Gallery(cfg.cylinder, cfg.embedding)
+    enrolled = {}
     for path in paths:
-        gallery.enroll(load_template(path))
+        t = load_template(path)
+        if t.id in enrolled:
+            raise ValueError(f"{path}: template id {t.id!r} already enrolled from {enrolled[t.id]}")
+        gallery.enroll(t)
+        enrolled[t.id] = path
+    if args.mate is not None and args.mate not in enrolled:
+        raise ValueError(f"mate id {args.mate!r} is not in the gallery")
     query = gallery.prepare_query(load_template(args.query))
     result = identify_all(gallery, query, cfg.fusion, mate_id=args.mate)[args.matcher]
     if args.out:

@@ -14,15 +14,21 @@ entry are read off one union of its selections, sorted by (row, col),
 and compatibilities are computed once per union pair. Relaxation touches
 only live pair slots: each list's compatibility rows are gathered by
 flat index for the pairs it holds, and no row is built for padding. A
-block holds as many entries as fit an element budget, so a ~12-minutia
-latent query scores 100 fingers in two passes while a dense query's
-stacks stay bounded; the query's own pair geometry is built once per
-call. A single template pair is the one-entry case of the same engine.
+block holds as many entries as fit an element budget, and the blocks of a
+call are evened out, so a ~12-minutia latent query scores 100 fingers in
+two passes of 50 while a dense query's stacks stay bounded; the query's
+own pair geometry is built once per call. Blocks are scored on two lanes,
+the calling thread and one helper thread, so two passes are in flight at
+once. A single template pair is the one-entry case of the same engine,
+and a one-block call never touches the helper.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,8 +113,27 @@ def _fused_matrix(work: np.ndarray, gated_mcc, gated_emb, cfg: FusionConfig) -> 
 # fixed 16-entry blocks: 4.2 MB (max 6.0) instead of 1.3 (1.7) for a latent
 # query on 100 fingers, 4.5 MB (max 4.9) instead of 11.3 (12.8) for a dense
 # query on 40; reading every pair list off one union and fusing in place
-# lowered them to about 3.3 (5.5) and 3.0 (3.3) MB.
+# lowered them to about 3.3 (5.5) and 3.0 (3.3) MB. The budget bounds one
+# pass, but both scoring lanes (below) hold a pass at once, so a call's
+# peak is about twice one pass: 5.3 (8.6) and 5.3 (6.2) MB.
 _BUDGET = 1 << 18
+
+# Two scoring lanes: the calling thread scores blocks 0, 2, 4, ... and this
+# one helper thread blocks 1, 3, ... (its thread starts on the first
+# multi-block call). numpy's ufunc loops and BLAS release the GIL, so the
+# helper's block runs beside the caller's. Two matches the two cores the
+# engine was measured on, and pinned to one core it was no slower; more
+# lanes would multiply the memory in flight.
+def _new_helper():
+    """Create the helper lane; again in a forked child, which inherits the
+    executor but not its thread."""
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fpfusion-lane")
+
+
+_new_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)
 
 
 def _entries_per_block(rows: int, width: int) -> int:
@@ -226,7 +251,11 @@ def _match_block(query: GalleryEntry, side_a: tuple, block: list, cfg: FusionCon
 
 def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None = None):
     """Score one query against gallery entries on every channel, in blocks
-    sized by the element budget.
+    sized by the element budget and scored on two lanes.
+
+    The calling thread scores blocks 0, 2, ... and the helper thread blocks
+    1, 3, ..., in the caller's context; an exception from either lane is
+    re-raised once no block of the call is running.
 
     ``query`` and ``entries`` are ``GalleryEntry`` objects. Returns the
     scores, raw sums and pairs used, each (len(CHANNELS), len(entries)); an
@@ -247,8 +276,22 @@ def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None =
     ta = query.template
     side_a = side_geometry(ta.positions(), ta.thetas())
     step = _entries_per_block(len(ta), max(len(e.template) for e in entries))
-    parts = [
-        _match_block(query, side_a, entries[i : i + step], cfg)
-        for i in range(0, len(entries), step)
+    passes = -(-len(entries) // step)
+    step = -(-len(entries) // passes)  # as many passes, evened out
+    blocks = [entries[i : i + step] for i in range(0, len(entries), step)]
+    # Each helper block runs in a copy of the caller's context, so numpy's
+    # error state (a context variable) is the same on both lanes.
+    helped = [
+        _HELPER.submit(contextvars.copy_context().run, _match_block, query, side_a, block, cfg)
+        for block in blocks[1::2]
     ]
+    parts = [None] * len(blocks)
+    try:
+        parts[0::2] = [_match_block(query, side_a, block, cfg) for block in blocks[0::2]]
+        parts[1::2] = [f.result() for f in helped]
+    except BaseException:
+        for f in helped:
+            f.cancel()
+        wait(helped)  # no block of this call outlives it
+        raise
     return tuple(np.concatenate(column, axis=1) for column in zip(*parts))

@@ -153,6 +153,28 @@ def test_identify_empty_gallery(template_path, tmp_path, capsys):
     assert main(["identify", str(template_path), str(empty)]) == EXIT_DATA
 
 
+def test_identify_mate_not_in_gallery_is_data_error(template_path, tmp_path, capsys):
+    argv = ["identify", str(template_path), str(tmp_path), "--mate", "nosuch"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mate id 'nosuch' is not in the gallery\n"
+
+
+def test_identify_duplicate_gallery_ids_name_both_files(template_path, tmp_path, capsys):
+    from fpfusion.templates import load_template
+
+    gallery = tmp_path / "g"
+    gallery.mkdir()
+    t = load_template(template_path)
+    for name in ("a", "b"):
+        save_template(t, gallery / f"{name}.mnt")
+    assert main(["identify", str(template_path), str(gallery)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {gallery / 'b.mnt'}: template id 't0' already enrolled from {gallery / 'a.mnt'}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

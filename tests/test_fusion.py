@@ -1,4 +1,8 @@
-from collections import Counter
+import os
+import signal
+import threading
+import time
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -249,10 +253,12 @@ class TestGalleryEngine:
         globals see every call the engine makes.
         """
         calls = Counter()
+        lock = threading.Lock()  # both scoring lanes count
         for name in ("select_pairs", "relax_scores"):
 
             def counted(*args, _fn=getattr(fusion, name), _name=name, **kwargs):
-                calls[_name] += 1
+                with lock:
+                    calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(fusion, name, counted)
@@ -424,29 +430,127 @@ class TestBlockBudget:
         entries, (query,) = styled_gallery(style, 1)
         if budget is not None:
             monkeypatch.setattr(fusion, "_BUDGET", budget)
-        shapes = {"select_pairs": [], "relax_scores": []}
+        # per scoring lane, as the lanes interleave their kernel calls
+        shapes = defaultdict(lambda: {"select_pairs": [], "relax_scores": []})
 
         def recorded_select(stack, *args, _fn=fusion.select_pairs):
-            shapes["select_pairs"].append(stack.shape)
+            shapes[threading.get_ident()]["select_pairs"].append(stack.shape)
             return _fn(stack, *args)
 
         def recorded_relax(rho, gamma, n, *args, _fn=fusion.relax_scores):
             # the live rows of the block's (K, P) lists, as (K, P, live rows)
             assert rho.shape == (n.sum(), gamma.shape[1]) and len(n) == len(gamma)
-            shapes["relax_scores"].append((*gamma.shape, len(rho)))
+            shapes[threading.get_ident()]["relax_scores"].append((*gamma.shape, len(rho)))
             return _fn(rho, gamma, n, *args)
 
         monkeypatch.setattr(fusion, "select_pairs", recorded_select)
         monkeypatch.setattr(fusion, "relax_scores", recorded_relax)
         fusion.match_gallery(query, entries)
-        assert len(shapes["select_pairs"]) == len(shapes["relax_scores"]) > 1
         sizes = []
-        for (k_select, r, width), (k_relax, p, _) in zip(*shapes.values()):
-            size = k_select // 3
-            assert k_select == 3 * size and k_relax == 4 * size and p == PAIR_SLOTS
-            assert size == 1 or 3 * size * r * width + 4 * size * p * p <= fusion._BUDGET
-            sizes.append(size)
+        for lane in shapes.values():
+            assert len(lane["select_pairs"]) == len(lane["relax_scores"])
+            for (k_select, r, width), (k_relax, p, _) in zip(*lane.values()):
+                size = k_select // 3
+                assert k_select == 3 * size and k_relax == 4 * size and p == PAIR_SLOTS
+                assert size == 1 or 3 * size * r * width + 4 * size * p * p <= fusion._BUDGET
+                sizes.append(size)
+        assert len(sizes) > 1
         assert sum(sizes) == len(entries)
+        # as many passes as the budget needs, evened out
+        assert max(sizes) - min(sizes) <= 1
+        step = fusion._entries_per_block(len(query.template), max(len(e.template) for e in entries))
+        assert len(sizes) == -(-len(entries) // step)
+
+
+class TestLanes:
+    """Blocks 0, 2, ... of a call run on the calling thread and blocks 1, 3,
+    ... on one helper thread."""
+
+    @staticmethod
+    def lanes_of(monkeypatch):
+        """Record the thread and numpy divide mode of every block, by its
+        first entry's id."""
+        seen = {}
+
+        def recorded(query, side_a, block, cfg, _fn=fusion._match_block):
+            seen[block[0].template.id] = (threading.get_ident(), np.geterr()["divide"])
+            return _fn(query, side_a, block, cfg)
+
+        monkeypatch.setattr(fusion, "_match_block", recorded)
+        return seen
+
+    @pytest.mark.parametrize("style", sorted(STYLES))
+    def test_lanes_equal_one_entry_calls(self, monkeypatch, style):
+        entries, queries = styled_gallery(style, 2)
+        monkeypatch.setattr(fusion, "_BUDGET", fusion._BUDGET // 8)
+        seen = self.lanes_of(monkeypatch)
+        for q in queries:
+            seen.clear()
+            lanes = fusion.match_gallery(q, entries)
+            assert len(seen) > 2
+            assert len({ident for ident, _ in seen.values()}) == 2
+            seen.clear()
+            single = [fusion.match_gallery(q, [e]) for e in entries]
+            assert {ident for ident, _ in seen.values()} == {threading.get_ident()}
+            for k, a in enumerate(lanes):
+                b = np.concatenate([s[k] for s in single], axis=1)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_helper_lane_sees_callers_error_state(self, monkeypatch):
+        entries, (query,) = styled_gallery("latent", 1)
+        monkeypatch.setattr(fusion, "_BUDGET", fusion._BUDGET // 8)
+        seen = self.lanes_of(monkeypatch)
+        with np.errstate(divide="raise"):
+            fusion.match_gallery(query, entries)
+        assert len({ident for ident, _ in seen.values()}) == 2
+        assert {mode for _, mode in seen.values()} == {"raise"}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_forked_child_scores_on_two_lanes(self, monkeypatch):
+        entries, (query,) = styled_gallery("latent", 1)
+        monkeypatch.setattr(fusion, "_BUDGET", fusion._BUDGET // 8)
+        expected = b"".join(a.tobytes() for a in fusion.match_gallery(query, entries))
+        pid = os.fork()  # after the helper thread has started
+        if pid == 0:
+            status = 1
+            try:
+                signal.alarm(60)  # a child whose helper never runs is killed
+                got = b"".join(a.tobytes() for a in fusion.match_gallery(query, entries))
+                status = 0 if got == expected else 3
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+    @pytest.mark.parametrize("lane", ["caller", "helper"])
+    def test_block_error_propagates_and_next_call_works(self, monkeypatch, lane):
+        entries, (query,) = styled_gallery("latent", 1)
+        monkeypatch.setattr(fusion, "_BUDGET", fusion._BUDGET // 8)
+        expected = fusion.match_gallery(query, entries)
+        caller = threading.get_ident()
+        error = RuntimeError("block failed")
+        running = set()
+
+        def failing(query, side_a, block, cfg, _fn=fusion._match_block):
+            on_caller = threading.get_ident() == caller
+            if on_caller == (lane == "caller") and block[0] is not entries[0]:
+                raise error
+            running.add(id(block))
+            time.sleep(0.05)  # a helper block still runs when the caller fails
+            out = _fn(query, side_a, block, cfg)
+            running.remove(id(block))
+            return out
+
+        monkeypatch.setattr(fusion, "_match_block", failing)
+        with pytest.raises(RuntimeError) as raised:
+            fusion.match_gallery(query, entries)
+        assert raised.value is error
+        assert not running  # no block of the failed call outlives it
+        monkeypatch.undo()
+        again = fusion.match_gallery(query, entries)
+        for a, b in zip(expected, again):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestRigidMotion:
