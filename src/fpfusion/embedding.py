@@ -120,7 +120,6 @@ def build_synthetic_embeddings(
     cfg = cfg or EmbeddingConfig()
     n = len(t)
     vectors = np.zeros((n, cfg.dim), dtype=np.float64)
-    valid = np.zeros(n, dtype=bool)
     positions = t.positions()
     thetas = t.thetas()
     sigma_r = 0.5 / cfg.radial_bins
@@ -148,14 +147,19 @@ def build_synthetic_embeddings(
     w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
     w_a = _circular_weights(wrap_signed(ray), cfg.angular_bins, sigma_a)
     w_d = _circular_weights(ddir, cfg.direction_bins, sigma_d)
-    # The histogram and its norm stay per minutia: their summation order
-    # over that minutia's neighbors fixes the bits.
-    ends = np.cumsum(np.bincount(i, minlength=n)).tolist()
-    for m, (lo, hi) in enumerate(zip([0] + ends, ends)):
-        if lo == hi:
-            continue
-        hist = np.einsum("nr,na,nd->rad", w_r[lo:hi], w_a[lo:hi], w_d[lo:hi])
-        flat = hist.ravel()
-        vectors[m, : flat.size] = flat / np.linalg.norm(flat)
-        valid[m] = True
+    # Each pair's soft-bin products (w_r x w_a) x w_d, laid out as
+    # (minutia, neighbor slot, bins) with zeros past a minutia's neighbors.
+    # Summing over the slot axis adds them one slot after another, as the
+    # one-minutia einsum does, so the histogram bits are those of building
+    # the signatures one by one; each norm is the same dot product.
+    counts = np.bincount(i, minlength=n)
+    slot = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    size = cfg.radial_bins * cfg.angular_bins * cfg.direction_bins
+    pairs = (w_r[:, :, None] * w_a[:, None, :])[..., None] * w_d[:, None, None, :]
+    products = np.zeros((n, counts.max(initial=0), size))
+    products[i, slot] = pairs.reshape(len(i), size)
+    hist = products.sum(axis=1)
+    valid = counts > 0
+    for m in np.flatnonzero(valid).tolist():
+        vectors[m, :size] = hist[m] / math.sqrt(hist[m] @ hist[m])
     return DescriptorSet(vectors=vectors, valid=valid)

@@ -19,6 +19,14 @@ The kernel is evaluated only on neighbors within that distance (plus 1 px);
 a neighbor beyond reach is never evaluated and contributes exact zeros, so
 the values equal those of the kernel evaluated over all neighbors.
 
+A reachable neighbor's distance to a cell center is sqrt(dx * dx + dy * dy),
+several times cheaper than hypot(dx, dy) and different only in the last
+bits. The squares are safe because a reachable pair's offsets are bounded
+by the configured reach: with radius and sigma_spatial in [1e-6, 1e6] px
+an offset is at most ~6e6 px, so it squares to a finite double, and one
+whose square underflows gives a kernel of exactly 1 either way. The
+minutia x neighbor distance that decides reach and validity stays on hypot.
+
 A template's minutia x neighbor geometry (distances, reach, directional
 kernels, cell centers) is computed once for all minutiae. The spatial
 kernel is then evaluated on every reachable pair of a few minutiae at a
@@ -61,6 +69,10 @@ class CylinderConfig:
         widths = (self.radius, self.sigma_spatial, self.sigma_direction)
         if not all(math.isfinite(v) and v > 0 for v in widths):
             raise ValueError("radius and kernel widths must be finite and positive")
+        # the pixel scale within which the squared cell offsets are exact
+        # enough (see the module docstring)
+        if not (1e-6 <= self.radius <= 1e6 and 1e-6 <= self.sigma_spatial <= 1e6):
+            raise ValueError("radius and sigma_spatial must lie in [1e-06, 1e+06] px")
         if self.grid < 2 or self.sections < 1 or self.min_neighbors < 1:
             raise ValueError("grid >= 2, sections >= 1, min_neighbors >= 1 required")
 
@@ -149,7 +161,9 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
         i, k = np.nonzero(reach[lo:hi])
         if len(i):
             row = i + lo
-            d = np.hypot(wx[row] - nx[row, k, None], wy[row] - ny[row, k, None])
+            dx = wx[row] - nx[row, k, None]
+            dy = wy[row] - ny[row, k, None]
+            d = np.sqrt(dx * dx + dy * dy)
             block = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
             block[d > cfg.cutoff] = 0.0
             stack[i, :, k] = block

@@ -411,6 +411,18 @@ def test_describe_rejects_non_finite_radius_and_writes_nothing(template_path, tm
     assert not out.exists()
 
 
+def test_describe_rejects_radius_outside_pixel_range(template_path, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("cyl_radius=1e200\n")
+    out = tmp_path / "rows.csv"
+    args = ["describe", str(template_path), "--config", str(cfg), "--out", str(out)]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[1e-06, 1e+06] px" in err
+    assert not out.exists()
+
+
 def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
     """One and two BLAS threads write byte-identical results and summary."""
     src = str(Path(fpfusion.__file__).resolve().parents[1])
@@ -670,3 +682,23 @@ def test_benchmark_results_bytes_are_frozen(tmp_path, capsys):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("results_*.csv")
     }
     assert written == FROZEN_RESULTS["sha256"]
+
+
+FROZEN_DESCRIBE = json.loads(
+    (Path(__file__).parent / "data" / "describe_seed42_sha256.json").read_text()
+)
+
+
+def test_describe_bytes_are_frozen(tmp_path, capsys):
+    """``describe`` CSVs of a few seed-42 gallery and query templates match
+    their recorded sha256 digests, so a descriptor value that moves in its
+    printed 6 decimals fails."""
+    data = tmp_path / "data"
+    assert main([*FROZEN_DESCRIBE["argv"], "--out", str(data)]) == EXIT_OK
+    written = {}
+    for key in FROZEN_DESCRIBE["sha256"]:
+        name, what = key.split()
+        out = tmp_path / "rows.csv"
+        assert main(["describe", str(data / name), "--what", what, "--out", str(out)]) == EXIT_OK
+        written[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert written == FROZEN_DESCRIBE["sha256"]

@@ -107,6 +107,19 @@ def test_config_validation():
         CylinderConfig(grid=1)
 
 
+@pytest.mark.parametrize("field", ["radius", "sigma_spatial"])
+@pytest.mark.parametrize("value", [1e-170, 9.9e-7, 1.01e6, 1e160])
+def test_config_rejects_scale_outside_pixel_range(field, value):
+    with pytest.raises(ValueError, match=r"\[1e-06, 1e\+06\] px"):
+        CylinderConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["radius", "sigma_spatial"])
+@pytest.mark.parametrize("value", [1e-6, 1e6])
+def test_config_accepts_pixel_range_ends(field, value):
+    assert getattr(CylinderConfig(**{field: value}), field) == value
+
+
 @pytest.mark.parametrize("field", ["radius", "sigma_spatial", "sigma_direction"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(field, value):
@@ -123,10 +136,16 @@ def test_cached_cell_grid_is_read_only():
             arr[0] = 0
 
 
-def dense_reference(t, cfg):
+def engine_distance(dx, dy):
+    """A cell-to-neighbor distance as the build computes it."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def dense_reference(t, cfg, distance=engine_distance):
     """Every cylinder of ``t`` from the kernel over the inside cells x all
     neighbors, without culling: the spatial kernel is evaluated everywhere,
-    then zeroed beyond the cutoff."""
+    then zeroed beyond the cutoff. ``distance`` gives the cell-to-neighbor
+    distances; the neighbor distance that decides validity is hypot's."""
     offsets = inside_centers(cfg)
     n = len(t)
     vectors = np.zeros((n, cfg.dim))
@@ -138,7 +157,7 @@ def dense_reference(t, cfg):
         world = np.empty_like(offsets)
         world[:, 0] = m.x + c * offsets[:, 0] + s * offsets[:, 1]
         world[:, 1] = m.y - s * offsets[:, 0] + c * offsets[:, 1]
-        d = np.hypot(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
+        d = distance(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
         spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
         spatial[d > cfg.cutoff] = 0.0
         ddir = wrap_signed(m.theta - nthetas)
@@ -181,6 +200,20 @@ def assert_equals_dense_reference(t, cfg):
 @given(data=st.data())
 def test_culled_build_equals_dense_reference_exactly(cfg, data):
     assert_equals_dense_reference(data.draw(templates_near_reach(cfg.radius + cfg.cutoff)), cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_build_equals_hypot_reference_to_rounding(cfg, data):
+    # the build's square-root distance is within a few ulps of hypot's; with
+    # (d / sigma)**2 at most ~110 below the cutoff, a kernel value moves by
+    # under 1e-13 relative, and validity does not move
+    t = data.draw(templates_near_reach(cfg.radius + cfg.cutoff))
+    d = build_mcc_set(t, cfg)
+    vectors, valid = dense_reference(t, cfg, distance=np.hypot)
+    np.testing.assert_allclose(d.vectors, vectors, rtol=1e-12, atol=1e-300)
+    assert np.array_equal(d.valid, valid)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
