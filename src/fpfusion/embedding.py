@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.geometry import angular_difference, wrap_signed
+from fpfusion.geometry import circular_bins, wrap_signed
 from fpfusion.pairing import unit_rows
 from fpfusion.templates import MinutiaeTemplate
 
@@ -99,13 +99,6 @@ def save_embeddings(d: DescriptorSet, path) -> None:
         fh.write(vectors.tobytes())
 
 
-def _circular_weights(values: np.ndarray, bins: int, sigma: float) -> np.ndarray:
-    """(n, bins) Gaussian soft assignment on a circular coordinate."""
-    centers = -math.pi + (np.arange(bins) + 0.5) * (2.0 * math.pi / bins)
-    gap = angular_difference(values[:, None], centers[None, :])
-    return np.exp(-0.5 * (gap / sigma) ** 2)
-
-
 def build_synthetic_embeddings(
     t: MinutiaeTemplate, cfg: EmbeddingConfig | None = None
 ) -> DescriptorSet:
@@ -145,8 +138,8 @@ def build_synthetic_embeddings(
     ddir = wrap_signed(thetas[j] - thetas[i])
 
     w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
-    w_a = _circular_weights(wrap_signed(ray), cfg.angular_bins, sigma_a)
-    w_d = _circular_weights(ddir, cfg.direction_bins, sigma_d)
+    w_a = circular_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
+    w_d = circular_bins(ddir, cfg.direction_bins, sigma_d)
     # Each pair's soft-bin products (w_r x w_a) x w_d, laid out as
     # (minutia, neighbor slot, bins) with zeros past a minutia's neighbors.
     # Summing over the slot axis adds them one slot after another, as the

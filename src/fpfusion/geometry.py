@@ -48,6 +48,13 @@ def angular_difference(theta1, theta2):
     return out
 
 
+def circular_bins(values: np.ndarray, bins: int, sigma: float) -> np.ndarray:
+    """(..., bins) Gaussian soft assignment of angles to ``bins`` circular
+    bins centered at -pi + (k + 1/2) * 2 * pi / bins."""
+    centers = -math.pi + (np.arange(bins) + 0.5) * (TWO_PI / bins)
+    return np.exp(-0.5 * (angular_difference(values[..., None], centers) / sigma) ** 2)
+
+
 def rotate_offsets(dx, dy, alpha: float):
     """Rotate offset vectors by ``alpha`` under the package's y-down convention."""
     c, s = math.cos(alpha), math.sin(alpha)

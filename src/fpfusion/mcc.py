@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.geometry import angular_difference, wrap_signed
+from fpfusion.geometry import circular_bins, wrap_signed
 from fpfusion.templates import MinutiaeTemplate
 
 
@@ -99,13 +99,6 @@ def _cell_offsets(cfg: CylinderConfig) -> np.ndarray:
     return offsets
 
 
-@lru_cache(maxsize=None)
-def _section_centers(cfg: CylinderConfig) -> np.ndarray:
-    centers = -math.pi + (np.arange(cfg.sections) + 0.5) * (2.0 * math.pi / cfg.sections)
-    centers.setflags(write=False)
-    return centers
-
-
 # Minutiae whose spatial kernels are evaluated together. It bounds the
 # transient (chunk, cells, n - 1) stack at 4 * cells * (n - 1) doubles; a
 # chunk of 16 was no faster on default templates, slower on dense ones, and
@@ -141,8 +134,7 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
 
     # (n, n - 1, sections) directional kernel on the wrapped difference.
     ddir = wrap_signed(thetas[:, None] - thetas[neighbor])
-    gap = angular_difference(_section_centers(cfg), ddir[..., None])
-    directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
+    directional = circular_bins(ddir, cfg.sections, cfg.sigma_direction)
 
     # Cell centers in world coordinates, (n, cells). math.cos
     # and math.sin, not their numpy forms, which may differ by an ulp.

@@ -81,10 +81,13 @@ def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> n
     Entry (p, q) compares pairs p and q of a list: the discrepancies of
     their A-side and B-side distance, direction difference and radial
     angle pass through the three sigmoids. The diagonal is unused.
+
+    Both sides' direction differences and radial angles lie in [0, pi], so
+    the absolute difference of two is their circular distance, exactly.
     """
     d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
-    d2 = np.abs(angular_difference(side_a[1], side_b[1]))
-    d3 = np.abs(angular_difference(side_a[2], side_b[2]))
+    d2 = np.abs(side_a[1] - side_b[1])
+    d3 = np.abs(side_a[2] - side_b[2])
     return _sigmoid_product(d1, d2, d3, params)
 
 

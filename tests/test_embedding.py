@@ -10,12 +10,11 @@ from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import (
     EmbeddingConfig,
     EmbeddingFormatError,
-    _circular_weights,
     build_synthetic_embeddings,
     load_embeddings,
     save_embeddings,
 )
-from fpfusion.geometry import wrap_signed
+from fpfusion.geometry import angular_difference, wrap_signed
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 
@@ -165,6 +164,13 @@ def test_load_truncated(tmp_path):
         load_embeddings(path, expected_count=3)
 
 
+def soft_bins(values, bins, sigma):
+    """(n, bins) Gaussian weights of angles on ``bins`` circular bins."""
+    centers = -math.pi + (np.arange(bins) + 0.5) * (2.0 * math.pi / bins)
+    gap = angular_difference(values[:, None], centers[None, :])
+    return np.exp(-0.5 * (gap / sigma) ** 2)
+
+
 def loop_reference(t, cfg):
     """Every signature of ``t`` built one minutia at a time, each from its
     own neighbor mask, as vectors and validity."""
@@ -188,8 +194,8 @@ def loop_reference(t, cfg):
         ray = np.arctan2(-dy[mask], dx[mask]) - thetas[i]
         ddir = wrap_signed(thetas[mask] - thetas[i])
         w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
-        w_a = _circular_weights(wrap_signed(ray), cfg.angular_bins, sigma_a)
-        w_d = _circular_weights(ddir, cfg.direction_bins, sigma_d)
+        w_a = soft_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
+        w_d = soft_bins(ddir, cfg.direction_bins, sigma_d)
         flat = np.einsum("nr,na,nd->rad", w_r, w_a, w_d).ravel()
         vectors[i, : flat.size] = flat / np.linalg.norm(flat)
         valid[i] = True

@@ -97,6 +97,18 @@ class TestGallery:
         assert valid.tolist() == [v and i != 1 for i, v in enumerate(emb.valid)]
         assert np.allclose(np.linalg.norm(entry.embedding.vectors[valid], axis=1), 1.0)
 
+    def test_entry_embeddings_are_the_synthetic_set(self, rng):
+        from fpfusion.embedding import build_synthetic_embeddings
+
+        gallery = Gallery()
+        for i in range(4):
+            t = random_template(rng, n=20, extent=250.0, tid=f"t{i}")
+            gallery.enroll(t)
+            built = build_synthetic_embeddings(t)
+            for entry in (gallery.entry(t.id), gallery.prepare_query(t)):
+                assert np.array_equal(entry.embedding.vectors, built.vectors)
+                assert np.array_equal(entry.embedding.valid, built.valid)
+
 
 class TestIdentify:
     def test_exact_copy_rank_one_all_matchers(self, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import direction_difference, euclidean_distance, radial_angle
-from fpfusion.geometry import angular_difference, normalize_angle, wrap_signed
+from fpfusion.geometry import angular_difference, circular_bins, normalize_angle, wrap_signed
 from fpfusion.templates import Minutia
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -150,3 +150,34 @@ def test_angular_difference_equals_fmod_form_bit_for_bit(a, b, scalar):
             got, expected = angular_difference(t1, t2), fmod_reference(t1, t2)
             assert same_bits(got, expected)
             assert isinstance(got, float) == (np.ndim(expected) == 0)
+
+
+def circular_bins_loop(values, bins, sigma):
+    """``circular_bins`` one value and one bin at a time: the circular
+    distance to the center -pi + (k + 1/2) * 2 * pi / bins, then the
+    Gaussian. The exp is numpy's, as math.exp may differ from it in the
+    last bit."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape + (bins,))
+    for idx in np.ndindex(values.shape):
+        x = float(values[idx])
+        for k in range(bins):
+            center = -math.pi + (k + 0.5) * (2.0 * math.pi / bins)
+            d = math.fmod(abs(x - center), 2.0 * math.pi)
+            q = min(d, 2.0 * math.pi - d) / sigma
+            out[idx + (k,)] = np.exp(-0.5 * (q * q))
+    return out
+
+
+@pytest.mark.parametrize("bins", [1, 5, 6, 8])
+@pytest.mark.parametrize("sigma", [0.2, 0.698, math.pi / 8])
+@pytest.mark.parametrize("shape", [(40,), (7, 9)])
+def test_circular_bins_equals_scalar_loop(bins, sigma, shape):
+    rng = np.random.default_rng(bins * 100 + len(shape))
+    values = rng.uniform(-math.pi, math.pi, size=shape)
+    # +-pi, 0, the first bin center, a full turn and angles beyond it
+    special = [-math.pi, 0.0, math.pi, -math.pi + math.pi / bins, 2 * math.pi, -7.5, 40.0]
+    values.flat[: len(special)] = special
+    got = circular_bins(values, bins, sigma)
+    assert got.shape == shape + (bins,)
+    assert np.array_equal(got, circular_bins_loop(values, bins, sigma))

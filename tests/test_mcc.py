@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cosine_similarity, random_template, rotate_template
 from fpfusion.geometry import angular_difference, wrap_signed
-from fpfusion.mcc import _CHUNK, CylinderConfig, _cell_offsets, _section_centers, build_mcc_set
+from fpfusion.mcc import _CHUNK, CylinderConfig, _cell_offsets, build_mcc_set
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]
@@ -131,9 +131,8 @@ def test_cached_cell_grid_is_read_only():
     cfg = CylinderConfig()
     offsets = _cell_offsets(cfg)
     assert _cell_offsets(cfg) is offsets
-    for arr in (offsets, _section_centers(cfg)):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    with pytest.raises(ValueError):
+        offsets[0] = 0
 
 
 def engine_distance(dx, dy):
@@ -161,7 +160,8 @@ def dense_reference(t, cfg, distance=engine_distance):
         spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
         spatial[d > cfg.cutoff] = 0.0
         ddir = wrap_signed(m.theta - nthetas)
-        gap = angular_difference(_section_centers(cfg)[None, :], ddir[:, None])
+        centers = -math.pi + (np.arange(cfg.sections) + 0.5) * (2.0 * math.pi / cfg.sections)
+        gap = angular_difference(centers[None, :], ddir[:, None])
         values = spatial @ np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
         near = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y) <= cfg.cutoff
         vectors[i] = values.ravel()

@@ -13,10 +13,12 @@ from conftest import (
     relax_padded,
     rotate_template,
 )
+from fpfusion.geometry import angular_difference
 from fpfusion.pairing import MAX_PAIRS_SCORE
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     RelaxationParams,
+    _sigmoid_product,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -118,6 +120,44 @@ class TestCompatibility:
         )
         off = ~np.eye(8, dtype=bool)
         assert ((rho[off] > 0) & (rho[off] < 1)).all()
+
+
+@st.composite
+def pair_sides(draw):
+    """Two sides of n pairs, each (xy, theta): random minutiae, some
+    co-located with another of their side and some isolated, 500 px or more
+    from the random ones."""
+    n = draw(st.integers(0, 14))
+    coord = st.floats(0.0, 500.0)
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    sides = []
+    for _ in range(2):
+        xy = np.array([[draw(coord), draw(coord)] for _ in range(n)]).reshape(n, 2)
+        theta = np.array([draw(angle) for _ in range(n)])
+        for i in range(n):
+            kind = draw(st.sampled_from(["plain", "plain", "co-located", "isolated"]))
+            if kind == "co-located" and i:
+                xy[i] = xy[draw(st.integers(0, i - 1))]
+            elif kind == "isolated":
+                xy[i] = (draw(st.floats(1000.0, 1500.0)), draw(st.floats(0.0, 500.0)))
+        sides.append((xy, theta))
+    return sides
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_sides())
+def test_compatibilities_equal_the_circular_difference_form(sides):
+    """Both sides' angles lie in [0, pi], so the plain difference gives the
+    bits of the circular one."""
+    params = RelaxationParams()
+    side_a, side_b = (side_geometry(xy, theta) for xy, theta in sides)
+    d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
+    d2 = np.abs(angular_difference(side_a[1], side_b[1]))
+    d3 = np.abs(angular_difference(side_a[2], side_b[2]))
+    expected = _sigmoid_product(d1, d2, d3, params)
+    got = compatibilities(side_a, side_b, params)
+    assert got.tobytes() == np.asarray(expected).tobytes()
+    assert got.shape == np.shape(expected)
 
 
 class TestRelax:
