@@ -53,7 +53,6 @@ CONFIG_KEYS = {
     "cyl_sigma_spatial": ("cylinder", "sigma_spatial", float),
     "cyl_sigma_direction": ("cylinder", "sigma_direction", float),
     "cyl_min_neighbors": ("cylinder", "min_neighbors", int),
-    "emb_dim": ("embedding", "dim", int),
     "emb_radius": ("embedding", "synth_radius", float),
     "emb_radial_bins": ("embedding", "radial_bins", int),
     "emb_angular_bins": ("embedding", "angular_bins", int),

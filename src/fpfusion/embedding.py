@@ -33,9 +33,9 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Embedding dimension and synthetic-signature binning."""
+    """Synthetic-signature radius and binning; a signature holds one value
+    per bin."""
 
-    dim: int = 256
     synth_radius: float = 96.0
     radial_bins: int = 4
     angular_bins: int = 8
@@ -46,8 +46,10 @@ class EmbeddingConfig:
             raise ValueError("synth_radius must be finite and positive")
         if min(self.radial_bins, self.angular_bins, self.direction_bins) < 1:
             raise ValueError("radial_bins, angular_bins and direction_bins must be at least 1")
-        if self.radial_bins * self.angular_bins * self.direction_bins > self.dim:
-            raise ValueError("histogram bins exceed embedding dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.radial_bins * self.angular_bins * self.direction_bins
 
 
 def load_embeddings(path, expected_count: int) -> DescriptorSet:
@@ -147,12 +149,11 @@ def build_synthetic_embeddings(
     # the signatures one by one; each norm is the same dot product.
     counts = np.bincount(i, minlength=n)
     slot = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    size = cfg.radial_bins * cfg.angular_bins * cfg.direction_bins
     pairs = (w_r[:, :, None] * w_a[:, None, :])[..., None] * w_d[:, None, None, :]
-    products = np.zeros((n, counts.max(initial=0), size))
-    products[i, slot] = pairs.reshape(len(i), size)
+    products = np.zeros((n, counts.max(initial=0), cfg.dim))
+    products[i, slot] = pairs.reshape(len(i), cfg.dim)
     hist = products.sum(axis=1)
     valid = counts > 0
     for m in np.flatnonzero(valid).tolist():
-        vectors[m, :size] = hist[m] / math.sqrt(hist[m] @ hist[m])
+        vectors[m] = hist[m] / math.sqrt(hist[m] @ hist[m])
     return DescriptorSet(vectors=vectors, valid=valid)

@@ -45,34 +45,20 @@ class RelaxationParams:
             raise ValueError("distance_scale must be finite and positive")
 
 
-def _sigmoid_product(d1, d2, d3, params: RelaxationParams):
-    out = 1.0
-    for d, mu, tau in zip((d1, d2, d3), params.mu, params.tau):
-        out = out / (1.0 + np.exp(-tau * (d - mu)))
-    return out
-
-
-def _pairwise_radial(x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """(..., n, n) radial angles between minutiae t (row) and k (col)."""
-    dy = y[..., :, None] - y[..., None, :]
-    dx = x[..., None, :] - x[..., :, None]
-    ray = np.arctan2(dy, dx)
-    out = angular_difference(theta[..., :, None], ray)
-    out[(dx == 0) & (dy == 0)] = 0.0  # co-located convention
-    return out
-
-
 def side_geometry(xy: np.ndarray, theta: np.ndarray) -> tuple:
     """Spatial distance, direction difference and radial angle of every
     ordered pair of minutiae on one side.
 
     ``xy`` is (..., n, 2) and ``theta`` (..., n); each result is (..., n, n).
+    The radial angle of (t, k) is the angle between t's direction and the
+    ray from t to k; co-located minutiae take 0.
     """
-    spread = np.hypot(
-        xy[..., :, None, 0] - xy[..., None, :, 0], xy[..., :, None, 1] - xy[..., None, :, 1]
-    )
+    dx = xy[..., None, :, 0] - xy[..., :, None, 0]
+    dy = xy[..., :, None, 1] - xy[..., None, :, 1]
     turn = angular_difference(theta[..., :, None], theta[..., None, :])
-    return spread, turn, _pairwise_radial(xy[..., 0], xy[..., 1], theta)
+    radial = angular_difference(theta[..., :, None], np.arctan2(dy, dx))
+    radial[(dx == 0) & (dy == 0)] = 0.0
+    return np.hypot(dx, dy), turn, radial
 
 
 def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> np.ndarray:
@@ -88,7 +74,11 @@ def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> n
     d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
     d2 = np.abs(side_a[1] - side_b[1])
     d3 = np.abs(side_a[2] - side_b[2])
-    return _sigmoid_product(d1, d2, d3, params)
+    out = 1.0
+    with np.errstate(over="ignore"):  # a far discrepancy's 1 / (1 + inf) is the exact 0
+        for d, mu, tau in zip((d1, d2, d3), params.mu, params.tau):
+            out = out / (1.0 + np.exp(-tau * (d - mu)))
+    return out
 
 
 def relax_scores(

@@ -7,7 +7,7 @@ import pytest
 from fpfusion.evaluation import Gallery
 from fpfusion.fusion import CHANNELS, match_gallery
 from fpfusion.geometry import angular_difference
-from fpfusion.relaxation import RelaxationParams, _sigmoid_product
+from fpfusion.relaxation import RelaxationParams
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 def random_template(rng, n=12, extent=300.0, tid="t", min_spacing=10.0):
@@ -45,6 +45,18 @@ def padded(a, shape, fill=0.0):
     out = np.full((1, *shape), fill)
     out[(0, *(slice(0, k) for k in np.shape(a)))] = a
     return out
+
+
+def far_apart_pair():
+    """A 6-minutia query and a gallery template equal to it but for its last
+    three minutiae, moved 3,000 px in x: pairs across the move differ in
+    distance by ~3,000 px, where the distance sigmoid's exponent overflows."""
+    rows = [(0, 0, 0.1), (20, 5, 1.0), (10, 30, 2.0), (200, 0, 0.7), (225, 10, 2.0), (205, 28, 3.0)]
+    moved = rows[:3] + [(x + 3000, y, theta) for x, y, theta in rows[3:]]
+    return tuple(
+        MinutiaeTemplate(tid, tuple(Minutia(*m) for m in ms))
+        for tid, ms in (("q", rows), ("g", moved))
+    )
 
 
 # Scalar references the kernels are checked against.
@@ -87,6 +99,30 @@ def radial_angle(a, b) -> float:
     return angular_difference(a.theta, math.atan2(dy, dx))
 
 
+def sigmoid_product(d1, d2, d3, params: RelaxationParams):
+    """Product of the three compatibility sigmoids of discrepancies d1, d2, d3."""
+    out = 1.0
+    with np.errstate(over="ignore"):
+        for d, mu, tau in zip((d1, d2, d3), params.mu, params.tau):
+            out = out / (1.0 + np.exp(-tau * (d - mu)))
+    return out
+
+
+def two_pass_side_geometry(xy, theta):
+    """``relaxation.side_geometry`` with each pairwise offset formed twice,
+    once for the distance and once for the radial angle, in the opposite
+    sign for x: the form the one-pass geometry must equal bit for bit."""
+    spread = np.hypot(
+        xy[..., :, None, 0] - xy[..., None, :, 0], xy[..., :, None, 1] - xy[..., None, :, 1]
+    )
+    turn = angular_difference(theta[..., :, None], theta[..., None, :])
+    dy = xy[..., :, None, 1] - xy[..., None, :, 1]
+    dx = xy[..., None, :, 0] - xy[..., :, None, 0]
+    radial = angular_difference(theta[..., :, None], np.arctan2(dy, dx))
+    radial[(dx == 0) & (dy == 0)] = 0.0
+    return spread, turn, radial
+
+
 def pair_compatibility(
     t_pair: tuple[Minutia, Minutia],
     k_pair: tuple[Minutia, Minutia],
@@ -108,7 +144,7 @@ def pair_compatibility(
         angular_difference(direction_difference(a_t, a_k), direction_difference(b_t, b_k))
     )
     d3 = abs(angular_difference(radial_angle(a_t, a_k), radial_angle(b_t, b_k)))
-    return float(_sigmoid_product(d1, d2, d3, params))
+    return float(sigmoid_product(d1, d2, d3, params))
 
 
 def relax_padded(rho, gamma, n, params: RelaxationParams):

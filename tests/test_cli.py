@@ -39,6 +39,19 @@ def test_match_self(template_path, capsys):
     assert "raw_sum=" in out and "pairs=" in out
 
 
+def test_match_far_apart_minutiae_without_warning(tmp_path, capsys):
+    from conftest import far_apart_pair
+
+    paths = []
+    for t in far_apart_pair():
+        paths.append(tmp_path / f"{t.id}.mnt")
+        save_template(t, paths[-1])
+    assert main(["match", *map(str, paths), "--matcher", "feature"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "score=0.116732 raw_sum=0.700393 pairs=6\n"
+    assert captured.err == ""
+
+
 def test_match_missing_file(tmp_path, capsys):
     assert main(["match", str(tmp_path / "nope.mnt"), str(tmp_path / "nope.mnt")]) == EXIT_DATA
 
@@ -440,18 +453,27 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
-def test_config_key_order_does_not_matter_for_describe(template_path, tmp_path):
-    lines = ["emb_radial_bins=8", "emb_dim=1024"]  # 8 x 8 x 8 bins fit only in the larger dim
-    outs = []
-    for order in (lines, lines[::-1]):
-        cfg = tmp_path / "order.cfg"
-        cfg.write_text("\n".join(order) + "\n")
-        out = tmp_path / f"desc{len(outs)}.csv"
-        args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
-        assert main([*args, "--out", str(out)]) == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    assert outs[0].count(b",") == (1024 + 2 - 1) * (15 + 1)  # 15 minutiae, 1024 values each
+def test_config_emb_dim_key_is_data_error(template_path, tmp_path, capsys):
+    # the synthetic signature's width is its bin count; no key sets it
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text("emb_dim=256\n")
+    args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
+    assert main(args) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "emb_dim" in captured.err
+
+
+def test_config_emb_bins_set_the_describe_width(template_path, tmp_path, capsys):
+    cfg = tmp_path / "bins.cfg"
+    cfg.write_text("emb_radial_bins=2\n")
+    out = tmp_path / "rows.csv"
+    args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 15 + 1  # 15 minutiae
+    # 2 x 8 x 8 bins after the minutia and valid columns
+    assert {len(line.split(",")) for line in lines} == {2 + 128}
 
 
 @pytest.mark.parametrize("lines", [["w1=0.2", "w1=0.9"], ["w1=0.9", "w1=0.2"]])

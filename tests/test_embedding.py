@@ -58,11 +58,6 @@ def test_determinism(rng):
     )
 
 
-def test_config_bin_budget():
-    with pytest.raises(ValueError):
-        EmbeddingConfig(dim=16, radial_bins=4, angular_bins=8, direction_bins=8)
-
-
 @pytest.mark.parametrize("field", ["radial_bins", "angular_bins", "direction_bins"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_bins_below_one(field, value):

@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fpfusion.fusion as fusion
-from conftest import live_rows, match_pair, padded, random_template, rotate_template
+from conftest import (
+    far_apart_pair,
+    live_rows,
+    match_pair,
+    padded,
+    random_template,
+    rotate_template,
+)
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
@@ -78,6 +85,15 @@ class TestMatchSingle:
         base = channel("mcc", ta, tb, mcc_a, mcc_b)
         shuffled = channel("mcc", ta, tb_shuffled, mcc_a, mcc_b_shuffled)
         assert shuffled.score == pytest.approx(base.score, abs=1e-9)
+
+    def test_far_apart_minutiae_score_without_warning(self):
+        # every compatibility across the 3,000 px move is the exact 0 of an
+        # overflowed exponent; RuntimeWarning is an error under pytest
+        result = match_pair(*far_apart_pair())
+        for ch in CHANNELS:
+            assert result[ch].n_pairs_used == 6
+            assert result[ch].score == pytest.approx(0.116732, abs=5e-7)
+            assert result[ch].raw_sum == pytest.approx(0.700393, abs=5e-7)
 
     def test_pairs_capped_at_eight(self, rng):
         ta, tb, mcc_a, mcc_b, *_ = descriptor_pair(rng, n=20)

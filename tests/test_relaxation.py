@@ -12,13 +12,14 @@ from conftest import (
     random_template,
     relax_padded,
     rotate_template,
+    sigmoid_product,
+    two_pass_side_geometry,
 )
 from fpfusion.geometry import angular_difference
 from fpfusion.pairing import MAX_PAIRS_SCORE
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     RelaxationParams,
-    _sigmoid_product,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -154,10 +155,67 @@ def test_compatibilities_equal_the_circular_difference_form(sides):
     d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
     d2 = np.abs(angular_difference(side_a[1], side_b[1]))
     d3 = np.abs(angular_difference(side_a[2], side_b[2]))
-    expected = _sigmoid_product(d1, d2, d3, params)
+    expected = sigmoid_product(d1, d2, d3, params)
     got = compatibilities(side_a, side_b, params)
     assert got.tobytes() == np.asarray(expected).tobytes()
     assert got.shape == np.shape(expected)
+
+
+@st.composite
+def batched_sides(draw):
+    """Two sides of shape (n, 2) and (n,), or (B, n, 2) and (B, n), n from 0:
+    coordinates from a small grid (so equal x or equal y, and -0.0) or
+    continuous, some minutiae co-located with another, some sharing only x
+    or only y with another, some isolated, and some over 3,000 px away,
+    where the distance sigmoid's exponent overflows."""
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    n = draw(st.integers(0, 10))
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    coord = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 40.0]), st.floats(-100.0, 500.0))
+    sides = []
+    for _ in range(2):
+        rows = math.prod(lead)
+        flat = np.array([draw(coord) for _ in range(rows * n * 2)]).reshape(rows, n, 2)
+        theta = np.array([draw(angle) for _ in range(rows * n)]).reshape(*lead, n)
+        for row in flat:
+            for i in range(n):
+                kind = draw(
+                    st.sampled_from(["plain", "co-located", "same-x", "same-y", "isolated", "far"])
+                )
+                j = draw(st.integers(0, max(i - 1, 0)))  # another minutia, or itself
+                if kind == "co-located":
+                    row[i] = row[j]
+                elif kind in ("same-x", "same-y"):
+                    axis = 0 if kind == "same-x" else 1
+                    row[i, axis] = row[j, axis]
+                elif kind == "isolated":
+                    row[i] = (draw(st.floats(1000.0, 1500.0)), draw(st.floats(0.0, 500.0)))
+                elif kind == "far":
+                    row[i, 0] += 3000.0
+        sides.append((flat.reshape(*lead, n, 2), theta))
+    return sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(batched_sides())
+def test_one_pass_geometry_equals_two_pass_reference(sides):
+    """``side_geometry`` forms each offset once; its distance, direction
+    difference and radial angle, and the compatibilities built from them,
+    keep the bits of the two-pass form and the separate sigmoid product."""
+    params = RelaxationParams()
+    got = [side_geometry(xy, theta) for xy, theta in sides]
+    want = [two_pass_side_geometry(xy, theta) for xy, theta in sides]
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    d1 = np.abs(want[0][0] - want[1][0]) / params.distance_scale
+    d2 = np.abs(want[0][1] - want[1][1])
+    d3 = np.abs(want[0][2] - want[1][2])
+    expected = sigmoid_product(d1, d2, d3, params)
+    rho = compatibilities(got[0], got[1], params)
+    assert rho.shape == np.shape(expected)
+    assert rho.tobytes() == np.asarray(expected).tobytes()
 
 
 class TestRelax:
