@@ -17,7 +17,6 @@ from fpfusion.embedding import (
     save_embeddings,
 )
 from fpfusion.pairing import compute_n_r, compute_n_p
-from fpfusion.relaxation import RelaxationParams
 from fpfusion.fusion import FusionConfig
 from fpfusion.evaluation import (
     Gallery,
@@ -43,7 +42,6 @@ __all__ = [
     "save_embeddings",
     "compute_n_r",
     "compute_n_p",
-    "RelaxationParams",
     "FusionConfig",
     "Gallery",
     "IdentificationResult",

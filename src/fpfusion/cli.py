@@ -14,7 +14,6 @@ import errno
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from pathlib import Path
 
 from fpfusion.embedding import (
@@ -60,9 +59,9 @@ CONFIG_KEYS = {
     "w1": ("fusion", "w1", float),
     "w2": ("fusion", "w2", float),
     "delta_theta": ("fusion", "delta_theta", float),
-    "w_r": ("fusion.relaxation", "weight", float),
-    "n_rel": ("fusion.relaxation", "iterations", int),
-    "dist_scale": ("fusion.relaxation", "distance_scale", float),
+    "w_r": ("fusion", "relax_weight", float),
+    "n_rel": ("fusion", "relax_iterations", int),
+    "dist_scale": ("fusion", "distance_scale", float),
     "seed": ("synth", "seed", int),
     "n_fingers": ("synth", "n_fingers", int),
     "min_minutiae": ("synth", "min_minutiae", int),
@@ -84,27 +83,17 @@ class UsageError(Exception):
     """A command-line flag value that a configuration rejects (exit 1)."""
 
 
-def _section(cfg, path: str):
-    """The sub-config at a dotted attribute path such as ``fusion.relaxation``."""
-    return reduce(getattr, path.split("."), cfg)
-
-
-def _rebuilt(cfg, path: str, **changes):
-    """``cfg`` with the sub-config at a dotted attribute path rebuilt with ``changes``."""
-    parent, _, name = path.rpartition(".")
-    value = replace(_section(cfg, path), **changes)
-    return _rebuilt(cfg, parent, **{name: value}) if parent else replace(cfg, **{name: value})
-
-
 def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig:
     """Set config keys from text values, building each section they touch once.
 
     All keys are parsed before any section is built, so a valid combination
     passes in any key order. A section its constructor rejects raises
-    ``reject(key, exc)`` under the last key that set it.
+    ``reject(key, exc)`` under the key that caused it: the section is
+    rebuilt from its keys' growing prefixes, in their order, and the first
+    key at which a prefix is rejected with the same message is named; the
+    last key if none is.
     """
-    changes: dict[str, dict] = {}
-    last: dict[str, str] = {}
+    sections: dict[str, dict[str, tuple]] = {}
     for key, raw in pairs.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
@@ -113,14 +102,28 @@ def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig
             value = cast(raw)
         except ValueError:
             raise ValueError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
-        changes.setdefault(path, {})[attr] = value
-        last[path] = key
-    for path, fields in changes.items():
+        sections.setdefault(path, {})[key] = (attr, value)
+    for path, keyed in sections.items():
+        section = getattr(cfg, path)
         try:
-            cfg = _rebuilt(cfg, path, **fields)
+            cfg = replace(cfg, **{path: replace(section, **dict(keyed.values()))})
         except ValueError as exc:
-            raise reject(last[path], exc) from exc
+            raise reject(_blamed(section, keyed, str(exc)), exc) from exc
     return cfg
+
+
+def _blamed(section, keyed: dict[str, tuple], message: str) -> str:
+    """The first key of ``keyed`` (key -> (field, value), in key order) whose
+    prefix of fields ``section`` rejects with ``message``; else the last key."""
+    fields = {}
+    for key, (attr, value) in keyed.items():
+        fields[attr] = value
+        try:
+            replace(section, **fields)
+        except ValueError as exc:
+            if str(exc) == message:
+                return key
+    return key
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -156,7 +159,7 @@ def _config_epilog() -> str:
     lines = ["config file keys (key=value, one per line; flags override):"]
     defaults = PipelineConfig()
     for key, (path, attr, _) in CONFIG_KEYS.items():
-        lines.append(f"  {key} (default {getattr(_section(defaults, path), attr)})")
+        lines.append(f"  {key} (default {getattr(getattr(defaults, path), attr)})")
     return "\n".join(lines)
 
 
@@ -177,7 +180,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
     p.add_argument("--config", help="key=value config file")
     for key, help_text in _FLAG_HELP.items():
         path, _, cast = CONFIG_KEYS[key]
-        if path.partition(".")[0] in sections:
+        if path in sections:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast, help=help_text)
 
 

@@ -3,13 +3,12 @@
 Each pair's score is iteratively mixed with the compatibility-weighted
 mean of all other pairs' scores; geometrically inconsistent pairs decay
 while mutually consistent ones persist. The final score averages the top
-pairs after relaxation.
+pairs after relaxation. The compatibility sigmoids are fixed constants of
+the method; the mixing weight, the iteration count and the distance scale
+are ``fusion.FusionConfig`` fields, passed to the kernels as numbers.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +20,12 @@ from fpfusion.pairing import MAX_PAIRS_SCORE, MAX_PAIRS_SELECT
 # which other lists share its batch.
 PAIR_SLOTS = 2 * MAX_PAIRS_SELECT
 
-
-@dataclass(frozen=True)
-class RelaxationParams:
-    """Relaxation weights and the sigmoid compatibility parameters.
-
-    ``distance_scale`` divides the spatial-distance discrepancy before the
-    first sigmoid, so mu[0]=0.0416 corresponds to ~4.16 px.
-    """
-
-    weight: float = 0.5  # mixing factor per iteration
-    iterations: int = 5
-    mu: tuple[float, float, float] = (0.0416, 0.7853, 0.2094)
-    tau: tuple[float, float, float] = (-30.0, -9.0, -16.8)
-    distance_scale: float = 100.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if not (math.isfinite(self.distance_scale) and self.distance_scale > 0):
-            raise ValueError("distance_scale must be finite and positive")
+# Centres and slopes of the compatibility sigmoids of the distance,
+# direction-difference and radial-angle discrepancies. The distance
+# discrepancy is divided by the distance scale first, so mu[0] = 0.0416 is
+# ~4.16 px at distance scale 100.
+_MU = (0.0416, 0.7853, 0.2094)
+_TAU = (-30.0, -9.0, -16.8)
 
 
 def side_geometry(xy: np.ndarray, theta: np.ndarray) -> tuple:
@@ -61,38 +44,40 @@ def side_geometry(xy: np.ndarray, theta: np.ndarray) -> tuple:
     return np.hypot(dx, dy), turn, radial
 
 
-def compatibilities(side_a: tuple, side_b: tuple, params: RelaxationParams) -> np.ndarray:
+def compatibilities(side_a: tuple, side_b: tuple, distance_scale: float) -> np.ndarray:
     """Compatibilities of pair lists from their two sides' ``side_geometry``.
 
     Entry (p, q) compares pairs p and q of a list: the discrepancies of
-    their A-side and B-side distance, direction difference and radial
-    angle pass through the three sigmoids. The diagonal is unused.
+    their A-side and B-side distance (divided by ``distance_scale``),
+    direction difference and radial angle pass through the three sigmoids.
+    The diagonal is unused.
 
     Both sides' direction differences and radial angles lie in [0, pi], so
     the absolute difference of two is their circular distance, exactly.
     """
-    d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
+    d1 = np.abs(side_a[0] - side_b[0]) / distance_scale
     d2 = np.abs(side_a[1] - side_b[1])
     d3 = np.abs(side_a[2] - side_b[2])
     out = 1.0
     with np.errstate(over="ignore"):  # a far discrepancy's 1 / (1 + inf) is the exact 0
-        for d, mu, tau in zip((d1, d2, d3), params.mu, params.tau):
+        for d, mu, tau in zip((d1, d2, d3), _MU, _TAU):
             out = out / (1.0 + np.exp(-tau * (d - mu)))
     return out
 
 
 def relax_scores(
-    rho: np.ndarray, gamma: np.ndarray, n: np.ndarray, params: RelaxationParams
+    rho: np.ndarray, gamma: np.ndarray, n: np.ndarray, weight: float, iterations: int
 ) -> np.ndarray:
     """Synchronous relaxation of K pair lists at once.
 
     Initial scores ``gamma`` (K, P) hold list k's ``n[k]`` pairs first.
     ``rho`` holds only the live compatibility rows, (n.sum(), P) and
     list-major: row j is pair p < n[k] of list k, its entry q the
-    compatibility of pairs p and q; ``rho`` is overwritten. Each iteration
-    mixes every score with the compatibility-weighted mean of the other
-    live pairs' previous scores, summed over all P slots of the row (dead
-    slots add +0), so a score never depends on which lists share the call.
+    compatibility of pairs p and q; ``rho`` is overwritten. Each of
+    ``iterations`` iterations mixes every score, at ``weight``, with the
+    compatibility-weighted mean of the other live pairs' previous scores,
+    summed over all P slots of the row (dead slots add +0), so a score
+    never depends on which lists share the call.
     A one-pair list has no peers and keeps its initial score; values past
     ``n[k]`` are undefined.
     """
@@ -103,12 +88,11 @@ def relax_scores(
     owner = at // width
     others = np.maximum(n - 1, 1)[owner]
     peers = np.multiply(rho, live[owner] & (slots != (at % width)[:, None]), out=rho)
-    w = params.weight
     state = np.where(live, gamma, 0.0)
-    for _ in range(params.iterations):
+    for _ in range(iterations):
         mixed = np.take(state, owner, axis=0)
         support = np.multiply(peers, mixed, out=mixed).sum(axis=1) / others
-        np.put(state, at, w * np.take(state, at) + (1.0 - w) * support)
+        np.put(state, at, weight * np.take(state, at) + (1.0 - weight) * support)
     return np.where((n > 1)[:, None], state, gamma)
 
 

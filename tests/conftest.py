@@ -7,7 +7,6 @@ import pytest
 from fpfusion.evaluation import Gallery
 from fpfusion.fusion import CHANNELS, match_gallery
 from fpfusion.geometry import angular_difference
-from fpfusion.relaxation import RelaxationParams
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 def random_template(rng, n=12, extent=300.0, tid="t", min_spacing=10.0):
@@ -99,12 +98,18 @@ def radial_angle(a, b) -> float:
     return angular_difference(a.theta, math.atan2(dy, dx))
 
 
-def sigmoid_product(d1, d2, d3, params: RelaxationParams):
+# The sigmoid centres and slopes of the method, held apart from the engine's
+# constants so that any drift in those shows.
+MU = (0.0416, 0.7853, 0.2094)
+TAU = (-30.0, -9.0, -16.8)
+
+
+def sigmoid_product(d1, d2, d3, tau=TAU):
     """Product of the three compatibility sigmoids of discrepancies d1, d2, d3."""
     out = 1.0
     with np.errstate(over="ignore"):
-        for d, mu, tau in zip((d1, d2, d3), params.mu, params.tau):
-            out = out / (1.0 + np.exp(-tau * (d - mu)))
+        for d, mu, slope in zip((d1, d2, d3), MU, tau):
+            out = out / (1.0 + np.exp(-slope * (d - mu)))
     return out
 
 
@@ -126,28 +131,27 @@ def two_pass_side_geometry(xy, theta):
 def pair_compatibility(
     t_pair: tuple[Minutia, Minutia],
     k_pair: tuple[Minutia, Minutia],
-    params: RelaxationParams | None = None,
+    tau=TAU,
 ) -> float:
     """Geometric compatibility of two minutia pairs, in (0, 1).
 
     Compares, between the A side and the B side: the spatial distance
-    (scaled by 1/distance_scale), the direction difference and the radial
-    angle of the two involved minutiae; each discrepancy passes through a
-    sigmoid and the three factors multiply.
+    (scaled by 1/100, the default distance scale), the direction difference
+    and the radial angle of the two involved minutiae; each discrepancy
+    passes through a sigmoid of slope ``tau`` and the three factors multiply.
     """
-    params = params or RelaxationParams()
     a_t, b_t = t_pair
     a_k, b_k = k_pair
     d1 = abs(euclidean_distance(a_t, a_k) - euclidean_distance(b_t, b_k))
-    d1 /= params.distance_scale
+    d1 /= 100.0
     d2 = abs(
         angular_difference(direction_difference(a_t, a_k), direction_difference(b_t, b_k))
     )
     d3 = abs(angular_difference(radial_angle(a_t, a_k), radial_angle(b_t, b_k)))
-    return float(sigmoid_product(d1, d2, d3, params))
+    return float(sigmoid_product(d1, d2, d3, tau))
 
 
-def relax_padded(rho, gamma, n, params: RelaxationParams):
+def relax_padded(rho, gamma, n, weight, iterations):
     """Relaxation of K zero-padded pair lists, (K, P, P) ``rho`` and (K, P)
     ``gamma``, each list's ``n[k]`` pairs first: the padded form the
     row-form ``relaxation.relax_scores`` must equal. ``rho`` is overwritten."""
@@ -155,10 +159,10 @@ def relax_padded(rho, gamma, n, params: RelaxationParams):
     live = slots[None, :] < n[:, None]
     peers = np.multiply(rho, live[:, None, :] & (slots[:, None] != slots[None, :]), out=rho)
     others = np.maximum(n - 1, 1)[:, None]
-    w = params.weight
+    w = weight
     relaxed = gamma
     product = np.empty_like(peers)
-    for _ in range(params.iterations):
+    for _ in range(iterations):
         support = np.multiply(peers, relaxed[:, None, :], out=product).sum(axis=2) / others
         relaxed = w * relaxed + (1.0 - w) * support
     return np.where((n > 1)[:, None], relaxed, gamma)

@@ -31,7 +31,6 @@ from fpfusion.mcc import build_mcc_set
 from fpfusion.pairing import select_pairs
 from fpfusion.relaxation import (
     PAIR_SLOTS,
-    RelaxationParams,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -49,13 +48,12 @@ def report(name: str, ok: bool):
 
 def test_criterion_1_compatibility_oracle():
     """Triple-sigmoid compatibility at zero discrepancy matches 0.75392."""
-    params = RelaxationParams()
     independent = 1.0
-    for mu, tau in zip(params.mu, params.tau):
+    for mu, tau in zip((0.0416, 0.7853, 0.2094), (-30.0, -9.0, -16.8)):
         independent *= 1.0 / (1.0 + math.exp(tau * mu))
     m1 = Minutia(0, 0, 0.0)
     m2 = Minutia(10, 5, 0.3)
-    produced = pair_compatibility((m1, m1), (m2, m2), params)
+    produced = pair_compatibility((m1, m1), (m2, m2))
     report(
         "criterion 1: compatibility at zero discrepancy = 0.75392 +- 1e-4",
         abs(independent - 0.75392) <= 1e-4 and abs(produced - independent) <= 1e-12,
@@ -71,28 +69,30 @@ def test_criterion_2_relaxation_oracle():
         ta = random_template(rng, n=max(n, 2), extent=400.0, tid="a")
         tb = random_template(rng, n=max(n, 2), extent=400.0, tid="b")
         gamma0 = rng.uniform(0, 1, size=n)
-        params = RelaxationParams(
-            weight=float(rng.uniform(0, 1)), iterations=int(rng.integers(1, 6))
+        cfg = FusionConfig(
+            relax_weight=float(rng.uniform(0, 1)), relax_iterations=int(rng.integers(1, 6))
         )
         # the pair list (i, i), i < n, relaxed as the live rows of one
         # PAIR_SLOTS-wide list
         rho = compatibilities(
             side_geometry(ta.positions()[:n], ta.thetas()[:n]),
             side_geometry(tb.positions()[:n], tb.thetas()[:n]),
-            params,
+            cfg.distance_scale,
         )
         rho_p = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), np.array([n]))
-        out = relax_scores(rho_p, padded(gamma0, (PAIR_SLOTS,)), np.array([n]), params)
+        gamma_p = padded(gamma0, (PAIR_SLOTS,))
+        out = relax_scores(rho_p, gamma_p, np.array([n]), cfg.relax_weight, cfg.relax_iterations)
         # straight-line reference
         if n == 1:
             expected = [float(gamma0[0])]
         else:
             gamma = list(gamma0)
-            for _ in range(params.iterations):
+            w = cfg.relax_weight
+            for _ in range(cfg.relax_iterations):
                 new = []
                 for t in range(n):
                     acc = sum(rho[t][k] * gamma[k] for k in range(n) if k != t)
-                    new.append(params.weight * gamma[t] + (1 - params.weight) * acc / (n - 1))
+                    new.append(w * gamma[t] + (1 - w) * acc / (n - 1))
                 gamma = new
             expected = gamma
         got = list(out[0, :n])

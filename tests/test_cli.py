@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import fpfusion
-from fpfusion.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fpfusion.cli import (
+    CONFIG_KEYS,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    PipelineConfig,
+    _build_parser,
+    build_pipeline_config,
+    main,
+)
 from fpfusion.mcc import CylinderConfig
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger
 from fpfusion.templates import save_template
@@ -328,6 +339,8 @@ def test_positions_whose_span_overflows_are_data_error(template_path, tmp_path, 
     [
         (["--w1", "0", "--w2", "0"], "--w2 0.0: fusion weights"),
         (["--n-rel", "-1"], "--n-rel -1: iterations must be non-negative"),
+        # the fusion section's first rejected prefix ends at --w2, not --n-rel
+        (["--w1", "0", "--w2", "0", "--n-rel", "3"], "--w2 0.0: fusion weights"),
     ],
 )
 def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, message, capsys):
@@ -336,7 +349,15 @@ def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, mess
 
 
 @pytest.mark.parametrize(
-    "line,message", [("w1=0\nw2=0", "config key w2=0"), ("n_rel=-1", "n_rel=-1")]
+    "line,message",
+    [
+        ("w1=0\nw2=0", "config key w2=0"),
+        ("n_rel=-1", "n_rel=-1"),
+        # a rejected section names the key that caused it, not its last key
+        ("cyl_radius=-1\ncyl_grid=16", "config key cyl_radius=-1: radius"),
+        ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: w1, w2 and delta_theta"),
+        ("n_rel=-1\nw1=0.7", "config key n_rel=-1: iterations must be non-negative"),
+    ],
 )
 def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line, message, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -576,6 +597,80 @@ def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsy
     cfg = tmp_path / "fusion.cfg"
     cfg.write_text("w1=0.7\n")
     assert main(["describe", str(template_path), "--config", str(cfg)]) == EXIT_OK
+
+
+# The (section, field) each config key sets, written out apart from CONFIG_KEYS.
+KEY_FIELDS = {
+    "cyl_radius": ("cylinder", "radius"),
+    "cyl_grid": ("cylinder", "grid"),
+    "cyl_sections": ("cylinder", "sections"),
+    "cyl_sigma_spatial": ("cylinder", "sigma_spatial"),
+    "cyl_sigma_direction": ("cylinder", "sigma_direction"),
+    "cyl_min_neighbors": ("cylinder", "min_neighbors"),
+    "emb_radius": ("embedding", "synth_radius"),
+    "emb_radial_bins": ("embedding", "radial_bins"),
+    "emb_angular_bins": ("embedding", "angular_bins"),
+    "emb_direction_bins": ("embedding", "direction_bins"),
+    "w1": ("fusion", "w1"),
+    "w2": ("fusion", "w2"),
+    "delta_theta": ("fusion", "delta_theta"),
+    "w_r": ("fusion", "relax_weight"),
+    "n_rel": ("fusion", "relax_iterations"),
+    "dist_scale": ("fusion", "distance_scale"),
+    "seed": ("synth", "seed"),
+    "n_fingers": ("synth", "n_fingers"),
+    "min_minutiae": ("synth", "min_minutiae"),
+    "max_minutiae": ("synth", "max_minutiae"),
+    "min_spacing": ("synth", "min_spacing"),
+    "rotation_max": ("perturb", "rotation_max"),
+    "translation_max": ("perturb", "translation_max"),
+    "position_jitter": ("perturb", "position_jitter"),
+    "angle_jitter": ("perturb", "angle_jitter"),
+    "keep_min": ("perturb", "keep_min"),
+    "keep_max": ("perturb", "keep_max"),
+    "spurious_mean": ("perturb", "spurious_mean"),
+    "crop_radius_min": ("perturb", "crop_radius_min"),
+    "crop_radius_max": ("perturb", "crop_radius_max"),
+}
+
+
+def _next_value(key):
+    """A valid non-default value of a key's field: the next float above its
+    default, or its default + 1."""
+    section, name = KEY_FIELDS[key]
+    default = getattr(getattr(PipelineConfig(), section), name)
+    return default + 1 if type(default) is int else math.nextafter(default, math.inf)
+
+
+def _assert_only_field_set(cfg: PipelineConfig, key, value):
+    """``cfg`` holds ``value`` at the field of ``key`` and every other field at
+    its default, each of the default's type."""
+    defaults = PipelineConfig()
+    for section in dataclasses.fields(defaults):
+        got, default = getattr(cfg, section.name), getattr(defaults, section.name)
+        for f in dataclasses.fields(default):
+            want = getattr(default, f.name)
+            if (section.name, f.name) == KEY_FIELDS[key]:
+                want = value
+            held = getattr(got, f.name)
+            assert held == want and type(held) is type(want), (key, section.name, f.name)
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_every_config_key_reaches_its_field(template_path, tmp_path, key):
+    value = _next_value(key)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key}={value!r}\n")
+    args = _build_parser().parse_args(["describe", str(template_path), "--config", str(cfg)])
+    _assert_only_field_set(build_pipeline_config(args), key, value)
+
+
+@pytest.mark.parametrize("key", ["seed", "w1", "w2", "delta_theta", "n_rel", "w_r", "n_fingers"])
+def test_every_tuning_flag_reaches_its_field(tmp_path, key):
+    value = _next_value(key)
+    flag = f"--{key.replace('_', '-')}"
+    args = _build_parser().parse_args(["benchmark", "--out", str(tmp_path), flag, repr(value)])
+    _assert_only_field_set(build_pipeline_config(args), key, value)
 
 
 @pytest.mark.parametrize(

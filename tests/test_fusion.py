@@ -26,7 +26,6 @@ from fpfusion.fusion import CHANNELS, FusionConfig
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.relaxation import (
     PAIR_SLOTS,
-    RelaxationParams,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -61,11 +60,13 @@ class TestMatchSingle:
         result = channel("mcc", ta, ta, mcc, mcc)
         # independent expectation: self-pairs all score 1, relaxed by Eq-style
         # recurrence with the self-geometry compatibility matrix
-        params = RelaxationParams()
+        cfg = FusionConfig()
         side = side_geometry(ta.positions(), ta.thetas())
         n = np.array([10])
-        rho = live_rows(padded(compatibilities(side, side, params), (PAIR_SLOTS, PAIR_SLOTS)), n)
-        relaxed = relax_scores(rho, padded(np.ones(10), (PAIR_SLOTS,)), n, params)
+        rho = compatibilities(side, side, cfg.distance_scale)
+        rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
+        gamma = padded(np.ones(10), (PAIR_SLOTS,))
+        relaxed = relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)
         expected = top_scores(relaxed, n, np.array([8]))[0][0]
         assert result.score == pytest.approx(expected, abs=1e-6)
 
@@ -167,16 +168,16 @@ class TestFeatureFusion:
         # six genuine pairs (i, i) at 0.8, then the spoilers (6, 7), (7, 6) at 0.9
         rows, cols = np.arange(8), np.array([0, 1, 2, 3, 4, 5, 7, 6])
         gamma = [0.8] * 6 + [0.9] * 2
-        params = RelaxationParams()
+        cfg = FusionConfig()
         rho = compatibilities(
             side_geometry(ta.positions()[rows], ta.thetas()[rows]),
             side_geometry(tb.positions()[cols], tb.thetas()[cols]),
-            params,
+            cfg.distance_scale,
         )
         n = np.array([8])
         rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
         gamma = padded(gamma, (PAIR_SLOTS,))
-        relaxed = relax_scores(rho, gamma, n, params)[0]
+        relaxed = relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)[0]
         assert relaxed[:6].min() > relaxed[6:8].max()
 
 

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    MU,
+    TAU,
     live_rows,
     pair_compatibility,
     padded,
@@ -15,11 +17,11 @@ from conftest import (
     sigmoid_product,
     two_pass_side_geometry,
 )
+from fpfusion.fusion import FusionConfig
 from fpfusion.geometry import angular_difference
 from fpfusion.pairing import MAX_PAIRS_SCORE
 from fpfusion.relaxation import (
     PAIR_SLOTS,
-    RelaxationParams,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -44,21 +46,20 @@ def relax_oracle(gamma0, rho, w, iterations):
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -100.0])
 def test_distance_scale_must_be_finite_and_positive(value):
     with pytest.raises(ValueError, match="distance_scale"):
-        RelaxationParams(distance_scale=value)
+        FusionConfig(distance_scale=value)
 
 
 class TestCompatibility:
     def test_identical_geometry_value(self):
         # independent evaluation: prod 1/(1+exp(tau_i*mu_i)) with Table-style params
-        params = RelaxationParams()
         expected = 1.0
-        for mu, tau in zip(params.mu, params.tau):
+        for mu, tau in zip(MU, TAU):
             expected *= 1.0 / (1.0 + math.exp(tau * mu))
         assert expected == pytest.approx(0.75392, abs=1e-4)
         m1 = Minutia(0, 0, 0.0)
         m2 = Minutia(10, 5, 0.3)
         # identical geometry on both template sides -> d1=d2=d3=0
-        got = pair_compatibility((m1, m1), (m2, m2), params)
+        got = pair_compatibility((m1, m1), (m2, m2))
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_large_distance_discrepancy_saturates(self):
@@ -71,12 +72,12 @@ class TestCompatibility:
     def test_distance_and_direction_terms_symmetric(self, rng):
         # with the radial term neutralized (tau3=0 -> constant factor), the
         # remaining spatial and directional discrepancies are symmetric in t,k
-        params = RelaxationParams(tau=(-30.0, -9.0, 0.0))
+        tau = (-30.0, -9.0, 0.0)
         t = random_template(rng, n=4)
         pair_t = (t.minutiae[0], t.minutiae[1])
         pair_k = (t.minutiae[2], t.minutiae[3])
-        assert pair_compatibility(pair_t, pair_k, params) == pytest.approx(
-            pair_compatibility(pair_k, pair_t, params), abs=1e-12
+        assert pair_compatibility(pair_t, pair_k, tau) == pytest.approx(
+            pair_compatibility(pair_k, pair_t, tau), abs=1e-12
         )
 
     def test_symmetric_when_sides_share_geometry(self, rng):
@@ -93,12 +94,12 @@ class TestCompatibility:
     def test_matrix_matches_scalar(self, rng):
         ta = random_template(rng, n=5, tid="a")
         tb = random_template(rng, n=5, tid="b")
-        params = RelaxationParams()
+        cfg = FusionConfig()
         # the pair list (i, i) for every minutia
         rho = compatibilities(
             side_geometry(ta.positions(), ta.thetas()),
             side_geometry(tb.positions(), tb.thetas()),
-            params,
+            cfg.distance_scale,
         )
         for t_idx in range(5):
             for k_idx in range(5):
@@ -107,7 +108,6 @@ class TestCompatibility:
                 scalar = pair_compatibility(
                     (ta.minutiae[t_idx], tb.minutiae[t_idx]),
                     (ta.minutiae[k_idx], tb.minutiae[k_idx]),
-                    params,
                 )
                 assert rho[t_idx, k_idx] == pytest.approx(scalar, abs=1e-12)
 
@@ -117,7 +117,7 @@ class TestCompatibility:
         rho = compatibilities(
             side_geometry(ta.positions(), ta.thetas()),
             side_geometry(tb.positions(), tb.thetas()),
-            RelaxationParams(),
+            FusionConfig().distance_scale,
         )
         off = ~np.eye(8, dtype=bool)
         assert ((rho[off] > 0) & (rho[off] < 1)).all()
@@ -150,13 +150,13 @@ def pair_sides(draw):
 def test_compatibilities_equal_the_circular_difference_form(sides):
     """Both sides' angles lie in [0, pi], so the plain difference gives the
     bits of the circular one."""
-    params = RelaxationParams()
+    cfg = FusionConfig()
     side_a, side_b = (side_geometry(xy, theta) for xy, theta in sides)
-    d1 = np.abs(side_a[0] - side_b[0]) / params.distance_scale
+    d1 = np.abs(side_a[0] - side_b[0]) / cfg.distance_scale
     d2 = np.abs(angular_difference(side_a[1], side_b[1]))
     d3 = np.abs(angular_difference(side_a[2], side_b[2]))
-    expected = sigmoid_product(d1, d2, d3, params)
-    got = compatibilities(side_a, side_b, params)
+    expected = sigmoid_product(d1, d2, d3)
+    got = compatibilities(side_a, side_b, cfg.distance_scale)
     assert got.tobytes() == np.asarray(expected).tobytes()
     assert got.shape == np.shape(expected)
 
@@ -202,18 +202,18 @@ def test_one_pass_geometry_equals_two_pass_reference(sides):
     """``side_geometry`` forms each offset once; its distance, direction
     difference and radial angle, and the compatibilities built from them,
     keep the bits of the two-pass form and the separate sigmoid product."""
-    params = RelaxationParams()
+    cfg = FusionConfig()
     got = [side_geometry(xy, theta) for xy, theta in sides]
     want = [two_pass_side_geometry(xy, theta) for xy, theta in sides]
     for g, w in zip(got, want):
         for a, b in zip(g, w):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-    d1 = np.abs(want[0][0] - want[1][0]) / params.distance_scale
+    d1 = np.abs(want[0][0] - want[1][0]) / cfg.distance_scale
     d2 = np.abs(want[0][1] - want[1][1])
     d3 = np.abs(want[0][2] - want[1][2])
-    expected = sigmoid_product(d1, d2, d3, params)
-    rho = compatibilities(got[0], got[1], params)
+    expected = sigmoid_product(d1, d2, d3)
+    rho = compatibilities(got[0], got[1], cfg.distance_scale)
     assert rho.shape == np.shape(expected)
     assert rho.tobytes() == np.asarray(expected).tobytes()
 
@@ -223,24 +223,25 @@ class TestRelax:
     PAIR_SLOTS."""
 
     @staticmethod
-    def relaxed(rho, gamma, params=None):
+    def relaxed(rho, gamma, cfg=None):
+        cfg = cfg or FusionConfig()
         n = np.array([len(gamma)])
         rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
         gamma = padded(gamma, (PAIR_SLOTS,))
-        return relax_scores(rho, gamma, n, params or RelaxationParams())[0, : n[0]]
+        return relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)[0, : n[0]]
 
     def test_two_pair_hand_example(self):
         # rho = 1 everywhere off-diagonal, gamma0 = (0.8, 0.6), one iteration
-        params = RelaxationParams(weight=0.5, iterations=1)
-        assert self.relaxed(np.ones((2, 2)), [0.8, 0.6], params) == pytest.approx([0.7, 0.7])
+        cfg = FusionConfig(relax_weight=0.5, relax_iterations=1)
+        assert self.relaxed(np.ones((2, 2)), [0.8, 0.6], cfg) == pytest.approx([0.7, 0.7])
 
     def test_fixed_point_all_equal(self):
         out = self.relaxed(np.ones((3, 3)), [0.4, 0.4, 0.4])
         assert out == pytest.approx([0.4, 0.4, 0.4])
 
     def test_zero_rho_geometric_decay(self):
-        params = RelaxationParams(weight=0.5, iterations=5)
-        out = self.relaxed(np.zeros((2, 2)), [0.8, 0.6], params)
+        cfg = FusionConfig(relax_weight=0.5, relax_iterations=5)
+        out = self.relaxed(np.zeros((2, 2)), [0.8, 0.6], cfg)
         assert out == pytest.approx([0.8 * 0.5**5, 0.6 * 0.5**5])
 
     def test_single_pair_bypasses(self):
@@ -252,14 +253,16 @@ class TestRelax:
             ta = random_template(rng, n=n, tid="a")
             tb = random_template(rng, n=n, tid="b")
             scores = rng.uniform(0, 1, size=n)
-            params = RelaxationParams(weight=float(rng.uniform(0, 1)), iterations=int(rng.integers(1, 7)))
+            cfg = FusionConfig(
+                relax_weight=float(rng.uniform(0, 1)), relax_iterations=int(rng.integers(1, 7))
+            )
             rho = compatibilities(
                 side_geometry(ta.positions(), ta.thetas()),
                 side_geometry(tb.positions(), tb.thetas()),
-                params,
+                cfg.distance_scale,
             )
-            expected = relax_oracle(scores, rho, params.weight, params.iterations)
-            got = list(self.relaxed(rho, scores, params))
+            expected = relax_oracle(scores, rho, cfg.relax_weight, cfg.relax_iterations)
+            got = list(self.relaxed(rho, scores, cfg))
             assert got == pytest.approx(expected, abs=1e-12)
             assert all(0.0 <= g <= 1.0 for g in got)
 
@@ -268,30 +271,30 @@ class TestRelax:
         ta = random_template(rng, n=n, tid="a")
         tb = random_template(rng, n=n, tid="b")
         scores = np.array(rng.uniform(0, 1, size=n))
-        params = RelaxationParams()
+        cfg = FusionConfig()
 
         def relaxed_by_pair(order):
             rho = compatibilities(
                 side_geometry(ta.positions()[order], ta.thetas()[order]),
                 side_geometry(tb.positions()[order], tb.thetas()[order]),
-                params,
+                cfg.distance_scale,
             )
-            return dict(zip(order.tolist(), self.relaxed(rho, scores[order], params)))
+            return dict(zip(order.tolist(), self.relaxed(rho, scores[order], cfg)))
 
         fwd = relaxed_by_pair(np.arange(n))
         rev = relaxed_by_pair(np.arange(n)[::-1])
         assert fwd == pytest.approx(rev)
 
     def test_consistent_geometry_beats_shuffled(self, rng):
-        params = RelaxationParams()
+        cfg = FusionConfig()
 
         def mean_relaxed(ta, tb, cols):
             rho = compatibilities(
                 side_geometry(ta.positions(), ta.thetas()),
                 side_geometry(tb.positions()[cols], tb.thetas()[cols]),
-                params,
+                cfg.distance_scale,
             )
-            return np.mean(self.relaxed(rho, [0.8] * 8, params))
+            return np.mean(self.relaxed(rho, [0.8] * 8, cfg))
 
         wins = 0
         for trial in range(100):
@@ -374,12 +377,11 @@ class TestRowForm:
         }[gamma_kind]()
         live = np.arange(PAIR_SLOTS) < n[:, None]
         n_p = rng.integers(0, MAX_PAIRS_SCORE + 1, size)
-        params = RelaxationParams(weight=weight, iterations=iterations)
 
         # the engine zeroes the padding of gamma; the row form never reads it
-        oracle = relax_padded(rho.copy(), np.where(live, gamma, 0.0), n, params)
+        oracle = relax_padded(rho.copy(), np.where(live, gamma, 0.0), n, weight, iterations)
         expected = top_scores(oracle, n, n_p)
-        got = top_scores(relax_scores(live_rows(rho, n), gamma, n, params), n, n_p)
+        got = top_scores(relax_scores(live_rows(rho, n), gamma, n, weight, iterations), n, n_p)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not np.signbit(got[0]).any()
