@@ -6,8 +6,9 @@ a zero row is an invalid descriptor, in memory and in the file.
 Without a file, a deterministic log-polar neighborhood signature stands in
 so the full fusion pipeline runs without any neural network. Its soft-bin
 weights are computed once over every (minutia, neighbor) pair of a
-template; each minutia's histogram and norm are then summed over its own
-neighbors in template order, as building the signatures one by one would.
+template; each minutia's histogram is then summed over its own neighbors
+in template order, as building the signatures one by one would, and all
+norms come from one stacked product with the same per-row dot products.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def build_synthetic_embeddings(
     # (minutia, neighbor slot, bins) with zeros past a minutia's neighbors.
     # Summing over the slot axis adds them one slot after another, as the
     # one-minutia einsum does, so the histogram bits are those of building
-    # the signatures one by one; each norm is the same dot product.
+    # the signatures one by one. (n, 1, dim) @ (n, dim, 1) takes each norm
+    # from the same dot product; a row-wise einsum would round differently.
     counts = np.bincount(i, minlength=n)
     slot = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
     pairs = (w_r[:, :, None] * w_a[:, None, :])[..., None] * w_d[:, None, None, :]
@@ -154,6 +156,6 @@ def build_synthetic_embeddings(
     products[i, slot] = pairs.reshape(len(i), cfg.dim)
     hist = products.sum(axis=1)
     valid = counts > 0
-    for m in np.flatnonzero(valid).tolist():
-        vectors[m] = hist[m] / math.sqrt(hist[m] @ hist[m])
+    norms = np.sqrt(np.matmul(hist[:, None, :], hist[:, :, None]))
+    np.divide(hist, norms[:, 0], out=vectors, where=valid[:, None])
     return DescriptorSet(vectors=vectors, valid=valid)

@@ -28,12 +28,12 @@ whose square underflows gives a kernel of exactly 1 either way. The
 minutia x neighbor distance that decides reach and validity stays on hypot.
 
 A template's minutia x neighbor geometry (distances, reach, directional
-kernels, cell centers) is computed once for all minutiae. The spatial
-kernel is then evaluated on every reachable pair of a few minutiae at a
-time, scattered into a zero (minutiae, cells, n - 1) stack and multiplied by
-the directional kernels in one stacked matmul, so each minutia's cylinder is
-still its own (cells, n - 1) @ (n - 1, sections) product and its values are
-those of building the cylinders one by one.
+kernels, cell centers, reachable pairs) is computed once for all minutiae.
+The spatial kernel is evaluated in place on the reachable pairs of a group of
+minutiae at a time, then scattered into a zero (minutiae, cells, n - 1) stack
+and multiplied by the directional kernels in one stacked matmul, so each
+minutia's cylinder is still its own (cells, n - 1) @ (n - 1, sections)
+product and its values are those of building the cylinders one by one.
 """
 
 from __future__ import annotations
@@ -99,11 +99,15 @@ def _cell_offsets(cfg: CylinderConfig) -> np.ndarray:
     return offsets
 
 
-# Minutiae whose spatial kernels are evaluated together. It bounds the
-# transient (chunk, cells, n - 1) stack at 4 * cells * (n - 1) doubles; a
-# chunk of 16 was no faster on default templates, slower on dense ones, and
+# Minutiae whose spatial kernels are scattered and multiplied together. It
+# bounds the zero (chunk, cells, n - 1) stack at 4 * cells * (n - 1) doubles;
+# a chunk of 16 was no faster on default templates, slower on dense ones, and
 # its larger stack raised the peak memory of enrolling a gallery.
 _CHUNK = 4
+# Minutiae whose spatial kernels are evaluated in one in-place pass, a
+# multiple of _CHUNK; one pass over the whole template was no faster on
+# enrollment and raised the peak memory of dense queries.
+_GROUP = 16
 
 
 def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> DescriptorSet:
@@ -143,27 +147,47 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     wx = xy[:, 0:1] + c * ox + s * oy
     wy = xy[:, 1:2] - s * ox + c * oy
 
-    # (minutiae, cells, n - 1) spatial kernel of a chunk, cut at radius +
-    # 3 sigma. It is evaluated on reachable neighbors and 0 elsewhere; the
-    # stack is zeroed again between chunks.
+    # Reachable (minutia, neighbor) pairs; minutia i's are start[i]:start[i + 1].
+    rows, cols = np.nonzero(reach)
+    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    pair_x, pair_y = nx[rows, cols, None], ny[rows, cols, None]
+    # (pairs, cells) distances and spatial kernel of the largest group.
+    width = max(start[min(lo + _GROUP, n)] - start[lo] for lo in range(0, n, _GROUP))
+    buffers = np.empty((2, width, len(offsets)))
+    # (minutiae, cells, n - 1) spatial kernel of a chunk, 0 where not
+    # reachable; zeroed again between chunks.
     spatial = np.zeros((min(n, _CHUNK), len(offsets), n - 1), dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        stack = spatial[: hi - lo]
-        i, k = np.nonzero(reach[lo:hi])
-        if len(i):
-            row = i + lo
-            dx = wx[row] - nx[row, k, None]
-            dy = wy[row] - ny[row, k, None]
-            d = np.sqrt(dx * dx + dy * dy)
-            block = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
-            block[d > cfg.cutoff] = 0.0
-            stack[i, :, k] = block
-        # Stacked, so each minutia keeps its own (cells, n - 1) @ (n - 1,
-        # sections) product.
-        values = np.matmul(stack, directional[lo:hi]).reshape(hi - lo, -1)
-        vectors[lo:hi] = values
-        valid[lo:hi] &= values.any(axis=1)
-        if len(i) and hi < n:
-            stack.fill(0.0)
+    cylinders = vectors.reshape(n, len(offsets), cfg.sections)
+    for glo in range(0, n, _GROUP):
+        ghi = min(glo + _GROUP, n)
+        a, b = start[glo], start[ghi]
+        d, kernel = buffers[:, : b - a]
+        # sqrt(dx * dx + dy * dy), then exp(-0.5 * (d / sigma) ** 2); take's
+        # "clip" mode, unlike its default, does not buffer ``out``.
+        np.take(wx, rows[a:b], axis=0, out=d, mode="clip")
+        d -= pair_x[a:b]
+        np.take(wy, rows[a:b], axis=0, out=kernel, mode="clip")
+        kernel -= pair_y[a:b]
+        np.square(d, out=d)
+        np.square(kernel, out=kernel)
+        d += kernel
+        np.sqrt(d, out=d)
+        np.divide(d, cfg.sigma_spatial, out=kernel)
+        np.square(kernel, out=kernel)
+        kernel *= -0.5
+        np.exp(kernel, out=kernel)
+        # cut at radius + 3 sigma: a finite kernel times False is exactly 0
+        np.multiply(kernel, d <= cfg.cutoff, out=kernel)
+        for lo in range(glo, ghi, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            stack = spatial[: hi - lo]
+            p, q = start[lo], start[hi]
+            if q > p:
+                stack[rows[p:q] - lo, :, cols[p:q]] = kernel[p - a : q - a]
+            # Stacked, so each minutia keeps its own (cells, n - 1) @ (n - 1,
+            # sections) product.
+            np.matmul(stack, directional[lo:hi], out=cylinders[lo:hi])
+            if q > p and hi < n:
+                stack.fill(0.0)
+    valid &= vectors.any(axis=1)
     return DescriptorSet(vectors=vectors, valid=valid)

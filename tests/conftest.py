@@ -58,6 +58,18 @@ def far_apart_pair():
     )
 
 
+# Six minutiae spanning ~1e200 px: a finite span, but offsets whose squares
+# overflow to inf.
+HUGE_SPAN_ROWS = (
+    (0.0, 0.0, 0.1),
+    (20.0, 5.0, 1.0),
+    (10.0, 30.0, 2.0),
+    (1e200, 0.0, 0.7),
+    (1e200, 25.0, 2.0),
+    (0.0, 1e200, 3.0),
+)
+
+
 # Scalar references the kernels are checked against.
 
 

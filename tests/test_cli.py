@@ -63,6 +63,18 @@ def test_match_far_apart_minutiae_without_warning(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_match_template_spanning_1e200_px_without_warning(tmp_path, capsys):
+    from conftest import HUGE_SPAN_ROWS
+
+    path = tmp_path / "huge.mnt"
+    path.write_text("".join(f"{x!r} {y!r} {theta!r}\n" for x, y, theta in HUGE_SPAN_ROWS))
+    assert main(["match", str(path), str(path), "--matcher", "feature"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "score=0.432245 raw_sum=2.593467 pairs=5\n"
+    assert captured.err == ""
+
+
 def test_match_missing_file(tmp_path, capsys):
     assert main(["match", str(tmp_path / "nope.mnt"), str(tmp_path / "nope.mnt")]) == EXIT_DATA
 

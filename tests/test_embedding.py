@@ -232,3 +232,27 @@ def test_build_equals_loop_reference_exactly(cfg, data):
     vectors, valid = loop_reference(t, cfg)
     assert np.array_equal(e.vectors, vectors)
     assert np.array_equal(e.valid, valid)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EmbeddingConfig(),
+        EmbeddingConfig(synth_radius=150.0, radial_bins=3, angular_bins=5, direction_bins=7),
+    ],
+)
+@pytest.mark.parametrize("n_cluster", [0, 1, 6])
+def test_isolated_minutiae_equal_loop_reference_exactly(cfg, n_cluster):
+    # a minutia with no neighbor within the radius has a zero histogram and
+    # norm; the normalizing divide skips it and leaves its zero row
+    rng = np.random.default_rng(n_cluster)
+    cluster = random_template(rng, n=n_cluster, extent=80.0, min_spacing=4.0).minutiae
+    step = 3.0 * cfg.synth_radius
+    lone = tuple(Minutia(200.0 + k * step, -step, 0.5 * k) for k in range(4))
+    t = MinutiaeTemplate("lone", lone[:2] + cluster + lone[2:])
+    e = build_synthetic_embeddings(t, cfg)
+    vectors, valid = loop_reference(t, cfg)
+    assert np.array_equal(e.vectors, vectors)
+    assert np.array_equal(e.valid, valid)
+    assert valid.sum() == (n_cluster if n_cluster > 1 else 0)
+    assert not e.vectors[~valid].any()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cosine_similarity, random_template, rotate_template
 from fpfusion.geometry import angular_difference, wrap_signed
-from fpfusion.mcc import _CHUNK, CylinderConfig, _cell_offsets, build_mcc_set
+from fpfusion.mcc import _CHUNK, _GROUP, CylinderConfig, _cell_offsets, build_mcc_set
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]
@@ -225,3 +225,37 @@ def test_chunk_edges_equal_dense_reference_exactly(cfg, n):
     assert 16 % _CHUNK == 0
     rng = np.random.default_rng(n)
     assert_equals_dense_reference(random_template(rng, n=n, extent=200.0, min_spacing=6.0), cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("n", [_GROUP - 1, _GROUP, _GROUP + 1, 2 * _GROUP + 1])
+def test_group_edges_equal_dense_reference_exactly(cfg, n):
+    # the build evaluates the spatial kernel of a group of minutiae at a
+    # time: one group a minutia short, one filled exactly, and remainders of
+    # one after full groups
+    assert _GROUP % _CHUNK == 0
+    rng = np.random.default_rng(100 + n)
+    assert_equals_dense_reference(random_template(rng, n=n, extent=200.0, min_spacing=6.0), cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@pytest.mark.parametrize("clusters", [True, False])
+def test_groups_without_reachable_pairs_equal_dense_reference_exactly(cfg, clusters):
+    # two clusters farther apart than reach, with 2 * _GROUP isolated
+    # minutiae between them in template order, so whole chunks and a whole
+    # group hold no reachable pair; without the clusters no group holds one
+    reach = cfg.radius + cfg.cutoff + 1.0
+    lone = tuple(Minutia((k + 1) * 2.0 * reach, 0.0, 0.2 * k) for k in range(2 * _GROUP))
+    near, far = (), ()
+    if clusters:
+        rng = np.random.default_rng(7)
+        near = random_template(rng, n=_CHUNK + 1, extent=60.0, min_spacing=4.0).minutiae
+        shift = (2 * _GROUP + 2) * 2.0 * reach
+        far = random_template(rng, n=_CHUNK + 2, extent=60.0, min_spacing=4.0).minutiae
+        far = tuple(Minutia(m.x + shift, m.y, m.theta) for m in far)
+    t = MinutiaeTemplate("h", near + lone + far)
+    assert_equals_dense_reference(t, cfg)
+    d = build_mcc_set(t, cfg)
+    isolated = slice(len(near), len(near) + len(lone))
+    assert not d.vectors[isolated].any() and not d.valid[isolated].any()
+    assert d.valid.any() == clusters

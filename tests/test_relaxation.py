@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    HUGE_SPAN_ROWS,
     MU,
     TAU,
     live_rows,
@@ -216,6 +217,18 @@ def test_one_pass_geometry_equals_two_pass_reference(sides):
     rho = compatibilities(got[0], got[1], cfg.distance_scale)
     assert rho.shape == np.shape(expected)
     assert rho.tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_geometry_distance_is_hypot_on_a_1e200_px_span():
+    # the squared offsets overflow here, so sqrt(dx * dx + dy * dy) would not
+    # do in place of hypot
+    rows = np.array(HUGE_SPAN_ROWS)
+    xy, theta = rows[:, :2], rows[:, 2]
+    dist = side_geometry(xy, theta)[0]
+    want = np.hypot(xy[None, :, 0] - xy[:, None, 0], xy[None, :, 1] - xy[:, None, 1])
+    assert dist.tobytes() == want.tobytes()
+    assert np.isfinite(dist).all() and dist.max() > 1e200
 
 
 class TestRelax:
