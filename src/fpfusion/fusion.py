@@ -19,7 +19,10 @@ call are evened out, so a ~12-minutia latent query scores 100 fingers in
 two passes of 50 while a dense query's stacks stay bounded; the query's
 own pair geometry is built once per call. Blocks are scored on two lanes,
 the calling thread and one helper thread, so two passes are in flight at
-once. A single template pair is the one-entry case of the same engine,
+once. A call that needs more than one pass takes an even number of them,
+so each lane scores half of the gallery: a latent query of ~17-28
+minutiae scores 100 default fingers in four passes of 25, not three of
+33-34. A single template pair is the one-entry case of the same engine,
 and a one-block call never touches the helper.
 """
 
@@ -127,10 +130,13 @@ _BUDGET = 1 << 18
 
 # Two scoring lanes: the calling thread scores blocks 0, 2, 4, ... and this
 # one helper thread blocks 1, 3, ... (its thread starts on the first
-# multi-block call). numpy's ufunc loops and BLAS release the GIL, so the
-# helper's block runs beside the caller's. Two matches the two cores the
-# engine was measured on, and pinned to one core it was no slower; more
-# lanes would multiply the memory in flight.
+# multi-block call). A multi-block call has an even number of blocks when
+# it has that many entries, so a query that needs three passes runs four
+# smaller ones, two per lane, and no lane idles while the other scores a
+# last block. numpy's ufunc loops and BLAS release the GIL, so the helper's
+# block runs beside the caller's. Two matches the two cores the engine was
+# measured on, and pinned to one core it was no slower; more lanes would
+# multiply the memory in flight.
 def _new_helper():
     """Create the helper lane; again in a forked child, which inherits the
     executor but not its thread."""
@@ -270,22 +276,26 @@ def match_gallery(query: GalleryEntry, entries: list, cfg: FusionConfig | None =
     dimension differs from the query's raises ``ValueError``.
     """
     cfg = cfg or FusionConfig()
+    dims = (query.mcc.dim, query.embedding.dim)
     for e in entries:
-        for ch, a, b in (("mcc", query.mcc, e.mcc), ("emb", query.embedding, e.embedding)):
-            if a.dim != b.dim:
-                raise ValueError(
-                    f"{ch} descriptors of gallery entry {e.template.id!r} have dimension "
-                    f"{b.dim}, the query's have {a.dim}"
-                )
+        got = (e.mcc.dim, e.embedding.dim)
+        if got != dims:
+            k = int(got[0] == dims[0])  # the first channel that differs: mcc, then emb
+            raise ValueError(
+                f"{CHANNELS[k]} descriptors of gallery entry {e.template.id!r} have dimension "
+                f"{got[k]}, the query's have {dims[k]}"
+            )
     if len(query.template) == 0 or not entries:
         zeros = np.zeros((len(CHANNELS), len(entries)))
         return zeros, zeros.copy(), zeros.astype(np.intp)
     ta = query.template
     side_a = side_geometry(ta.positions(), ta.thetas())
-    step = _entries_per_block(len(ta), max(len(e.template) for e in entries))
-    passes = -(-len(entries) // step)
-    step = -(-len(entries) // passes)  # as many passes, evened out
-    blocks = [entries[i : i + step] for i in range(0, len(entries), step)]
+    n = len(entries)
+    passes = -(-n // _entries_per_block(len(ta), max(len(e.template) for e in entries)))
+    if passes > 1:  # an even count, so that each lane scores half of the gallery
+        passes = min(passes + passes % 2, n)
+    # one block per pass, their sizes evened out
+    blocks = [entries[n * i // passes : n * (i + 1) // passes] for i in range(passes)]
     # Each helper block runs in a copy of the caller's context, so numpy's
     # error state (a context variable) is the same on both lanes.
     helped = [

@@ -59,7 +59,7 @@ def block_cosines(
     descriptors, which is True on padding.
     """
     for b, g in enumerate(gallery):
-        out[b, :, : len(g)] = q.vectors @ g.vectors.T
+        np.matmul(q.vectors, g.vectors.T, out=out[b, :, : len(g)])
     np.clip(out, -1.0, 1.0, out=out)
     valid = pad_rows(slot, [g.valid for g in gallery])
     return ~q.valid[None, :, None] | ~valid[:, None, :]

@@ -260,6 +260,18 @@ class TestDimensionCheck:
         with pytest.raises(ValueError, match=f"^{message}the query's have {dim}$"):
             fusion.match_gallery(query, entries)
 
+    def test_both_dimensions_differ_names_mcc(self, rng):
+        g = Gallery()
+        query, entry = (g.prepare_query(random_template(rng, n=8, tid=t)) for t in "qg")
+        entry = replace(
+            entry,
+            mcc=DescriptorSet(entry.mcc.vectors[:, :100], entry.mcc.valid),
+            embedding=DescriptorSet(entry.embedding.vectors[:, :50], entry.embedding.valid),
+        )
+        message = "mcc descriptors of gallery entry 'g' have dimension 100, the query's have "
+        with pytest.raises(ValueError, match=f"^{message}{CylinderConfig().dim}$"):
+            fusion.match_gallery(query, [entry])
+
 
 class TestGalleryEngine:
     @staticmethod
@@ -436,15 +448,26 @@ class TestBlockBudget:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "style,budget",
-        # the default; one entry per block, each over budget; a budget at
-        # which latent entries cost about as much in relaxation as in selection
-        [("dense", None), ("dense", 8 * PAIR_SLOTS**2), ("latent", 1 << 15)],
+        "style,budget,fingers",
+        [
+            pytest.param("dense", None, None, id="dense-None"),  # the default
+            # one entry per block, each over budget
+            pytest.param("dense", 8 * PAIR_SLOTS**2, None, id="dense-4608"),
+            # as above on 9 fingers: an odd count, capped at the entries
+            pytest.param("dense", 8 * PAIR_SLOTS**2, 9, id="dense-4608-9"),
+            # 4 entries per block, so 3 passes needed
+            pytest.param("dense", 5 << 15, None, id="dense-163840"),
+            # latent entries cost about as much in relaxation as in selection
+            pytest.param("latent", 1 << 15, None, id="latent-32768"),
+            # 9 entries per block, so 3 passes needed
+            pytest.param("latent", 1 << 16, None, id="latent-65536"),
+        ],
     )
-    def test_blocks_stay_within_budget(self, monkeypatch, style, budget):
+    def test_blocks_stay_within_budget(self, monkeypatch, style, budget, fingers):
         """The padded selection and relaxation stacks of a block hold at most
         ``_BUDGET`` elements, unless the block holds a single entry."""
         entries, (query,) = styled_gallery(style, 1)
+        entries = entries[:fingers]
         if budget is not None:
             monkeypatch.setattr(fusion, "_BUDGET", budget)
         # per scoring lane, as the lanes interleave their kernel calls
@@ -473,10 +496,12 @@ class TestBlockBudget:
                 sizes.append(size)
         assert len(sizes) > 1
         assert sum(sizes) == len(entries)
-        # as many passes as the budget needs, evened out
+        # as many passes as the budget needs, rounded up to an even count
+        # unless that exceeds the entries, evened out
         assert max(sizes) - min(sizes) <= 1
         step = fusion._entries_per_block(len(query.template), max(len(e.template) for e in entries))
-        assert len(sizes) == -(-len(entries) // step)
+        needed = -(-len(entries) // step)
+        assert len(sizes) == min(needed + needed % 2, len(entries))
 
 
 class TestLanes:
@@ -496,6 +521,15 @@ class TestLanes:
         monkeypatch.setattr(fusion, "_match_block", recorded)
         return seen
 
+    @staticmethod
+    def assert_one_entry_calls_equal(query, entries, lanes):
+        """``lanes``, the outputs of one call on ``entries``, are the bytes
+        of the one-entry calls, concatenated."""
+        single = [fusion.match_gallery(query, [e]) for e in entries]
+        for k, a in enumerate(lanes):
+            b = np.concatenate([s[k] for s in single], axis=1)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("style", sorted(STYLES))
     def test_lanes_equal_one_entry_calls(self, monkeypatch, style):
         entries, queries = styled_gallery(style, 2)
@@ -507,11 +541,29 @@ class TestLanes:
             assert len(seen) > 2
             assert len({ident for ident, _ in seen.values()}) == 2
             seen.clear()
-            single = [fusion.match_gallery(q, [e]) for e in entries]
+            self.assert_one_entry_calls_equal(q, entries, lanes)
             assert {ident for ident, _ in seen.values()} == {threading.get_ident()}
-            for k, a in enumerate(lanes):
-                b = np.concatenate([s[k] for s in single], axis=1)
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_odd_pass_count_runs_as_even_blocks(self, monkeypatch):
+        entries, (query,) = styled_gallery("latent", 1)
+        r, width = len(query.template), max(len(e.template) for e in entries)
+        monkeypatch.setattr(fusion, "_BUDGET", 9 * (3 * r * width + 4 * PAIR_SLOTS**2))
+        assert -(-len(entries) // fusion._entries_per_block(r, width)) == 3
+        seen = self.lanes_of(monkeypatch)
+        lanes = fusion.match_gallery(query, entries)
+        assert len(seen) == 4
+        threads = Counter(ident for ident, _ in seen.values())
+        assert len(threads) == 2 and set(threads.values()) == {2}
+        assert threads[threading.get_ident()] == 2
+        self.assert_one_entry_calls_equal(query, entries, lanes)
+
+    def test_one_pass_call_stays_on_caller(self, monkeypatch):
+        entries, (query,) = styled_gallery("latent", 1)
+        width = max(len(e.template) for e in entries)
+        assert fusion._entries_per_block(len(query.template), width) >= len(entries) > 1
+        seen = self.lanes_of(monkeypatch)
+        fusion.match_gallery(query, entries)
+        assert [ident for ident, _ in seen.values()] == [threading.get_ident()]
 
     def test_helper_lane_sees_callers_error_state(self, monkeypatch):
         entries, (query,) = styled_gallery("latent", 1)
