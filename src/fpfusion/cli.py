@@ -22,7 +22,15 @@ from fpfusion.embedding import (
     load_embeddings,
     save_embeddings,
 )
-from fpfusion.evaluation import Gallery, cmc, fuse_ranks, identify_all, write_cmc, write_results
+from fpfusion.evaluation import (
+    CmcCurve,
+    Gallery,
+    cmc,
+    fuse_ranks,
+    identify_all,
+    write_cmc,
+    write_results,
+)
 from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
 from fpfusion.mcc import CylinderConfig, build_mcc_set
 from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
@@ -310,18 +318,21 @@ def cmd_benchmark(args, cfg: PipelineConfig) -> int:
     ]
     per_channel = {ch: [r[ch] for r in results] for ch in CHANNELS}
 
+    # --k-max sets the depth of the CMC files only; the summary's ranks 5
+    # and 10 come from curves at least that deep (the gallery's size if less)
     k_max = min(args.k_max, len(gallery))
-    curves = {ch: cmc(per_channel[ch], k_max) for ch in CHANNELS}
-    curves["rank"] = cmc(fuse_ranks(per_channel["mcc"], per_channel["emb"]), k_max)
+    depth = max(k_max, min(10, len(gallery)))
+    curves = {ch: cmc(per_channel[ch], depth) for ch in CHANNELS}
+    curves["rank"] = cmc(fuse_ranks(per_channel["mcc"], per_channel["emb"]), depth)
 
     for ch in CHANNELS:
         write_results(per_channel[ch], out_dir / f"results_{ch}.csv")
     for name, curve in curves.items():
-        write_cmc(curve, out_dir / f"cmc_{name}.csv")
+        write_cmc(CmcCurve(curve.accuracies[:k_max]), out_dir / f"cmc_{name}.csv")
 
     lines = ["matcher,rank1,rank5,rank10"]
     for name, curve in curves.items():
-        lines.append(",".join([name] + [f"{curve[min(k, k_max)]:.6f}" for k in (1, 5, 10)]))
+        lines.append(",".join([name] + [f"{curve[min(k, depth)]:.6f}" for k in (1, 5, 10)]))
     summary = "\n".join(lines) + "\n"
     (out_dir / "summary.csv").write_text(summary, encoding="utf-8", newline="\n")
     print(summary, end="")

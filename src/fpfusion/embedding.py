@@ -2,7 +2,8 @@
 
 Real embeddings produced offline are loaded from a small binary format
 (magic ``EMB1``, little-endian u32 count, u32 dim, then count x dim f32);
-a zero row is an invalid descriptor, in memory and in the file.
+a zero row is an invalid descriptor, in memory and in the file. Rows load
+as stored: the gallery divides them by their norms.
 Without a file, a deterministic log-polar neighborhood signature stands in
 so the full fusion pipeline runs without any neural network. Its soft-bin
 weights are computed once over every (minutia, neighbor) pair of a
@@ -22,7 +23,6 @@ import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.geometry import circular_bins, wrap_signed
-from fpfusion.pairing import unit_rows
 from fpfusion.templates import MinutiaeTemplate
 
 MAGIC = b"EMB1"
@@ -54,7 +54,7 @@ class EmbeddingConfig:
 
 
 def load_embeddings(path, expected_count: int) -> DescriptorSet:
-    """Load per-minutia embeddings, L2-normalized; a zero row is invalid."""
+    """Load per-minutia embeddings as stored; a zero row is invalid."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise EmbeddingFormatError(f"{path}: bad magic, expected {MAGIC!r}")
@@ -68,15 +68,14 @@ def load_embeddings(path, expected_count: int) -> DescriptorSet:
         raise EmbeddingFormatError(
             f"{path}: expected {expected_bytes} bytes for {count}x{dim} floats, got {len(raw)}"
         )
-    vectors = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
-    vectors = vectors.reshape(count, dim)
+    vectors = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64).reshape(count, dim)
     if not np.isfinite(vectors).all():
         raise EmbeddingFormatError(f"{path}: non-finite embedding values")
-    return unit_rows(DescriptorSet(vectors, np.ones(count, dtype=bool)), out=vectors)
+    return DescriptorSet(vectors, vectors.any(axis=1))
 
 
 def save_embeddings(d: DescriptorSet, path) -> None:
-    """Write the binary embedding layout; round-trips within 1e-6 per value.
+    """Write the binary embedding layout; ``d`` loads back as its float32 form.
 
     Rows are written as float32, so that form must load back as ``d`` does:
     every value finite, and a row nonzero exactly when it is valid. An

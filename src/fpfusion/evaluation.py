@@ -66,7 +66,7 @@ class Gallery:
         return self._entries.values()
 
     def _build_entry(self, t: MinutiaeTemplate, embeddings: DescriptorSet | None) -> GalleryEntry:
-        # Synthetic embeddings come out as unit rows; a caller's are copied.
+        # Synthetic embeddings come out as unit rows; a caller's become unit rows in a copy.
         # Cylinders are normalized in place: a new array raised the minor
         # faults of enrolling 900 fingers (seed 5) by 12% and max RSS by 9.6 MB.
         mcc = build_mcc_set(t, self.cylinder_cfg)

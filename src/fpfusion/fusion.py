@@ -74,7 +74,7 @@ class FusionConfig:
         if self.w1 < 0 or self.w2 < 0 or self.w1 + self.w2 <= 0:
             raise ValueError("fusion weights must be non-negative with positive sum")
         if not 0.0 <= self.relax_weight <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
+            raise ValueError("relax_weight must lie in [0, 1]")
         if self.relax_iterations < 0:
             raise ValueError("iterations must be non-negative")
         if not (math.isfinite(self.distance_scale) and self.distance_scale > 0):
@@ -119,13 +119,11 @@ def _fused_matrix(work: np.ndarray, gated_mcc, gated_emb, cfg: FusionConfig) -> 
 # bounds both its compatibility stack (at most (3 * 12)**2 selected pairs)
 # and its live relaxation rows (at most 4 lists of PAIR_SLOTS rows). A
 # latent query (~12 x 60) puts ~56 entries in a block and a dense one
-# (~90 x 120) ~7. The tracemalloc peak of one match_gallery call, against
-# fixed 16-entry blocks: 4.2 MB (max 6.0) instead of 1.3 (1.7) for a latent
-# query on 100 fingers, 4.5 MB (max 4.9) instead of 11.3 (12.8) for a dense
-# query on 40; reading every pair list off one union and fusing in place
-# lowered them to about 3.3 (5.5) and 3.0 (3.3) MB. The budget bounds one
-# pass, but both scoring lanes (below) hold a pass at once, so a call's
-# peak is about twice one pass: 5.3 (8.6) and 5.3 (6.2) MB.
+# (~90 x 120) ~7. The budget bounds one pass, but both scoring lanes (below)
+# hold a pass at once, so a call's peak is about twice one pass. The
+# tracemalloc peak of one match_gallery call (seed 11, three runs) is
+# 4.3-4.5 MB mean and 8.7-9.4 MB max for 30 latent queries on 100 fingers,
+# and 4.7-4.8 MB mean and 5.5-6.0 MB max for 20 dense queries on 40.
 _BUDGET = 1 << 18
 
 # Two scoring lanes: the calling thread scores blocks 0, 2, 4, ... and this

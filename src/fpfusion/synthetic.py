@@ -56,9 +56,11 @@ class PerturbConfig:
         if not 0 <= self.crop_radius_min <= self.crop_radius_max:
             raise ValueError("crop radii need 0 <= crop_radius_min <= crop_radius_max")
         if not 0 < self.keep_min <= self.keep_max <= 1:
-            raise ValueError("keep fraction range must lie in (0, 1]")
+            raise ValueError("keep fractions need 0 < keep_min <= keep_max <= 1")
         if min(self.position_jitter, self.angle_jitter, self.spurious_mean) < 0:
-            raise ValueError("jitter and spurious parameters must be non-negative")
+            raise ValueError(
+                "position_jitter, angle_jitter and spurious_mean must be non-negative"
+            )
 
 
 def finger_rng(cfg: SynthConfig, index: int) -> np.random.Generator:

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Pair-level criteria score a template pair as ``fpfusion match`` does
 (``conftest.match_pair``: both sides prepared by a ``Gallery``, scored by
 ``match_gallery``). The synthetic-benchmark criterion runs the full
-200-finger pipeline twice (byte-identity check) and takes about 40 s.
+200-finger pipeline twice (byte-identity check) and takes about 25 s.
 """
 
 import json

@@ -369,6 +369,11 @@ def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, mess
         ("cyl_radius=-1\ncyl_grid=16", "config key cyl_radius=-1: radius"),
         ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: w1, w2 and delta_theta"),
         ("n_rel=-1\nw1=0.7", "config key n_rel=-1: iterations must be non-negative"),
+        ("w_r=1.5", "config key w_r=1.5: relax_weight must lie in [0, 1]"),
+        # values that do not parse, and a line that is not key=value
+        ("w1=abc", "config key w1: cannot parse 'abc' as float"),
+        ("n_rel=2.5", "config key n_rel: cannot parse '2.5' as int"),
+        ("w1 0.7", "bad.cfg:1: expected key=value, got 'w1 0.7'"),
     ],
 )
 def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line, message, capsys):
@@ -376,7 +381,9 @@ def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line,
     cfg.write_text(line + "\n")
     args = ["match", str(template_path), str(template_path), "--config", str(cfg)]
     assert main(args) == EXIT_DATA
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -434,6 +441,10 @@ def test_flag_value_not_finite_is_usage_error(template_path, flags, message, cap
         "min_spacing=nan",
         "min_spacing=-1",
         "min_minutiae=0",
+        "keep_min=0",
+        "keep_max=1.5",
+        "position_jitter=-1",
+        "angle_jitter=-1",
     ],
 )
 def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsys):
@@ -539,6 +550,20 @@ def test_benchmark_k_max_below_one_is_usage_error(tmp_path, k_max, capsys):
     assert main(args) == EXIT_USAGE
     assert "--k-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_benchmark_k_max_sets_only_the_cmc_depth(tmp_path, capsys):
+    # the summary's rank5/rank10 columns stay rank 5 and 10 under a shallow --k-max
+    args = ["benchmark", "--seed", "42", "--n-fingers", "30"]
+    default, shallow = tmp_path / "default", tmp_path / "shallow"
+    assert main([*args, "--out", str(default)]) == EXIT_OK
+    assert main([*args, "--out", str(shallow), "--k-max", "1"]) == EXIT_OK
+    summary = (shallow / "summary.csv").read_bytes()
+    assert summary == (default / "summary.csv").read_bytes()
+    assert (shallow / "cmc_mcc.csv").read_text().splitlines() == [
+        "k,accuracy",
+        (default / "cmc_mcc.csv").read_text().splitlines()[1],
+    ]
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from fpfusion.embedding import (
     load_embeddings,
     save_embeddings,
 )
+from fpfusion.evaluation import Gallery
 from fpfusion.geometry import angular_difference, wrap_signed
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
@@ -117,22 +118,46 @@ def test_save_rejects_row_that_would_not_load_back(tmp_path, row, message):
     assert not (tmp_path / "x.emb").exists()
 
 
+def loads_as_saved(d, path):
+    """Save ``d`` and load it back; the loaded set, checked to hold the
+    float32 form of ``d`` with its validity."""
+    save_embeddings(d, path)
+    back = load_embeddings(path, expected_count=len(d))
+    assert np.array_equal(back.vectors, d.vectors.astype(np.float32))
+    assert np.array_equal(back.valid, d.valid)
+    return back
+
+
+THREE = MinutiaeTemplate("three", (Minutia(0, 0, 0.3), Minutia(20, 5, 1.0), Minutia(9, 40, 2.0)))
+
+
 def test_file_round_trip_keeps_valid_rows_of_extreme_scale(tmp_path):
     # the smallest and largest scales whose float32 form is finite and nonzero
     vectors = np.array([[3e-45, 0.0], [3e38, 3e38], [0.0, 0.0]])
-    path = tmp_path / "x.emb"
-    save_embeddings(DescriptorSet(vectors, np.array([True, True, False])), path)
-    back = load_embeddings(path, expected_count=3)
-    assert back.valid.tolist() == [True, True, False]
-    assert np.allclose(back.vectors, [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.0, 0.0]])
+    back = loads_as_saved(DescriptorSet(vectors, np.array([True, True, False])), tmp_path / "x.emb")
+    q = Gallery().prepare_query(THREE, back).embedding
+    assert q.valid.tolist() == [True, True, False]
+    assert np.allclose(q.vectors, [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [0.0, 0.0]])
 
 
 def test_load_normalizes(tmp_path):
-    d = DescriptorSet(np.array([[2.0, 0.0, 0.0, 0.0]]), np.ones(1, dtype=bool))
-    path = tmp_path / "n.emb"
-    save_embeddings(d, path)
-    back = load_embeddings(path, expected_count=1)
-    assert np.allclose(back.vectors[0], [1.0, 0.0, 0.0, 0.0])
+    # the file gives back the rows as saved; the gallery divides them by their norms
+    vectors = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 4.0, 0.0]])
+    back = loads_as_saved(DescriptorSet(vectors, np.array([True, False, True])), tmp_path / "n.emb")
+    q = Gallery().prepare_query(THREE, back).embedding
+    assert q.valid.tolist() == [True, False, True]
+    assert np.allclose(q.vectors, [[1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.6, 0.0, 0.8, 0.0]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_non_finite_value(tmp_path, value):
+    path = tmp_path / "f.emb"
+    save_embeddings(DescriptorSet(np.eye(2), np.ones(2, dtype=bool)), path)
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(EmbeddingFormatError, match="non-finite"):
+        load_embeddings(path, expected_count=2)
 
 
 def test_load_count_mismatch(tmp_path):

@@ -219,6 +219,11 @@ class TestScoreFusion:
         with pytest.raises(ValueError):
             FusionConfig(w1=0.0, w2=0.0)
 
+    @pytest.mark.parametrize("weight", [-0.1, 1.5, float("nan")])
+    def test_relax_weight_outside_unit_interval_rejected(self, weight):
+        with pytest.raises(ValueError, match=r"^relax_weight must lie in \[0, 1\]$"):
+            FusionConfig(relax_weight=weight)
+
     @pytest.mark.parametrize("field", ["w1", "w2", "delta_theta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, field, value):

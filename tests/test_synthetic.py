@@ -46,6 +46,12 @@ class TestConfigChecks:
             ({"crop_radius_min": -1.0}, "crop_radius_min"),
             ({"crop_radius_min": 300.0}, "crop_radius_min"),
             ({"crop_radius_min": 50.0, "crop_radius_max": 40.0}, "crop_radius_max"),
+            ({"keep_min": 0.0}, "keep_min"),
+            ({"keep_max": 1.5}, "keep_max"),
+            ({"keep_min": 0.9, "keep_max": 0.8}, "keep_min <= keep_max"),
+            ({"position_jitter": -1.0}, "position_jitter"),
+            ({"angle_jitter": -0.1}, "angle_jitter"),
+            ({"spurious_mean": -1.0}, "spurious_mean"),
         ],
     )
     def test_perturb_ranges_rejected(self, changes, field):

@@ -78,6 +78,21 @@ def test_load_malformed_line_names_lineno(tmp_path):
         load_template(path)
 
 
+def test_load_skips_blank_and_whitespace_lines(tmp_path):
+    path = tmp_path / "f.mnt"
+    path.write_text("\n10 20 1.5\n   \n\t\n30 40 0.5\n\n")
+    t = load_template(path)
+    assert [(m.x, m.y) for m in t.minutiae] == [(10, 20), (30, 40)]
+
+
+@pytest.mark.parametrize("row", ["10 20", "10 20 0.5 0.9 7"])
+def test_load_wrong_field_count_names_lineno(tmp_path, row):
+    path = tmp_path / "g.mnt"
+    path.write_text(f"1 2 0.25\n{row}\n")
+    with pytest.raises(TemplateFormatError, match=r"g\.mnt:2: expected 'x y theta \[quality\]'"):
+        load_template(path)
+
+
 def test_load_non_finite_theta(tmp_path):
     path = tmp_path / "e.mnt"
     path.write_text("10 20 nan\n")
