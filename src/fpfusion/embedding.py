@@ -7,8 +7,9 @@ as stored: the gallery divides them by their norms.
 Without a file, a deterministic log-polar neighborhood signature stands in
 so the full fusion pipeline runs without any neural network. Its soft-bin
 weights are computed once over every (minutia, neighbor) pair of a
-template; each minutia's histogram is then summed over its own neighbors
-in template order, as building the signatures one by one would, and all
+template. Each minutia's (radial x angular) x direction histogram is then
+its (radial x angular, neighbor) weights times its (neighbor, direction)
+weights, all taken as one stacked product of zero-padded stacks, and all
 norms come from one stacked product with the same per-row dot products.
 """
 
@@ -142,19 +143,20 @@ def build_synthetic_embeddings(
     w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
     w_a = circular_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
     w_d = circular_bins(ddir, cfg.direction_bins, sigma_d)
-    # Each pair's soft-bin products (w_r x w_a) x w_d, laid out as
-    # (minutia, neighbor slot, bins) with zeros past a minutia's neighbors.
-    # Summing over the slot axis adds them one slot after another, as the
-    # one-minutia einsum does, so the histogram bits are those of building
-    # the signatures one by one. (n, 1, dim) @ (n, dim, 1) takes each norm
-    # from the same dot product; a row-wise einsum would round differently.
+    # Each minutia's histogram is its (radial x angular, slot) weights times
+    # its (slot, direction) weights: one stacked product over contiguous
+    # stacks, zero past a minutia's neighbors. (n, 1, dim) @ (n, dim, 1)
+    # takes each norm from the same dot product; a row-wise einsum would
+    # round differently.
     counts = np.bincount(i, minlength=n)
     slot = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pairs = (w_r[:, :, None] * w_a[:, None, :])[..., None] * w_d[:, None, None, :]
-    products = np.zeros((n, counts.max(initial=0), cfg.dim))
-    products[i, slot] = pairs.reshape(len(i), cfg.dim)
-    hist = products.sum(axis=1)
+    width, cells = counts.max(initial=0), cfg.radial_bins * cfg.angular_bins
+    positional = np.zeros((n, cells, width))
+    positional[i, :, slot] = (w_r[:, :, None] * w_a[:, None, :]).reshape(len(i), cells)
+    directional = np.zeros((n, width, cfg.direction_bins))
+    directional[i, slot] = w_d
+    np.matmul(positional, directional, out=vectors.reshape(n, cells, cfg.direction_bins))
     valid = counts > 0
-    norms = np.sqrt(np.matmul(hist[:, None, :], hist[:, :, None]))
-    np.divide(hist, norms[:, 0], out=vectors, where=valid[:, None])
+    norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]))
+    np.divide(vectors, norms[:, 0], out=vectors, where=valid[:, None])
     return DescriptorSet(vectors=vectors, valid=valid)

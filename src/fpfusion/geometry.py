@@ -28,7 +28,9 @@ def normalize_angle(theta: float) -> float:
 
 def wrap_signed(theta):
     """Wrap an angle (scalar or array) into [-pi, pi)."""
-    return (theta + math.pi) % TWO_PI - math.pi
+    wrapped = (theta + math.pi) % TWO_PI
+    # a tiny negative dividend rounds up to exactly 2*pi, which is -pi
+    return np.where(wrapped == TWO_PI, 0.0, wrapped) - math.pi
 
 
 def angular_difference(theta1, theta2):
@@ -52,7 +54,10 @@ def circular_bins(values: np.ndarray, bins: int, sigma: float) -> np.ndarray:
     """(..., bins) Gaussian soft assignment of angles to ``bins`` circular
     bins centered at -pi + (k + 1/2) * 2 * pi / bins."""
     centers = -math.pi + (np.arange(bins) + 0.5) * (TWO_PI / bins)
-    return np.exp(-0.5 * (angular_difference(values[..., None], centers) / sigma) ** 2)
+    # Computed as (bins, ...), so each elementwise pass runs over all values
+    # of a bin at once rather than ``bins`` at a time; |c - x| is |x - c|.
+    d = angular_difference(centers.reshape((bins,) + (1,) * values.ndim), values)
+    return np.ascontiguousarray(np.moveaxis(np.exp(-0.5 * (d / sigma) ** 2), 0, -1))
 
 
 def rotate_offsets(dx, dy, alpha: float):

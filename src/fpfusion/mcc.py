@@ -19,20 +19,24 @@ The kernel is evaluated only on neighbors within that distance (plus 1 px);
 a neighbor beyond reach is never evaluated and contributes exact zeros, so
 the values equal those of the kernel evaluated over all neighbors.
 
-A reachable neighbor's distance to a cell center is sqrt(dx * dx + dy * dy),
-several times cheaper than hypot(dx, dy) and different only in the last
-bits. The squares are safe because a reachable pair's offsets are bounded
-by the configured reach: with radius and sigma_spatial in [1e-6, 1e6] px
-an offset is at most ~6e6 px, so it squares to a finite double, and one
-whose square underflows gives a kernel of exactly 1 either way. The
-minutia x neighbor distance that decides reach and validity stays on hypot.
+The world cell center p_i + R o lies |o - R^T (p_j - p_i)| from neighbor j,
+so each reachable neighbor's offset is rotated into the minutia's frame
+once, as (u, v), and the kernel is the Gaussian of the squared distance
+(ox - u)^2 + (oy - v)^2, cut where it exceeds the squared cutoff. No square
+root is taken, and no world-frame cell center is formed, so the values do
+not lose precision far from the image origin. The squares are safe because
+a reachable pair's offsets are bounded by the configured reach: with
+radius and sigma_spatial in [1e-6, 1e6] px an offset is at most ~6e6 px,
+so it squares to a finite double, and one whose square underflows gives a
+kernel of exactly 1. The minutia x neighbor distance that decides reach and
+validity stays on hypot.
 
-A template's minutia x neighbor geometry (distances, reach, directional
-kernels, cell centers, reachable pairs) is computed once for all minutiae.
-The spatial kernel is evaluated in place on the reachable pairs of a group of
-minutiae at a time, then scattered into a zero (minutiae, cells, n - 1) stack
-and multiplied by the directional kernels in one stacked matmul, so each
-minutia's cylinder is still its own (cells, n - 1) @ (n - 1, sections)
+A template's minutia x neighbor geometry (offsets, distances, reach,
+directional kernels, reachable pairs) is computed once for all minutiae.
+The spatial kernel is evaluated in place on the reachable pairs of a group
+of minutiae at a time, then scattered into a zero (minutiae, cells, n - 1)
+stack and multiplied by the directional kernels in one stacked matmul, so
+each minutia's cylinder is still its own (cells, n - 1) @ (n - 1, sections)
 product and its values are those of building the cylinders one by one.
 """
 
@@ -129,8 +133,9 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     # Row i holds the other minutiae in template order: (n, n - 1).
     slot = np.arange(n - 1)
     neighbor = slot + (slot >= np.arange(n)[:, None])
-    nx, ny = xy[neighbor, 0], xy[neighbor, 1]
-    dist = np.hypot(nx - xy[:, 0:1], ny - xy[:, 1:2])
+    dx = xy[neighbor, 0] - xy[:, 0:1]
+    dy = xy[neighbor, 1] - xy[:, 1:2]
+    dist = np.hypot(dx, dy)
     # Only a neighbor within radius + cutoff of the minutia can reach a
     # cell; the 1 px margin keeps rounding from dropping one.
     reach = dist <= cfg.radius + cfg.cutoff + 1.0
@@ -140,18 +145,21 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     ddir = wrap_signed(thetas[:, None] - thetas[neighbor])
     directional = circular_bins(ddir, cfg.sections, cfg.sigma_direction)
 
-    # Cell centers in world coordinates, (n, cells). math.cos
-    # and math.sin, not their numpy forms, which may differ by an ulp.
-    c = np.array([math.cos(theta) for theta in thetas.tolist()])[:, None]
-    s = np.array([math.sin(theta) for theta in thetas.tolist()])[:, None]
-    wx = xy[:, 0:1] + c * ox + s * oy
-    wy = xy[:, 1:2] - s * ox + c * oy
-
     # Reachable (minutia, neighbor) pairs; minutia i's are start[i]:start[i + 1].
     rows, cols = np.nonzero(reach)
     start = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    pair_x, pair_y = nx[rows, cols, None], ny[rows, cols, None]
-    # (pairs, cells) distances and spatial kernel of the largest group.
+    # Each pair's offset in its minutia's frame, (u, v) = R^T (dx, dy) with
+    # R the frame's rotation: a cell center p_i + R o lies |o - (u, v)| from
+    # the neighbor. math.cos and math.sin, not their numpy forms, which may
+    # differ by an ulp.
+    c = np.array([math.cos(theta) for theta in thetas.tolist()])[rows]
+    s = np.array([math.sin(theta) for theta in thetas.tolist()])[rows]
+    pair_dx, pair_dy = dx[rows, cols], dy[rows, cols]
+    u = (c * pair_dx - s * pair_dy)[:, None]
+    v = (s * pair_dx + c * pair_dy)[:, None]
+    scale = -0.5 / (cfg.sigma_spatial * cfg.sigma_spatial)
+    cut = cfg.cutoff * cfg.cutoff
+    # (pairs, cells) squared distances and spatial kernel of the largest group.
     width = max(start[min(lo + _GROUP, n)] - start[lo] for lo in range(0, n, _GROUP))
     buffers = np.empty((2, width, len(offsets)))
     # (minutiae, cells, n - 1) spatial kernel of a chunk, 0 where not
@@ -161,33 +169,27 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     for glo in range(0, n, _GROUP):
         ghi = min(glo + _GROUP, n)
         a, b = start[glo], start[ghi]
-        d, kernel = buffers[:, : b - a]
-        # sqrt(dx * dx + dy * dy), then exp(-0.5 * (d / sigma) ** 2); take's
-        # "clip" mode, unlike its default, does not buffer ``out``.
-        np.take(wx, rows[a:b], axis=0, out=d, mode="clip")
-        d -= pair_x[a:b]
-        np.take(wy, rows[a:b], axis=0, out=kernel, mode="clip")
-        kernel -= pair_y[a:b]
-        np.square(d, out=d)
+        q, kernel = buffers[:, : b - a]
+        # q = (ox - u)^2 + (oy - v)^2, then exp(q * (-0.5 / sigma^2))
+        np.subtract(ox, u[a:b], out=q)
+        np.square(q, out=q)
+        np.subtract(oy, v[a:b], out=kernel)
         np.square(kernel, out=kernel)
-        d += kernel
-        np.sqrt(d, out=d)
-        np.divide(d, cfg.sigma_spatial, out=kernel)
-        np.square(kernel, out=kernel)
-        kernel *= -0.5
+        q += kernel
+        np.multiply(q, scale, out=kernel)
         np.exp(kernel, out=kernel)
         # cut at radius + 3 sigma: a finite kernel times False is exactly 0
-        np.multiply(kernel, d <= cfg.cutoff, out=kernel)
+        np.multiply(kernel, q <= cut, out=kernel)
         for lo in range(glo, ghi, _CHUNK):
             hi = min(lo + _CHUNK, n)
             stack = spatial[: hi - lo]
-            p, q = start[lo], start[hi]
-            if q > p:
-                stack[rows[p:q] - lo, :, cols[p:q]] = kernel[p - a : q - a]
+            p0, p1 = start[lo], start[hi]
+            if p1 > p0:
+                stack[rows[p0:p1] - lo, :, cols[p0:p1]] = kernel[p0 - a : p1 - a]
             # Stacked, so each minutia keeps its own (cells, n - 1) @ (n - 1,
             # sections) product.
             np.matmul(stack, directional[lo:hi], out=cylinders[lo:hi])
-            if q > p and hi < n:
+            if p1 > p0 and hi < n:
                 stack.fill(0.0)
     valid &= vectors.any(axis=1)
     return DescriptorSet(vectors=vectors, valid=valid)

@@ -55,6 +55,27 @@ def test_wrap_signed_range():
         assert -math.pi <= w < math.pi
 
 
+def ulps_from(x, k):
+    """``x`` moved ``k`` representable doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+plus_minus_pi = st.sampled_from([math.pi, -math.pi])
+near_pi = st.builds(ulps_from, plus_minus_pi, st.integers(-64, 64)) | st.builds(
+    lambda base, offset: base + offset, plus_minus_pi, st.floats(-1e-9, 1e-9)
+)
+
+
+@given(near_pi)
+@example(0.0 - math.nextafter(math.pi, 4.0))  # (theta + pi) % 2*pi rounds to 2*pi
+def test_wrap_signed_near_pi_stays_below_pi(theta):
+    for w in (wrap_signed(theta), wrap_signed(np.array([theta, 0.0]))[0]):
+        assert -math.pi <= w < math.pi
+        assert angular_difference(w, theta) <= 1e-15
+
+
 @pytest.mark.parametrize(
     "a,b,expected",
     [

@@ -135,16 +135,36 @@ def test_cached_cell_grid_is_read_only():
         offsets[0] = 0
 
 
-def engine_distance(dx, dy):
-    """A cell-to-neighbor distance as the build computes it."""
-    return np.sqrt(dx * dx + dy * dy)
+def engine_spatial(offsets, m, npos, cfg):
+    """(cells, neighbors) spatial kernel of minutia ``m`` as the build
+    computes it: each neighbor's offset rotated into m's frame as (u, v),
+    then the Gaussian of the squared cell distance, cut beyond the cutoff."""
+    c, s = math.cos(m.theta), math.sin(m.theta)
+    dx, dy = npos[:, 0] - m.x, npos[:, 1] - m.y
+    u, v = c * dx - s * dy, s * dx + c * dy
+    q = (offsets[:, 0:1] - u) ** 2 + (offsets[:, 1:2] - v) ** 2
+    spatial = np.exp(q * (-0.5 / (cfg.sigma_spatial * cfg.sigma_spatial)))
+    spatial[q > cfg.cutoff * cfg.cutoff] = 0.0
+    return spatial
 
 
-def dense_reference(t, cfg, distance=engine_distance):
+def hypot_spatial(offsets, m, npos, cfg):
+    """(cells, neighbors) spatial kernel of minutia ``m`` from world-frame
+    cell centers and hypot's cell distances, cut beyond the cutoff."""
+    c, s = math.cos(m.theta), math.sin(m.theta)
+    wx = m.x + c * offsets[:, 0:1] + s * offsets[:, 1:2]
+    wy = m.y - s * offsets[:, 0:1] + c * offsets[:, 1:2]
+    d = np.hypot(wx - npos[:, 0], wy - npos[:, 1])
+    spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
+    spatial[d > cfg.cutoff] = 0.0
+    return spatial
+
+
+def dense_reference(t, cfg, spatial_kernel=engine_spatial):
     """Every cylinder of ``t`` from the kernel over the inside cells x all
-    neighbors, without culling: the spatial kernel is evaluated everywhere,
-    then zeroed beyond the cutoff. ``distance`` gives the cell-to-neighbor
-    distances; the neighbor distance that decides validity is hypot's."""
+    neighbors, without culling: ``spatial_kernel`` is evaluated everywhere
+    and zeroed beyond the cutoff. The neighbor distance that decides
+    validity is hypot's."""
     offsets = inside_centers(cfg)
     n = len(t)
     vectors = np.zeros((n, cfg.dim))
@@ -152,13 +172,7 @@ def dense_reference(t, cfg, distance=engine_distance):
     for i, m in enumerate(t.minutiae if n > 1 else ()):
         others = np.arange(n) != i
         npos, nthetas = t.positions()[others], t.thetas()[others]
-        c, s = math.cos(m.theta), math.sin(m.theta)
-        world = np.empty_like(offsets)
-        world[:, 0] = m.x + c * offsets[:, 0] + s * offsets[:, 1]
-        world[:, 1] = m.y - s * offsets[:, 0] + c * offsets[:, 1]
-        d = distance(world[:, 0:1] - npos[None, :, 0], world[:, 1:2] - npos[None, :, 1])
-        spatial = np.exp(-0.5 * (d / cfg.sigma_spatial) ** 2)
-        spatial[d > cfg.cutoff] = 0.0
+        spatial = spatial_kernel(offsets, m, npos, cfg)
         ddir = wrap_signed(m.theta - nthetas)
         centers = -math.pi + (np.arange(cfg.sections) + 0.5) * (2.0 * math.pi / cfg.sections)
         gap = angular_difference(centers[None, :], ddir[:, None])
@@ -206,12 +220,13 @@ def test_culled_build_equals_dense_reference_exactly(cfg, data):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_build_equals_hypot_reference_to_rounding(cfg, data):
-    # the build's square-root distance is within a few ulps of hypot's; with
-    # (d / sigma)**2 at most ~110 below the cutoff, a kernel value moves by
-    # under 1e-13 relative, and validity does not move
+    # the build's squared distance in the minutia's frame is within a few
+    # ulps of hypot's in the world frame; with (d / sigma)**2 at most ~110
+    # below the cutoff, a kernel value moves by under 1e-13 relative, and
+    # validity does not move
     t = data.draw(templates_near_reach(cfg.radius + cfg.cutoff))
     d = build_mcc_set(t, cfg)
-    vectors, valid = dense_reference(t, cfg, distance=np.hypot)
+    vectors, valid = dense_reference(t, cfg, spatial_kernel=hypot_spatial)
     np.testing.assert_allclose(d.vectors, vectors, rtol=1e-12, atol=1e-300)
     assert np.array_equal(d.valid, valid)
 
