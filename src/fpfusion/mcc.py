@@ -15,9 +15,10 @@ consecutive.
 
 The spatial kernel is cut at radius + 3 sigma from a cell center, so a
 neighbor farther than 2 * radius + 3 sigma from the minutia reaches no cell.
-The kernel is evaluated only on neighbors within that distance (plus 1 px);
-a neighbor beyond reach is never evaluated and contributes exact zeros, so
-the values equal those of the kernel evaluated over all neighbors.
+A cell's value is a sum over the neighbors within that distance (plus
+1 px), MCC's N_p: a neighbor beyond reach is never evaluated and takes no
+part in any sum, so adding or removing one changes no other cylinder's
+bits.
 
 The world cell center p_i + R o lies |o - R^T (p_j - p_i)| from neighbor j,
 so each reachable neighbor's offset is rotated into the minutia's frame
@@ -32,12 +33,21 @@ kernel of exactly 1. The minutia x neighbor distance that decides reach and
 validity stays on hypot.
 
 A template's minutia x neighbor geometry (offsets, distances, reach,
-directional kernels, reachable pairs) is computed once for all minutiae.
-The spatial kernel is evaluated in place on the reachable pairs of a group
-of minutiae at a time, then scattered into a zero (minutiae, cells, n - 1)
-stack and multiplied by the directional kernels in one stacked matmul, so
-each minutia's cylinder is still its own (cells, n - 1) @ (n - 1, sections)
-product and its values are those of building the cylinders one by one.
+reachable pairs) is computed once for all minutiae, and the directional
+kernels once for all reachable pairs. The spatial kernel is evaluated in
+place on the reachable pairs of a group of minutiae at a time, as one
+contiguous (cells, group pairs) array, and minutia i's cylinder is its own
+(cells, k_i) @ (k_i, sections) product over its k_i reachable neighbors in
+template order, so its values are those of building the cylinders one by
+one.
+
+Leaving out the unreachable neighbors' zero columns keeps the bits of the
+product over all n - 1 neighbors where the BLAS kernel sums the same terms
+in the same order: at 5, 6 (the default) and 8 sections under OpenBLAS's
+SkylakeX, Haswell, Sandybridge and Prescott kernels. It rounds differently,
+by a few ulps, at 1-4 sections under SkylakeX and at 1 section under the
+other three, and wherever n - 1 exceeds the kernel's block of the inner
+dimension (256 neighbors under Haswell and Sandybridge, 128 under Prescott).
 """
 
 from __future__ import annotations
@@ -103,14 +113,9 @@ def _cell_offsets(cfg: CylinderConfig) -> np.ndarray:
     return offsets
 
 
-# Minutiae whose spatial kernels are scattered and multiplied together. It
-# bounds the zero (chunk, cells, n - 1) stack at 4 * cells * (n - 1) doubles;
-# a chunk of 16 was no faster on default templates, slower on dense ones, and
-# its larger stack raised the peak memory of enrolling a gallery.
-_CHUNK = 4
-# Minutiae whose spatial kernels are evaluated in one in-place pass, a
-# multiple of _CHUNK; one pass over the whole template was no faster on
-# enrollment and raised the peak memory of dense queries.
+# Minutiae whose spatial kernels are evaluated in one in-place pass; one
+# pass over the whole template was no faster on enrollment and raised the
+# peak memory of dense queries.
 _GROUP = 16
 
 
@@ -127,7 +132,7 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     if n == 0:
         return DescriptorSet(vectors=vectors, valid=np.zeros(0, dtype=bool))
     offsets = _cell_offsets(cfg)
-    ox, oy = offsets.T
+    ox, oy = offsets[:, 0:1], offsets[:, 1:2]
     xy, thetas = t.positions(), t.thetas()
 
     # Row i holds the other minutiae in template order: (n, n - 1).
@@ -141,13 +146,13 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     reach = dist <= cfg.radius + cfg.cutoff + 1.0
     valid = (dist <= cfg.cutoff).sum(axis=1) >= cfg.min_neighbors
 
-    # (n, n - 1, sections) directional kernel on the wrapped difference.
-    ddir = wrap_signed(thetas[:, None] - thetas[neighbor])
-    directional = circular_bins(ddir, cfg.sections, cfg.sigma_direction)
-
-    # Reachable (minutia, neighbor) pairs; minutia i's are start[i]:start[i + 1].
+    # Reachable (minutia, neighbor) pairs, in template order; minutia i's are
+    # start[i]:start[i + 1].
     rows, cols = np.nonzero(reach)
     start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    # (pairs, sections) directional kernel on the wrapped difference.
+    ddir = wrap_signed(thetas[rows] - thetas[neighbor[rows, cols]])
+    directional = circular_bins(ddir, cfg.sections, cfg.sigma_direction)
     # Each pair's offset in its minutia's frame, (u, v) = R^T (dx, dy) with
     # R the frame's rotation: a cell center p_i + R o lies |o - (u, v)| from
     # the neighbor. math.cos and math.sin, not their numpy forms, which may
@@ -155,21 +160,20 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     c = np.array([math.cos(theta) for theta in thetas.tolist()])[rows]
     s = np.array([math.sin(theta) for theta in thetas.tolist()])[rows]
     pair_dx, pair_dy = dx[rows, cols], dy[rows, cols]
-    u = (c * pair_dx - s * pair_dy)[:, None]
-    v = (s * pair_dx + c * pair_dy)[:, None]
+    u = c * pair_dx - s * pair_dy
+    v = s * pair_dx + c * pair_dy
     scale = -0.5 / (cfg.sigma_spatial * cfg.sigma_spatial)
     cut = cfg.cutoff * cfg.cutoff
-    # (pairs, cells) squared distances and spatial kernel of the largest group.
+    # Squared distances and spatial kernel of a group, each a contiguous
+    # (cells, group pairs) view of one allocation: a column slice of a wider
+    # buffer would make numpy's elementwise loops run row by row.
     width = max(start[min(lo + _GROUP, n)] - start[lo] for lo in range(0, n, _GROUP))
-    buffers = np.empty((2, width, len(offsets)))
-    # (minutiae, cells, n - 1) spatial kernel of a chunk, 0 where not
-    # reachable; zeroed again between chunks.
-    spatial = np.zeros((min(n, _CHUNK), len(offsets), n - 1), dtype=np.float64)
+    buffer = np.empty(2 * len(offsets) * width)
     cylinders = vectors.reshape(n, len(offsets), cfg.sections)
     for glo in range(0, n, _GROUP):
         ghi = min(glo + _GROUP, n)
         a, b = start[glo], start[ghi]
-        q, kernel = buffers[:, : b - a]
+        q, kernel = buffer[: 2 * len(offsets) * (b - a)].reshape(2, len(offsets), b - a)
         # q = (ox - u)^2 + (oy - v)^2, then exp(q * (-0.5 / sigma^2))
         np.subtract(ox, u[a:b], out=q)
         np.square(q, out=q)
@@ -180,16 +184,10 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
         np.exp(kernel, out=kernel)
         # cut at radius + 3 sigma: a finite kernel times False is exactly 0
         np.multiply(kernel, q <= cut, out=kernel)
-        for lo in range(glo, ghi, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            stack = spatial[: hi - lo]
-            p0, p1 = start[lo], start[hi]
-            if p1 > p0:
-                stack[rows[p0:p1] - lo, :, cols[p0:p1]] = kernel[p0 - a : p1 - a]
-            # Stacked, so each minutia keeps its own (cells, n - 1) @ (n - 1,
-            # sections) product.
-            np.matmul(stack, directional[lo:hi], out=cylinders[lo:hi])
-            if p1 > p0 and hi < n:
-                stack.fill(0.0)
+        for i in range(glo, ghi):
+            # (cells, k_i) @ (k_i, sections) over minutia i's reachable
+            # neighbors; with none, the product is the zero cylinder
+            p0, p1 = start[i], start[i + 1]
+            np.matmul(kernel[:, p0 - a : p1 - a], directional[p0:p1], out=cylinders[i])
     valid &= vectors.any(axis=1)
     return DescriptorSet(vectors=vectors, valid=valid)

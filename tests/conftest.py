@@ -7,6 +7,7 @@ import pytest
 from fpfusion.evaluation import Gallery
 from fpfusion.fusion import CHANNELS, match_gallery
 from fpfusion.geometry import angular_difference
+from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger, perturb_to_latent
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 def random_template(rng, n=12, extent=300.0, tid="t", min_spacing=10.0):
@@ -56,6 +57,16 @@ def far_apart_pair():
         MinutiaeTemplate(tid, tuple(Minutia(*m) for m in ms))
         for tid, ms in (("q", rows), ("g", moved))
     )
+
+
+def seeded_templates():
+    """Seeded default, latent and dense templates: four fingers of the
+    default ``SynthConfig``, their latents, and one 80-120 minutia finger."""
+    default = SynthConfig(seed=3)
+    dense = SynthConfig(seed=3, min_minutiae=80, max_minutiae=120, extent=(700.0, 700.0))
+    fingers = [generate_finger(finger_rng(default, k), default) for k in range(4)]
+    latents = [perturb_to_latent(f, np.random.default_rng([3, k]))[0] for k, f in enumerate(fingers)]
+    return fingers + latents + [generate_finger(finger_rng(dense, 0), dense)]
 
 
 # Six minutiae spanning ~1e200 px: a finite span, but offsets whose squares

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import HUGE_SPAN_ROWS
+from conftest import HUGE_SPAN_ROWS, seeded_templates
 from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
 from fpfusion.mcc import CylinderConfig, build_mcc_set
-from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger, perturb_to_latent
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 
@@ -103,12 +102,8 @@ def embedding_oracle(t, cfg):
 
 def oracle_templates():
     """Seeded default, latent and dense templates, and the 1e200 px span."""
-    default = SynthConfig(seed=3)
-    dense = SynthConfig(seed=3, min_minutiae=80, max_minutiae=120, extent=(700.0, 700.0))
-    fingers = [generate_finger(finger_rng(default, k), default) for k in range(4)]
-    latents = [perturb_to_latent(f, np.random.default_rng([3, k]))[0] for k, f in enumerate(fingers)]
     huge = MinutiaeTemplate("huge", tuple(Minutia(*m) for m in HUGE_SPAN_ROWS))
-    return fingers + latents + [generate_finger(finger_rng(dense, 0), dense), huge]
+    return seeded_templates() + [huge]
 
 
 def assert_within(vectors, valid, oracle, bound):

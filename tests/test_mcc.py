@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine_similarity, random_template, rotate_template
+from conftest import cosine_similarity, random_template, rotate_template, seeded_templates
 from fpfusion.geometry import angular_difference, wrap_signed
-from fpfusion.mcc import _CHUNK, _GROUP, CylinderConfig, _cell_offsets, build_mcc_set
+from fpfusion.mcc import _GROUP, CylinderConfig, _cell_offsets, build_mcc_set
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 CONFIGS = [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)]
@@ -160,11 +161,14 @@ def hypot_spatial(offsets, m, npos, cfg):
     return spatial
 
 
-def dense_reference(t, cfg, spatial_kernel=engine_spatial):
+def dense_reference(t, cfg, spatial_kernel=engine_spatial, all_neighbors=False):
     """Every cylinder of ``t`` from the kernel over the inside cells x all
     neighbors, without culling: ``spatial_kernel`` is evaluated everywhere
-    and zeroed beyond the cutoff. The neighbor distance that decides
-    validity is hypot's."""
+    and zeroed beyond the cutoff. The product with the directional kernel
+    sums over the neighbors within radius + cutoff + 1 px of the minutia,
+    MCC's N_p, in template order, or over all of them with
+    ``all_neighbors``. The neighbor distances that decide the terms and
+    validity are hypot's."""
     offsets = inside_centers(cfg)
     n = len(t)
     vectors = np.zeros((n, cfg.dim))
@@ -176,8 +180,13 @@ def dense_reference(t, cfg, spatial_kernel=engine_spatial):
         ddir = wrap_signed(m.theta - nthetas)
         centers = -math.pi + (np.arange(cfg.sections) + 0.5) * (2.0 * math.pi / cfg.sections)
         gap = angular_difference(centers[None, :], ddir[:, None])
-        values = spatial @ np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
-        near = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y) <= cfg.cutoff
+        directional = np.exp(-0.5 * (gap / cfg.sigma_direction) ** 2)
+        dist = np.hypot(npos[:, 0] - m.x, npos[:, 1] - m.y)
+        terms = slice(None) if all_neighbors else dist <= cfg.radius + cfg.cutoff + 1.0
+        # a column selection comes out transposed in memory; BLAS may round a
+        # transposed operand differently, so the kernel is copied to C order
+        values = np.ascontiguousarray(spatial[:, terms]) @ directional[terms]
+        near = dist <= cfg.cutoff
         vectors[i] = values.ravel()
         valid[i] = int(near.sum()) >= cfg.min_neighbors and bool(values.any())
     return vectors, valid
@@ -234,10 +243,10 @@ def test_build_equals_hypot_reference_to_rounding(cfg, data):
 @pytest.mark.parametrize("cfg", CONFIGS)
 @pytest.mark.parametrize("n", [15, 16, 17, 33])
 def test_chunk_edges_equal_dense_reference_exactly(cfg, n):
-    # the build evaluates a chunk of minutiae at a time, and 16 and 32 are
-    # multiples of it: chunks filled exactly, one short, and a remainder of
-    # one after full chunks
-    assert 16 % _CHUNK == 0
+    # named for the build's former chunks of four minutiae, the sizes now
+    # draw the group edges below a second time: each minutia's product reads
+    # its own columns of its group's kernel, at the start, middle and end of
+    # a full group, of one a minutia short, and of a remainder of one
     rng = np.random.default_rng(n)
     assert_equals_dense_reference(random_template(rng, n=n, extent=200.0, min_spacing=6.0), cfg)
 
@@ -248,7 +257,6 @@ def test_group_edges_equal_dense_reference_exactly(cfg, n):
     # the build evaluates the spatial kernel of a group of minutiae at a
     # time: one group a minutia short, one filled exactly, and remainders of
     # one after full groups
-    assert _GROUP % _CHUNK == 0
     rng = np.random.default_rng(100 + n)
     assert_equals_dense_reference(random_template(rng, n=n, extent=200.0, min_spacing=6.0), cfg)
 
@@ -257,16 +265,16 @@ def test_group_edges_equal_dense_reference_exactly(cfg, n):
 @pytest.mark.parametrize("clusters", [True, False])
 def test_groups_without_reachable_pairs_equal_dense_reference_exactly(cfg, clusters):
     # two clusters farther apart than reach, with 2 * _GROUP isolated
-    # minutiae between them in template order, so whole chunks and a whole
-    # group hold no reachable pair; without the clusters no group holds one
+    # minutiae between them in template order, so a whole group holds no
+    # reachable pair; without the clusters no group holds one
     reach = cfg.radius + cfg.cutoff + 1.0
     lone = tuple(Minutia((k + 1) * 2.0 * reach, 0.0, 0.2 * k) for k in range(2 * _GROUP))
     near, far = (), ()
     if clusters:
         rng = np.random.default_rng(7)
-        near = random_template(rng, n=_CHUNK + 1, extent=60.0, min_spacing=4.0).minutiae
+        near = random_template(rng, n=5, extent=60.0, min_spacing=4.0).minutiae
         shift = (2 * _GROUP + 2) * 2.0 * reach
-        far = random_template(rng, n=_CHUNK + 2, extent=60.0, min_spacing=4.0).minutiae
+        far = random_template(rng, n=6, extent=60.0, min_spacing=4.0).minutiae
         far = tuple(Minutia(m.x + shift, m.y, m.theta) for m in far)
     t = MinutiaeTemplate("h", near + lone + far)
     assert_equals_dense_reference(t, cfg)
@@ -274,3 +282,56 @@ def test_groups_without_reachable_pairs_equal_dense_reference_exactly(cfg, clust
     isolated = slice(len(near), len(near) + len(lone))
     assert not d.vectors[isolated].any() and not d.valid[isolated].any()
     assert d.valid.any() == clusters
+
+
+# Dropping the unreachable neighbors' zero columns keeps the product's bits
+# at the default 6 sections; some BLAS kernels round a product of 4 sections
+# differently (see the mcc module docstring), by at most 6.7e-16 relative
+# over 1,280 seeded builds of cfg1.
+@pytest.mark.parametrize("cfg, rtol", [(CONFIGS[0], 0.0), (CONFIGS[1], 4e-15)])
+def test_build_equals_all_neighbor_product(cfg, rtol):
+    for t in seeded_templates():
+        d = build_mcc_set(t, cfg)
+        vectors, valid = dense_reference(t, cfg, all_neighbors=True)
+        # atol=0: the zero pattern is exact, and with rtol=0 every value
+        np.testing.assert_allclose(d.vectors, vectors, rtol=rtol, atol=0)
+        assert np.array_equal(d.valid, valid)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_minutiae_beyond_reach_change_no_other_cylinder(cfg, data):
+    # a cell sums over the neighbors within reach only, so minutiae placed
+    # beyond reach of every minutia of t, anywhere in template order, leave
+    # t's rows' bits and validity as they were
+    t = data.draw(templates_near_reach(cfg.radius + cfg.cutoff))
+    edge = max((m.x for m in t.minutiae), default=0.0) + cfg.radius + cfg.cutoff + 1.0
+    grown = [(True, m) for m in t.minutiae]
+    for _ in range(data.draw(st.integers(1, 3))):
+        far = Minutia(
+            edge + data.draw(st.floats(1.0, 5000.0)),
+            data.draw(st.floats(-5000.0, 5000.0)),
+            data.draw(st.floats(0.0, 2 * math.pi, exclude_max=True)),
+        )
+        grown.insert(data.draw(st.integers(0, len(grown))), (False, far))
+    kept = [k for k, (original, _) in enumerate(grown) if original]
+    d = build_mcc_set(MinutiaeTemplate("g", tuple(m for _, m in grown)), cfg)
+    base = build_mcc_set(t, cfg)
+    assert d.vectors[kept].tobytes() == base.vectors.tobytes()
+    assert np.array_equal(d.valid[kept], base.valid)
+
+
+def test_dense_template_build_memory_is_bounded():
+    # 600 uniform minutiae on 500 x 500 px, a quarter of their pairs within
+    # reach: the build's tracemalloc peak (~40 MB, 6 MB of it the output)
+    # stays under 50 MB
+    rng = np.random.default_rng(600)
+    t = random_template(rng, n=600, extent=500.0, min_spacing=0.0)
+    tracemalloc.start()
+    try:
+        build_mcc_set(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50e6
