@@ -135,8 +135,12 @@ def _blamed(section, keyed: dict[str, tuple], message: str) -> str:
 
 
 def load_config_file(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     pairs, first = {}, {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -6,10 +6,10 @@ a zero row is an invalid descriptor, in memory and in the file. Rows load
 as stored: the gallery divides them by their norms.
 Without a file, a deterministic log-polar neighborhood signature stands in
 so the full fusion pipeline runs without any neural network. Its soft-bin
-weights are computed once over every (minutia, neighbor) pair of a
-template. Each minutia's (radial x angular) x direction histogram is then
-its (radial x angular, neighbor) weights times its (neighbor, direction)
-weights, all taken as one stacked product of zero-padded stacks, and all
+weights are computed once over the template's (minutia, neighbor) pairs,
+taken from ``geometry.neighbor_pairs`` as the cylinders' pairs are, and
+each minutia's (radial x angular) x direction histogram is its own
+(radial x angular, k) @ (k, direction) product over its k neighbors. All
 norms come from one stacked product with the same per-row dot products.
 """
 
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.geometry import circular_bins, wrap_signed
+from fpfusion.geometry import circular_bins, neighbor_pairs, wrap_signed
 from fpfusion.templates import MinutiaeTemplate
 
 MAGIC = b"EMB1"
@@ -116,47 +116,36 @@ def build_synthetic_embeddings(
     cfg = cfg or EmbeddingConfig()
     n = len(t)
     vectors = np.zeros((n, cfg.dim), dtype=np.float64)
-    positions = t.positions()
-    thetas = t.thetas()
+    positions, thetas = t.positions(), t.thetas()
     sigma_r = 0.5 / cfg.radial_bins
     sigma_a = 0.5 * (2.0 * math.pi / cfg.angular_bins)
     sigma_d = 0.5 * (2.0 * math.pi / cfg.direction_bins)
     radial_centers = (np.arange(cfg.radial_bins) + 0.5) / cfg.radial_bins
     log_scale = math.log1p(cfg.synth_radius)
 
-    # Every (minutia, neighbor) pair at once; row-major order lists each
-    # minutia's neighbors in template order.
-    dx = positions[None, :, 0] - positions[:, None, 0]
-    dy = positions[None, :, 1] - positions[:, None, 1]
-    dist = np.hypot(dx, dy)
-    mask = dist <= cfg.synth_radius
-    np.fill_diagonal(mask, False)
-    i, j = np.nonzero(mask)
-    r = np.log1p(dist[i, j]) / log_scale
+    i, j, dx, dy, dist, start = neighbor_pairs(positions, cfg.synth_radius)
+    r = np.log1p(dist) / log_scale
     # ray angle from i to neighbor, rotated into the minutia frame. Where
     # y_i == y_j, -dy is -0.0, so a ray towards smaller x is -pi here, not
     # the +pi of relaxation's arctan2(y_i - y_j, x_j - x_i); once the minutia
     # direction is taken off and wrapped, the two differ by up to 8.9e-16.
-    ray = np.arctan2(-dy[i, j], dx[i, j]) - thetas[i]
+    ray = np.arctan2(-dy, dx) - thetas[i]
     ddir = wrap_signed(thetas[j] - thetas[i])
 
     w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
     w_a = circular_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
     w_d = circular_bins(ddir, cfg.direction_bins, sigma_d)
-    # Each minutia's histogram is its (radial x angular, slot) weights times
-    # its (slot, direction) weights: one stacked product over contiguous
-    # stacks, zero past a minutia's neighbors. (n, 1, dim) @ (n, dim, 1)
-    # takes each norm from the same dot product; a row-wise einsum would
-    # round differently.
-    counts = np.bincount(i, minlength=n)
-    slot = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    width, cells = counts.max(initial=0), cfg.radial_bins * cfg.angular_bins
-    positional = np.zeros((n, cells, width))
-    positional[i, :, slot] = (w_r[:, :, None] * w_a[:, None, :]).reshape(len(i), cells)
-    directional = np.zeros((n, width, cfg.direction_bins))
-    directional[i, slot] = w_d
-    np.matmul(positional, directional, out=vectors.reshape(n, cells, cfg.direction_bins))
-    valid = counts > 0
+    # Each minutia's histogram is its (radial x angular, k) weights times its
+    # (k, direction) weights over its k neighbors, read from one contiguous
+    # (radial x angular, pairs) array; with none, it is the zero histogram.
+    cells = cfg.radial_bins * cfg.angular_bins
+    positional = (w_r.T[:, None, :] * w_a.T[None, :, :]).reshape(cells, len(i))
+    hist = vectors.reshape(n, cells, cfg.direction_bins)
+    for h, s0, s1 in zip(hist, start, start[1:]):
+        np.matmul(positional[:, s0:s1], w_d[s0:s1], out=h)
+    valid = np.diff(start) > 0
+    # (n, 1, dim) @ (n, dim, 1) takes each norm from the same dot product; a
+    # row-wise einsum would round differently.
     norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]))
     np.divide(vectors, norms[:, 0], out=vectors, where=valid[:, None])
     return DescriptorSet(vectors=vectors, valid=valid)

@@ -60,6 +60,25 @@ def circular_bins(values: np.ndarray, bins: int, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.exp(-0.5 * (d / sigma) ** 2), 0, -1))
 
 
+def neighbor_pairs(xy: np.ndarray, reach: float):
+    """Every ordered pair (i, j), i != j, of the (n, 2) points ``xy`` at most
+    ``reach`` apart, i-major with each point's neighbors in template order,
+    as (i, j, dx, dy, dist, start): dx = x_j - x_i, dy = y_j - y_i, dist =
+    hypot(dx, dy), and point i's pairs are start[i]:start[i + 1] (a list)."""
+    dx = xy[None, :, 0] - xy[:, None, 0]
+    dy = xy[None, :, 1] - xy[:, None, 1]
+    # hypot(dx, dy) >= max(|dx|, |dy|): a pair outside the box is not near
+    box = (np.abs(dx) <= reach) & (np.abs(dy) <= reach)
+    np.fill_diagonal(box, False)
+    flat = np.flatnonzero(box)
+    dx, dy = dx.take(flat), dy.take(flat)
+    dist = np.hypot(dx, dy)
+    near = dist <= reach
+    i, j = np.divmod(flat[near], len(xy))
+    start = np.searchsorted(i, np.arange(len(xy) + 1)).tolist()
+    return i, j, dx[near], dy[near], dist[near], start
+
+
 def rotate_offsets(dx, dy, alpha: float):
     """Rotate offset vectors by ``alpha`` under the package's y-down convention."""
     c, s = math.cos(alpha), math.sin(alpha)

@@ -32,14 +32,13 @@ so it squares to a finite double, and one whose square underflows gives a
 kernel of exactly 1. The minutia x neighbor distance that decides reach and
 validity stays on hypot.
 
-A template's minutia x neighbor geometry (offsets, distances, reach,
-reachable pairs) is computed once for all minutiae, and the directional
-kernels once for all reachable pairs. The spatial kernel is evaluated in
-place on the reachable pairs of a group of minutiae at a time, as one
-contiguous (cells, group pairs) array, and minutia i's cylinder is its own
-(cells, k_i) @ (k_i, sections) product over its k_i reachable neighbors in
-template order, so its values are those of building the cylinders one by
-one.
+The reachable (minutia, neighbor) pairs come from one list, as the
+embeddings' do: ``geometry.neighbor_pairs``. The directional kernels are
+taken once for all pairs; the spatial kernel in place on the pairs of a
+group of minutiae at a time, as one contiguous (cells, group pairs) array.
+Minutia i's cylinder is its own (cells, k_i) @ (k_i, sections) product
+over its k_i reachable neighbors in template order, so its values are
+those of building the cylinders one by one.
 
 Leaving out the unreachable neighbors' zero columns keeps the bits of the
 product over all n - 1 neighbors where the BLAS kernel sums the same terms
@@ -59,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.geometry import circular_bins, wrap_signed
+from fpfusion.geometry import circular_bins, neighbor_pairs, wrap_signed
 from fpfusion.templates import MinutiaeTemplate
 
 
@@ -128,30 +127,17 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     """
     cfg = cfg or CylinderConfig()
     n = len(t)
-    vectors = np.zeros((n, cfg.dim), dtype=np.float64)
-    if n == 0:
-        return DescriptorSet(vectors=vectors, valid=np.zeros(0, dtype=bool))
     offsets = _cell_offsets(cfg)
     ox, oy = offsets[:, 0:1], offsets[:, 1:2]
     xy, thetas = t.positions(), t.thetas()
 
-    # Row i holds the other minutiae in template order: (n, n - 1).
-    slot = np.arange(n - 1)
-    neighbor = slot + (slot >= np.arange(n)[:, None])
-    dx = xy[neighbor, 0] - xy[:, 0:1]
-    dy = xy[neighbor, 1] - xy[:, 1:2]
-    dist = np.hypot(dx, dy)
     # Only a neighbor within radius + cutoff of the minutia can reach a
     # cell; the 1 px margin keeps rounding from dropping one.
-    reach = dist <= cfg.radius + cfg.cutoff + 1.0
-    valid = (dist <= cfg.cutoff).sum(axis=1) >= cfg.min_neighbors
-
-    # Reachable (minutia, neighbor) pairs, in template order; minutia i's are
-    # start[i]:start[i + 1].
-    rows, cols = np.nonzero(reach)
-    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    rows, cols, pair_dx, pair_dy, dist, start = neighbor_pairs(xy, cfg.radius + cfg.cutoff + 1.0)
+    # every neighbor within the cutoff is within reach
+    valid = np.bincount(rows[dist <= cfg.cutoff], minlength=n) >= cfg.min_neighbors
     # (pairs, sections) directional kernel on the wrapped difference.
-    ddir = wrap_signed(thetas[rows] - thetas[neighbor[rows, cols]])
+    ddir = wrap_signed(thetas[rows] - thetas[cols])
     directional = circular_bins(ddir, cfg.sections, cfg.sigma_direction)
     # Each pair's offset in its minutia's frame, (u, v) = R^T (dx, dy) with
     # R the frame's rotation: a cell center p_i + R o lies |o - (u, v)| from
@@ -159,7 +145,6 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     # differ by an ulp.
     c = np.array([math.cos(theta) for theta in thetas.tolist()])[rows]
     s = np.array([math.sin(theta) for theta in thetas.tolist()])[rows]
-    pair_dx, pair_dy = dx[rows, cols], dy[rows, cols]
     u = c * pair_dx - s * pair_dy
     v = s * pair_dx + c * pair_dy
     scale = -0.5 / (cfg.sigma_spatial * cfg.sigma_spatial)
@@ -167,8 +152,10 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     # Squared distances and spatial kernel of a group, each a contiguous
     # (cells, group pairs) view of one allocation: a column slice of a wider
     # buffer would make numpy's elementwise loops run row by row.
-    width = max(start[min(lo + _GROUP, n)] - start[lo] for lo in range(0, n, _GROUP))
+    width = max((start[min(lo + _GROUP, n)] - start[lo] for lo in range(0, n, _GROUP)), default=0)
     buffer = np.empty(2 * len(offsets) * width)
+    # after the scratch buffer, which then frees into a hole, not the heap top
+    vectors = np.zeros((n, cfg.dim), dtype=np.float64)
     cylinders = vectors.reshape(n, len(offsets), cfg.sections)
     for glo in range(0, n, _GROUP):
         ghi = min(glo + _GROUP, n)

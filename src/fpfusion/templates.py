@@ -125,39 +125,40 @@ def load_template(path) -> MinutiaeTemplate:
     tid = path.stem
     width = height = None
     minutiae = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header = _HEADER_RE.match(line)
-                if header:
-                    tid = header.group(1)
-                    if header.group(2) is not None:
-                        width = int(header.group(2))
-                        height = int(header.group(3))
-                elif line[1:].lstrip().startswith("id="):
-                    raise TemplateFormatError(
-                        f"{path}:{lineno}: expected '# id=<string> [w=<int> h=<int>]', got {line!r}"
-                    )
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TemplateFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            header = _HEADER_RE.match(line)
+            if header:
+                tid = header.group(1)
+                if header.group(2) is not None:
+                    width = int(header.group(2))
+                    height = int(header.group(3))
+            elif line[1:].lstrip().startswith("id="):
                 raise TemplateFormatError(
-                    f"{path}:{lineno}: expected 'x y theta [quality]', got {line!r}"
+                    f"{path}:{lineno}: expected '# id=<string> [w=<int> h=<int>]', got {line!r}"
                 )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise TemplateFormatError(
-                    f"{path}:{lineno}: non-numeric field in {line!r}"
-                ) from None
-            quality = values[3] if len(values) == 4 else 1.0
-            try:
-                minutiae.append(Minutia(values[0], values[1], values[2], quality))
-            except ValueError as exc:
-                raise TemplateFormatError(f"{path}:{lineno}: {exc}") from None
+            continue
+        parts = line.split()
+        if len(parts) not in (3, 4):
+            raise TemplateFormatError(
+                f"{path}:{lineno}: expected 'x y theta [quality]', got {line!r}"
+            )
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise TemplateFormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+        quality = values[3] if len(values) == 4 else 1.0
+        try:
+            minutiae.append(Minutia(values[0], values[1], values[2], quality))
+        except ValueError as exc:
+            raise TemplateFormatError(f"{path}:{lineno}: {exc}") from None
     try:
         return MinutiaeTemplate(tid, tuple(minutiae), width, height)
     except ValueError as exc:

@@ -211,6 +211,24 @@ def test_identify_duplicate_gallery_ids_name_both_files(template_path, tmp_path,
     )
 
 
+@pytest.mark.parametrize("command", ["match", "identify", "config"])
+def test_file_not_utf8_is_data_error_naming_it(template_path, tmp_path, command, capsys):
+    # one byte that is not UTF-8, in a query, a gallery file or a config file
+    bad = tmp_path / "g" / "bad.mnt" if command == "identify" else tmp_path / "bad.mnt"
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(b"0 0 0.1\n\xff 5 1.0\n")
+    if command == "identify":
+        (tmp_path / "g" / "t0.mnt").write_bytes(template_path.read_bytes())
+        argv = ["identify", str(template_path), str(bad.parent)]
+    elif command == "match":
+        argv = ["match", str(template_path), str(bad)]
+    else:
+        argv = ["match", str(template_path), str(template_path), "--config", str(bad)]
+    assert main(argv) == EXIT_DATA
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad}: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -194,9 +194,9 @@ def soft_bins(values, bins, sigma):
 def loop_reference(t, cfg):
     """Every signature of ``t`` from soft-bin weights built one minutia at a
     time, each from its own neighbor mask, as vectors and validity. The
-    weights then go through the build's product shapes: the (radial x
-    angular, slot) @ (slot, direction) histograms as one stacked product of
-    zero-padded stacks, and the norms as one (n, 1, dim) @ (n, dim, 1)
+    weights then go through the build's product shapes: each histogram as
+    its own (radial x angular, k) @ (k, direction) product over the
+    minutia's k neighbors, and the norms as one (n, 1, dim) @ (n, dim, 1)
     product, since a BLAS kernel may round a product by its operands' shapes
     and addresses."""
     n = len(t)
@@ -207,7 +207,8 @@ def loop_reference(t, cfg):
     radial_centers = (np.arange(cfg.radial_bins) + 0.5) / cfg.radial_bins
     log_scale = math.log1p(cfg.synth_radius)
     cells = cfg.radial_bins * cfg.angular_bins
-    weights = []
+    hist = np.zeros((n, cfg.dim))
+    valid = np.zeros(n, dtype=bool)
     for i in range(n):
         dx = positions[:, 0] - positions[i, 0]
         dy = positions[:, 1] - positions[i, 1]
@@ -219,16 +220,10 @@ def loop_reference(t, cfg):
         w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
         w_a = soft_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
         w_d = soft_bins(ddir, cfg.direction_bins, sigma_d)
-        weights.append(((w_r[:, :, None] * w_a[:, None, :]).reshape(len(r), cells), w_d))
-    slots = max((len(w_d) for _, w_d in weights), default=0)
-    positional = np.zeros((n, cells, slots))
-    directional = np.zeros((n, slots, cfg.direction_bins))
-    for i, (w_ra, w_d) in enumerate(weights):
-        positional[i, :, : len(w_d)] = w_ra.T
-        directional[i, : len(w_d)] = w_d
-    hist = np.matmul(positional, directional).reshape(n, cfg.dim)
+        w_ra = (w_r[:, :, None] * w_a[:, None, :]).reshape(len(r), cells)
+        hist[i] = np.matmul(np.ascontiguousarray(w_ra.T), w_d).ravel()
+        valid[i] = mask.any()
     norms = np.sqrt(np.matmul(hist[:, None, :], hist[:, :, None]))[:, 0]
-    valid = np.array([len(w_d) > 0 for _, w_d in weights], dtype=bool)
     vectors = np.zeros((n, cfg.dim))
     vectors[valid] = hist[valid] / norms[valid]
     return vectors, valid

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import direction_difference, euclidean_distance, radial_angle
-from fpfusion.geometry import angular_difference, circular_bins, normalize_angle, wrap_signed
+from fpfusion.geometry import (
+    angular_difference,
+    circular_bins,
+    neighbor_pairs,
+    normalize_angle,
+    wrap_signed,
+)
 from fpfusion.templates import Minutia
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
@@ -202,3 +208,40 @@ def test_circular_bins_equals_scalar_loop(bins, sigma, shape):
     got = circular_bins(values, bins, sigma)
     assert got.shape == shape + (bins,)
     assert np.array_equal(got, circular_bins_loop(values, bins, sigma))
+
+
+@st.composite
+def points_near_reach(draw):
+    """A reach and 0-40 points on an extent up to 400 px; some are copies of
+    another point and some lie at the reach or 0.5 px either side of it from
+    another point, where the ``<=`` decides."""
+    reach = draw(st.floats(1.0, 200.0))
+    coord = st.floats(0.0, draw(st.floats(1.0, 400.0)))
+    xy = [(draw(coord), draw(coord)) for _ in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.integers(0, 10)) if xy else 0):
+        x, y = draw(st.sampled_from(xy))
+        r = draw(st.sampled_from([0.0, reach - 0.5, reach, reach + 0.5]))
+        phi = draw(st.floats(0.0, 2 * math.pi))
+        xy.append((x + r * math.cos(phi), y + r * math.sin(phi)))
+    return np.array(xy, dtype=float).reshape(-1, 2), reach
+
+
+@given(points_near_reach())
+def test_neighbor_pairs_equal_double_loop(case):
+    xy, reach = case
+    n = len(xy)
+    pairs, start = [], [0]
+    for i in range(n):
+        for j in range(n):
+            dx, dy = float(xy[j, 0] - xy[i, 0]), float(xy[j, 1] - xy[i, 1])
+            dist = float(np.hypot(dx, dy))
+            if i != j and dist <= reach:
+                pairs.append((i, j, dx, dy, dist))
+        start.append(len(pairs))
+    i, j, dx, dy, dist, got_start = neighbor_pairs(xy, reach)
+    expected = np.array(pairs, dtype=float).reshape(-1, 5)
+    assert i.tolist() == expected[:, 0].astype(int).tolist()
+    assert j.tolist() == expected[:, 1].astype(int).tolist()
+    for got, column in zip((dx, dy, dist), expected.T[2:]):
+        assert got.tobytes() == column.tobytes()
+    assert got_start == start

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import cosine_similarity, random_template, rotate_template, seeded_templates
+from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.geometry import angular_difference, wrap_signed
 from fpfusion.mcc import _GROUP, CylinderConfig, _cell_offsets, build_mcc_set
 from fpfusion.templates import Minutia, MinutiaeTemplate
@@ -322,16 +323,20 @@ def test_minutiae_beyond_reach_change_no_other_cylinder(cfg, data):
     assert np.array_equal(d.valid[kept], base.valid)
 
 
-def test_dense_template_build_memory_is_bounded():
+@pytest.mark.parametrize(
+    "build,bound", [(build_mcc_set, 50e6), (build_synthetic_embeddings, 25e6)], ids=["mcc", "emb"]
+)
+def test_dense_template_build_memory_is_bounded(build, bound):
     # 600 uniform minutiae on 500 x 500 px, a quarter of their pairs within
-    # reach: the build's tracemalloc peak (~40 MB, 6 MB of it the output)
-    # stays under 50 MB
+    # the cylinders' reach: each build's tracemalloc peak (~29 MB for the
+    # cylinders, 6 MB of it the output; ~19 MB for the embeddings) stays
+    # under its bound
     rng = np.random.default_rng(600)
     t = random_template(rng, n=600, extent=500.0, min_spacing=0.0)
     tracemalloc.start()
     try:
-        build_mcc_set(t)
+        build(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 50e6
+    assert peak <= bound
