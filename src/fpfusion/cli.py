@@ -136,7 +136,7 @@ def _blamed(section, keyed: dict[str, tuple], message: str) -> str:
 
 def load_config_file(path) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     pairs, first = {}, {}

@@ -1,7 +1,7 @@
 """Uniform container for per-minutia fixed-length descriptors.
 
 Cylinder codes and patch embeddings share this shape so the pairing stage
-treats both channels identically.
+treats both channels identically; ``unit_rows`` makes every set unit rows.
 """
 
 from __future__ import annotations
@@ -38,3 +38,13 @@ class DescriptorSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+def unit_rows(d: DescriptorSet, out: np.ndarray | None = None) -> DescriptorSet:
+    """The descriptors divided by their norms; a zero row becomes invalid.
+
+    ``out=d.vectors`` divides in place, for a set that nothing else holds.
+    """
+    norms = np.linalg.norm(d.vectors, axis=1)
+    vectors = np.divide(d.vectors, np.where(norms > 0, norms, 1.0)[:, None], out=out)
+    return DescriptorSet(vectors=vectors, valid=d.valid & (norms > 0))

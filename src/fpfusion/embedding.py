@@ -9,8 +9,9 @@ so the full fusion pipeline runs without any neural network. Its soft-bin
 weights are computed once over the template's (minutia, neighbor) pairs,
 taken from ``geometry.neighbor_pairs`` as the cylinders' pairs are, and
 each minutia's (radial x angular) x direction histogram is its own
-(radial x angular, k) @ (k, direction) product over its k neighbors. All
-norms come from one stacked product with the same per-row dot products.
+(radial x angular, k) @ (k, direction) product over its k neighbors.
+The histograms become unit rows through ``descriptors.unit_rows``, as
+every descriptor set does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fpfusion.descriptors import DescriptorSet
+from fpfusion.descriptors import DescriptorSet, unit_rows
 from fpfusion.geometry import circular_bins, neighbor_pairs, wrap_signed
 from fpfusion.templates import MinutiaeTemplate
 
@@ -143,9 +144,4 @@ def build_synthetic_embeddings(
     hist = vectors.reshape(n, cells, cfg.direction_bins)
     for h, s0, s1 in zip(hist, start, start[1:]):
         np.matmul(positional[:, s0:s1], w_d[s0:s1], out=h)
-    valid = np.diff(start) > 0
-    # (n, 1, dim) @ (n, dim, 1) takes each norm from the same dot product; a
-    # row-wise einsum would round differently.
-    norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]))
-    np.divide(vectors, norms[:, 0], out=vectors, where=valid[:, None])
-    return DescriptorSet(vectors=vectors, valid=valid)
+    return unit_rows(DescriptorSet(vectors=vectors, valid=np.diff(start) > 0), out=vectors)

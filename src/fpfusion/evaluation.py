@@ -7,11 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from fpfusion.descriptors import DescriptorSet
+from fpfusion.descriptors import DescriptorSet, unit_rows
 from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
 from fpfusion.fusion import CHANNELS, FusionConfig, GalleryEntry, match_gallery
 from fpfusion.mcc import CylinderConfig, build_mcc_set
-from fpfusion.pairing import unit_rows
 from fpfusion.templates import MinutiaeTemplate
 
 

@@ -84,7 +84,7 @@ class FusionConfig:
 @dataclass(frozen=True)
 class GalleryEntry:
     """A template with one descriptor row per minutia in each set, held as
-    unit rows (see ``pairing.unit_rows``), so similarity is one matmul."""
+    unit rows (see ``descriptors.unit_rows``), so similarity is one matmul."""
 
     template: MinutiaeTemplate
     mcc: DescriptorSet

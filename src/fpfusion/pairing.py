@@ -27,16 +27,6 @@ def compute_n_p(len_a, len_b):
     return np.minimum(MAX_PAIRS_SCORE, np.minimum(len_a, len_b))
 
 
-def unit_rows(d: DescriptorSet, out: np.ndarray | None = None) -> DescriptorSet:
-    """The descriptors divided by their norms; a zero row becomes invalid.
-
-    ``out=d.vectors`` divides in place, for a set that nothing else holds.
-    """
-    norms = np.linalg.norm(d.vectors, axis=1)
-    vectors = np.divide(d.vectors, np.where(norms > 0, norms, 1.0)[:, None], out=out)
-    return DescriptorSet(vectors=vectors, valid=d.valid & (norms > 0))
-
-
 def pad_rows(slot: np.ndarray, parts: list) -> np.ndarray:
     """Stack per-entry arrays into a zero-padded (B, width, ...) array.
 

@@ -1,9 +1,10 @@
 """Minutiae data model and template file I/O.
 
-Template file format (UTF-8 text, '\\n' endings): lines starting with '#'
-are comments; an optional header line ``# id=<string> [w=<int> h=<int>]``;
-each data line is ``x y theta [quality]`` with x/y in decimal pixels,
-theta in radians and quality in [0, 1].
+Template file format (UTF-8 text, '\\n' endings, a leading byte-order mark
+allowed): lines starting with '#' are comments; an optional header line
+``# id=<string> [w=<int> h=<int>]``; each data line is ``x y theta
+[quality]`` with x/y in decimal pixels, theta in radians and quality in
+[0, 1].
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def load_template(path) -> MinutiaeTemplate:
     width = height = None
     minutiae = []
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise TemplateFormatError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(text.split("\n"), start=1):

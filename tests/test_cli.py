@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fpfusion
 from fpfusion.cli import (
@@ -22,7 +28,7 @@ from fpfusion.cli import (
 )
 from fpfusion.mcc import CylinderConfig
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger
-from fpfusion.templates import save_template
+from fpfusion.templates import load_template, save_template
 
 
 @pytest.fixture
@@ -227,6 +233,30 @@ def test_file_not_utf8_is_data_error_naming_it(template_path, tmp_path, command,
     assert main(argv) == EXIT_DATA
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("first", ["header", "data"])
+def test_template_with_byte_order_mark_loads_as_without(template_path, tmp_path, first, capsys):
+    text = template_path.read_text(encoding="utf-8")
+    if first == "data":
+        text = text.split("\n", 1)[1]
+    plain, marked = tmp_path / "plain" / "t.mnt", tmp_path / "marked" / "t.mnt"
+    for path, encoding in ((plain, "utf-8"), (marked, "utf-8-sig")):
+        path.parent.mkdir()
+        path.write_text(text, encoding=encoding)
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_template(marked) == load_template(plain)
+    assert main(["match", str(plain), str(plain)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["match", str(marked), str(marked)]) == EXIT_OK
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_config_file_with_byte_order_mark_sets_its_first_key(template_path, tmp_path):
+    cfg = tmp_path / "marked.cfg"
+    cfg.write_text("w1=0.7\n", encoding="utf-8-sig")
+    args = _build_parser().parse_args(["describe", str(template_path), "--config", str(cfg)])
+    assert build_pipeline_config(args).fusion.w1 == 0.7
 
 
 @pytest.mark.parametrize(
@@ -874,3 +904,156 @@ def test_describe_bytes_are_frozen(tmp_path, capsys):
         assert main(["describe", str(data / name), "--what", what, "--out", str(out)]) == EXIT_OK
         written[key] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert written == FROZEN_DESCRIBE["sha256"]
+
+
+# Settings that change how the host computes, not what it computes: older
+# OpenBLAS kernel sets and numpy's SIMD dispatch without AVX-512. Raw bits
+# may differ under them; the output files must not.
+HOST_VARIANTS = {
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+
+# Runs the frozen benchmark and the frozen describe inputs in one process;
+# argv[1] is the output directory, argv[2] the JSON of the two argvs and the
+# describe keys.
+_HOST_CHILD = """
+import json, sys
+from pathlib import Path
+
+import numpy  # a setting this numpy refuses stops its import, before the mark
+
+print("numpy imported", flush=True)
+from fpfusion.cli import main
+
+out = Path(sys.argv[1])
+bench, synth, described = json.loads(sys.argv[2])
+assert main([*bench, "--out", str(out / "bench")]) == 0
+assert main([*synth, "--out", str(out / "synth")]) == 0
+(out / "describe").mkdir()
+for key in described:
+    name, what = key.split()
+    csv = out / "describe" / (name.replace("/", "_") + "." + what + ".csv")
+    assert main(["describe", str(out / "synth" / name), "--what", what, "--out", str(csv)]) == 0
+"""
+
+
+def _host_run(out: Path, setting: dict) -> subprocess.CompletedProcess:
+    """Run ``_HOST_CHILD`` into ``out`` with ``setting`` as its only host
+    variable, whatever this process's environment holds."""
+    src = str(Path(fpfusion.__file__).resolve().parents[1])
+    host_vars = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    env = {k: v for k, v in os.environ.items() if k not in host_vars}
+    env.update(setting)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    jobs = [FROZEN_RESULTS["argv"], FROZEN_DESCRIBE["argv"], list(FROZEN_DESCRIBE["sha256"])]
+    cmd = [sys.executable, "-c", _HOST_CHILD, str(out), json.dumps(jobs)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+
+def _file_bytes(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def default_host_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("host") / "default"
+    proc = _host_run(out, {})
+    assert proc.returncode == 0, proc.stderr
+    return _file_bytes(out)
+
+
+@pytest.mark.parametrize("variant", list(HOST_VARIANTS))
+def test_output_bytes_do_not_depend_on_blas_kernel_or_simd(default_host_files, tmp_path, variant):
+    """The benchmark and describe files of a child run under another BLAS
+    kernel set or SIMD level equal the default run's, byte for byte."""
+    proc = _host_run(tmp_path / variant, HOST_VARIANTS[variant])
+    if proc.returncode != 0 and "numpy imported" not in proc.stdout:
+        lines = proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"]
+        pytest.skip(f"{HOST_VARIANTS[variant]}: this numpy refuses it: {lines[-1]}")
+    assert proc.returncode == 0, proc.stderr
+    files = _file_bytes(tmp_path / variant)
+    assert files.keys() == default_host_files.keys()
+    assert [name for name in sorted(files) if files[name] != default_host_files[name]] == []
+
+
+_MNT_ODD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["-0", "-0.0", "nan", "NaN", "-nan", "inf", "-Infinity", "1e309", "0x10", "1_0"]
+    ),
+    st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), min_size=1, max_size=4),
+)
+
+
+def _mostly(plausible, odd, tenths):
+    """``plausible`` in ``tenths`` draws of ten, else ``odd``."""
+    return st.integers(0, 9).flatmap(lambda k: plausible if k < tenths else odd)
+
+
+def _fixed(v):
+    return f"{v:.6f}"
+
+
+_MNT_MINUTIA = st.tuples(
+    *[_mostly(st.floats(-50.0, 550.0).map(_fixed), _MNT_ODD, 9)] * 2,
+    _mostly(st.floats(-7.0, 7.0).map(_fixed), _MNT_ODD, 9),
+    _mostly(st.just(""), _mostly(st.floats(0.0, 1.0).map(_fixed), _MNT_ODD, 9), 5),
+).map(lambda fields: " ".join(fields).strip())
+_MNT_LINE = _mostly(
+    _MNT_MINUTIA,
+    st.one_of(
+        st.lists(_MNT_ODD, min_size=1, max_size=5).map(" ".join),
+        # a minutia at the ends of the float range
+        st.lists(st.sampled_from(["1e308", "-1e308", "-0", "5e-324"]), min_size=3, max_size=3).map(
+            " ".join
+        ),
+        st.sampled_from(
+            ["# id=a", "# id=b w=3 h=4", "# id=", "#id=a b", "# id=c w=1", "# id=d w=-1 h=2",
+             "#  id=e   w=9 h=9  ", "# id=f w=99999999999999999999 h=1", "# comment", "#", "",
+             "  \t"]
+        ),
+    ),
+    8,
+)
+
+
+@st.composite
+def mnt_bytes(draw):
+    """``.mnt`` file bytes: up to 8 lines of numbers, headers, comments and
+    blanks, with LF or CRLF endings, maybe a byte-order mark and maybe one
+    byte that is not UTF-8."""
+    lines = draw(st.lists(_MNT_LINE, max_size=8))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    raw = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=mnt_bytes())
+def test_any_mnt_file_matches_or_is_one_line_data_error(raw):
+    """``match`` of any ``.mnt`` text against itself exits 0 with one line
+    holding a score in [0, 1], or 2 with one ``error:`` line naming the
+    file, and raises nothing, a numeric warning included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "a.mnt")
+        Path(path).write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["match", path, path])
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        [line] = out.getvalue().splitlines()
+        score = float(line.removeprefix("score=").split()[0])
+        assert 0.0 <= score <= 1.0, line
+    else:
+        assert code == EXIT_DATA, err.getvalue()
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"error: {path}")

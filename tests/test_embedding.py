@@ -193,12 +193,10 @@ def soft_bins(values, bins, sigma):
 
 def loop_reference(t, cfg):
     """Every signature of ``t`` from soft-bin weights built one minutia at a
-    time, each from its own neighbor mask, as vectors and validity. The
-    weights then go through the build's product shapes: each histogram as
-    its own (radial x angular, k) @ (k, direction) product over the
-    minutia's k neighbors, and the norms as one (n, 1, dim) @ (n, dim, 1)
-    product, since a BLAS kernel may round a product by its operands' shapes
-    and addresses."""
+    time, each from its own neighbor mask, as vectors and validity. Each
+    histogram is the build's own (radial x angular, k) @ (k, direction)
+    product over the minutia's k neighbors, since a BLAS kernel may round a
+    product by its operands' shapes; the norms are ``np.linalg.norm``'s."""
     n = len(t)
     positions, thetas = t.positions(), t.thetas()
     sigma_r = 0.5 / cfg.radial_bins
@@ -223,9 +221,9 @@ def loop_reference(t, cfg):
         w_ra = (w_r[:, :, None] * w_a[:, None, :]).reshape(len(r), cells)
         hist[i] = np.matmul(np.ascontiguousarray(w_ra.T), w_d).ravel()
         valid[i] = mask.any()
-    norms = np.sqrt(np.matmul(hist[:, None, :], hist[:, :, None]))[:, 0]
+    norms = np.linalg.norm(hist, axis=1)
     vectors = np.zeros((n, cfg.dim))
-    vectors[valid] = hist[valid] / norms[valid]
+    vectors[valid] = hist[valid] / norms[valid, None]
     return vectors, valid
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cosine_similarity, padded
-from fpfusion.descriptors import DescriptorSet
+from fpfusion.descriptors import DescriptorSet, unit_rows
 from fpfusion.fusion import GalleryEntry
 from fpfusion.pairing import (
     angle_gate,
@@ -14,7 +14,6 @@ from fpfusion.pairing import (
     compute_n_p,
     compute_n_r,
     select_pairs,
-    unit_rows,
 )
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
