@@ -9,13 +9,8 @@ evaluated with rank-k / CMC identification benchmarks.
 from fpfusion.geometry import angular_difference
 from fpfusion.templates import Minutia, MinutiaeTemplate, load_template, save_template
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.mcc import CylinderConfig, build_mcc_set
-from fpfusion.embedding import (
-    EmbeddingConfig,
-    build_synthetic_embeddings,
-    load_embeddings,
-    save_embeddings,
-)
+from fpfusion.mcc import build_mcc_set
+from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
 from fpfusion.pairing import compute_n_r, compute_n_p
 from fpfusion.fusion import FusionConfig
 from fpfusion.evaluation import (
@@ -34,9 +29,7 @@ __all__ = [
     "save_template",
     "angular_difference",
     "DescriptorSet",
-    "CylinderConfig",
     "build_mcc_set",
-    "EmbeddingConfig",
     "build_synthetic_embeddings",
     "load_embeddings",
     "save_embeddings",

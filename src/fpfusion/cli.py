@@ -13,15 +13,11 @@ import argparse
 import errno
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from fpfusion.embedding import (
-    EmbeddingConfig,
-    build_synthetic_embeddings,
-    load_embeddings,
-    save_embeddings,
-)
+from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
 from fpfusion.evaluation import (
     CmcCurve,
     Gallery,
@@ -32,7 +28,7 @@ from fpfusion.evaluation import (
     write_results,
 )
 from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
-from fpfusion.mcc import CylinderConfig, build_mcc_set
+from fpfusion.mcc import build_mcc_set
 from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
 from fpfusion.templates import load_template
 
@@ -45,8 +41,6 @@ EXIT_DATA = 2
 class PipelineConfig:
     """Union of every stage's parameters, as one flat key space."""
 
-    cylinder: CylinderConfig = field(default_factory=CylinderConfig)
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
@@ -54,16 +48,6 @@ class PipelineConfig:
 
 # config-file key -> (sub-config attribute, field name, type)
 CONFIG_KEYS = {
-    "cyl_radius": ("cylinder", "radius", float),
-    "cyl_grid": ("cylinder", "grid", int),
-    "cyl_sections": ("cylinder", "sections", int),
-    "cyl_sigma_spatial": ("cylinder", "sigma_spatial", float),
-    "cyl_sigma_direction": ("cylinder", "sigma_direction", float),
-    "cyl_min_neighbors": ("cylinder", "min_neighbors", int),
-    "emb_radius": ("embedding", "synth_radius", float),
-    "emb_radial_bins": ("embedding", "radial_bins", int),
-    "emb_angular_bins": ("embedding", "angular_bins", int),
-    "emb_direction_bins": ("embedding", "direction_bins", int),
     "w1": ("fusion", "w1", float),
     "w2": ("fusion", "w2", float),
     "delta_theta": ("fusion", "delta_theta", float),
@@ -264,7 +248,7 @@ def _check_output(path) -> None:
 
 
 def cmd_match(args, cfg: PipelineConfig) -> int:
-    gallery = Gallery(cfg.cylinder, cfg.embedding)
+    gallery = Gallery()
     ta, tb = load_template(args.template_a), load_template(args.template_b)
     query, entry = (
         gallery.prepare_query(t, load_embeddings(path, len(t)) if path else None)
@@ -282,7 +266,7 @@ def cmd_identify(args, cfg: PipelineConfig) -> int:
     paths = sorted(Path(args.gallery_dir).glob("*.mnt"))
     if not paths:
         raise ValueError(f"no *.mnt templates in {args.gallery_dir}")
-    gallery = Gallery(cfg.cylinder, cfg.embedding)
+    gallery = Gallery()
     enrolled = {}
     for path in paths:
         t = load_template(path)
@@ -312,7 +296,7 @@ def cmd_benchmark(args, cfg: PipelineConfig) -> int:
         _check_output(out_dir / name)
     gallery_templates, queries, truth = write_dataset(out_dir / "data", cfg.synth, cfg.perturb)
 
-    gallery = Gallery(cfg.cylinder, cfg.embedding)
+    gallery = Gallery()
     for t in gallery_templates:
         gallery.enroll(t)
 
@@ -351,11 +335,7 @@ def cmd_gen_synth(args, cfg: PipelineConfig) -> int:
 
 def cmd_describe(args, cfg: PipelineConfig) -> int:
     t = load_template(args.template)
-    d = (
-        build_mcc_set(t, cfg.cylinder)
-        if args.what == "mcc"
-        else build_synthetic_embeddings(t, cfg.embedding)
-    )
+    d = build_mcc_set(t) if args.what == "mcc" else build_synthetic_embeddings(t)
     rows = [["minutia", "valid"] + [f"v{i}" for i in range(d.dim)]]
     for i in range(len(d)):
         rows.append([str(i), str(int(d.valid[i]))] + [f"{v:.6f}" for v in d.vectors[i]])
@@ -369,7 +349,7 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
 
 def cmd_embed_synth(args, cfg: PipelineConfig) -> int:
     t = load_template(args.template)
-    save_embeddings(build_synthetic_embeddings(t, cfg.embedding), args.out)
+    save_embeddings(build_synthetic_embeddings(t), args.out)
     print(f"wrote {len(t)} embeddings to {args.out}")
     return EXIT_OK
 
@@ -384,20 +364,28 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args, build_pipeline_config(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    # a warning the filters let through prints as one line; the filters
+    # themselves, and so which warnings show or raise, are left as they are
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return _COMMANDS[args.command](args, build_pipeline_config(args))
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,25 +33,13 @@ class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files."""
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    """Synthetic-signature radius and binning; a signature holds one value
-    per bin."""
-
-    synth_radius: float = 96.0
-    radial_bins: int = 4
-    angular_bins: int = 8
-    direction_bins: int = 8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.synth_radius) and self.synth_radius > 0):
-            raise ValueError("synth_radius must be finite and positive")
-        if min(self.radial_bins, self.angular_bins, self.direction_bins) < 1:
-            raise ValueError("radial_bins, angular_bins and direction_bins must be at least 1")
-
-    @property
-    def dim(self) -> int:
-        return self.radial_bins * self.angular_bins * self.direction_bins
+# The stand-in's signature radius (px) and soft-bin counts; a signature
+# holds one value per bin.
+SYNTH_RADIUS = 96.0
+RADIAL_BINS = 4
+ANGULAR_BINS = 8
+DIRECTION_BINS = 8
+DIM = RADIAL_BINS * ANGULAR_BINS * DIRECTION_BINS
 
 
 def load_embeddings(path, expected_count: int) -> DescriptorSet:
@@ -103,28 +90,25 @@ def save_embeddings(d: DescriptorSet, path) -> None:
         fh.write(vectors.tobytes())
 
 
-def build_synthetic_embeddings(
-    t: MinutiaeTemplate, cfg: EmbeddingConfig | None = None
-) -> DescriptorSet:
+def build_synthetic_embeddings(t: MinutiaeTemplate) -> DescriptorSet:
     """Log-polar neighborhood signature per minutia, unit-normalized.
 
-    Neighbors within ``synth_radius`` are soft-binned over log-radius x
+    Neighbors within ``SYNTH_RADIUS`` are soft-binned over log-radius x
     position angle x directional difference, all measured in the
     minutia-aligned frame, so the signature is rotation and translation
     invariant. A minutia with no neighbors yields the zero row with
     valid=False (cosine needs nonzero vectors).
     """
-    cfg = cfg or EmbeddingConfig()
     n = len(t)
-    vectors = np.zeros((n, cfg.dim), dtype=np.float64)
+    vectors = np.zeros((n, DIM), dtype=np.float64)
     positions, thetas = t.positions(), t.thetas()
-    sigma_r = 0.5 / cfg.radial_bins
-    sigma_a = 0.5 * (2.0 * math.pi / cfg.angular_bins)
-    sigma_d = 0.5 * (2.0 * math.pi / cfg.direction_bins)
-    radial_centers = (np.arange(cfg.radial_bins) + 0.5) / cfg.radial_bins
-    log_scale = math.log1p(cfg.synth_radius)
+    sigma_r = 0.5 / RADIAL_BINS
+    sigma_a = 0.5 * (2.0 * math.pi / ANGULAR_BINS)
+    sigma_d = 0.5 * (2.0 * math.pi / DIRECTION_BINS)
+    radial_centers = (np.arange(RADIAL_BINS) + 0.5) / RADIAL_BINS
+    log_scale = math.log1p(SYNTH_RADIUS)
 
-    i, j, dx, dy, dist, start = neighbor_pairs(positions, cfg.synth_radius)
+    i, j, dx, dy, dist, start = neighbor_pairs(positions, SYNTH_RADIUS)
     r = np.log1p(dist) / log_scale
     # ray angle from i to neighbor, rotated into the minutia frame. Where
     # y_i == y_j, -dy is -0.0, so a ray towards smaller x is -pi here, not
@@ -134,14 +118,14 @@ def build_synthetic_embeddings(
     ddir = wrap_signed(thetas[j] - thetas[i])
 
     w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
-    w_a = circular_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
-    w_d = circular_bins(ddir, cfg.direction_bins, sigma_d)
+    w_a = circular_bins(wrap_signed(ray), ANGULAR_BINS, sigma_a)
+    w_d = circular_bins(ddir, DIRECTION_BINS, sigma_d)
     # Each minutia's histogram is its (radial x angular, k) weights times its
     # (k, direction) weights over its k neighbors, read from one contiguous
     # (radial x angular, pairs) array; with none, it is the zero histogram.
-    cells = cfg.radial_bins * cfg.angular_bins
+    cells = RADIAL_BINS * ANGULAR_BINS
     positional = (w_r.T[:, None, :] * w_a.T[None, :, :]).reshape(cells, len(i))
-    hist = vectors.reshape(n, cells, cfg.direction_bins)
+    hist = vectors.reshape(n, cells, DIRECTION_BINS)
     for h, s0, s1 in zip(hist, start, start[1:]):
         np.matmul(positional[:, s0:s1], w_d[s0:s1], out=h)
     return unit_rows(DescriptorSet(vectors=vectors, valid=np.diff(start) > 0), out=vectors)

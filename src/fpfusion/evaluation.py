@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from fpfusion.descriptors import DescriptorSet, unit_rows
-from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
+from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.fusion import CHANNELS, FusionConfig, GalleryEntry, match_gallery
-from fpfusion.mcc import CylinderConfig, build_mcc_set
+from fpfusion.mcc import build_mcc_set
 from fpfusion.templates import MinutiaeTemplate
 
 
@@ -46,13 +46,7 @@ class CmcCurve:
 class Gallery:
     """Enrolled templates with descriptors prebuilt once at enrollment."""
 
-    def __init__(
-        self,
-        cylinder_cfg: CylinderConfig | None = None,
-        embedding_cfg: EmbeddingConfig | None = None,
-    ):
-        self.cylinder_cfg = cylinder_cfg or CylinderConfig()
-        self.embedding_cfg = embedding_cfg or EmbeddingConfig()
+    def __init__(self):
         self._entries: dict[str, GalleryEntry] = {}
 
     def __len__(self) -> int:
@@ -68,9 +62,9 @@ class Gallery:
         # Synthetic embeddings come out as unit rows; a caller's become unit rows in a copy.
         # Cylinders are normalized in place: a new array raised the minor
         # faults of enrolling 900 fingers (seed 5) by 12% and max RSS by 9.6 MB.
-        mcc = build_mcc_set(t, self.cylinder_cfg)
+        mcc = build_mcc_set(t)
         if embeddings is None:
-            embeddings = build_synthetic_embeddings(t, self.embedding_cfg)
+            embeddings = build_synthetic_embeddings(t)
         else:
             embeddings = unit_rows(embeddings)
         return GalleryEntry(template=t, mcc=unit_rows(mcc, out=mcc.vectors), embedding=embeddings)
@@ -84,7 +78,7 @@ class Gallery:
     def prepare_query(
         self, t: MinutiaeTemplate, embeddings: DescriptorSet | None = None
     ) -> GalleryEntry:
-        """Build query-side descriptors with the gallery's configs."""
+        """Build query-side descriptors as enrollment builds them."""
         return self._build_entry(t, embeddings)
 
 

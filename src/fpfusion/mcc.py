@@ -1,6 +1,6 @@
 """Real-valued cylinder-code descriptors.
 
-Each minutia gets a cylinder: an N_grid x N_grid grid of base cells laid
+Each minutia gets a cylinder: an N_S x N_S grid of base cells laid
 out in the minutia-aligned frame (rotated by the minutia direction,
 spanning [-R, R] on each axis) crossed with N_D angular sections covering
 directional differences in [-pi, pi). A cell value accumulates Gaussian
@@ -9,7 +9,7 @@ is rotation and translation invariant by construction.
 
 Only the cells whose centers lie within the radius belong to the cylinder
 (cells outside it are invalid and would always hold 0), so a row holds
-inside cells x N_D values: 208 x 6 = 1248 at the defaults, the inside cells
+inside cells x N_D values, 208 x 6 = 1248 (``DIM``): the inside cells
 in grid order (row-major over the grid) and each cell's N_D sections
 consecutive.
 
@@ -26,10 +26,9 @@ once, as (u, v), and the kernel is the Gaussian of the squared distance
 (ox - u)^2 + (oy - v)^2, cut where it exceeds the squared cutoff. No square
 root is taken, and no world-frame cell center is formed, so the values do
 not lose precision far from the image origin. The squares are safe because
-a reachable pair's offsets are bounded by the configured reach: with
-radius and sigma_spatial in [1e-6, 1e6] px an offset is at most ~6e6 px,
-so it squares to a finite double, and one whose square underflows gives a
-kernel of exactly 1. The minutia x neighbor distance that decides reach and
+a reachable pair's offsets are bounded by the reach, ~169 px, so they
+square to finite doubles, and one whose square underflows gives a kernel
+of exactly 1. The minutia x neighbor distance that decides reach and
 validity stays on hypot.
 
 The reachable (minutia, neighbor) pairs come from one list, as the
@@ -42,18 +41,15 @@ those of building the cylinders one by one.
 
 Leaving out the unreachable neighbors' zero columns keeps the bits of the
 product over all n - 1 neighbors where the BLAS kernel sums the same terms
-in the same order: at 5, 6 (the default) and 8 sections under OpenBLAS's
-SkylakeX, Haswell, Sandybridge and Prescott kernels. It rounds differently,
-by a few ulps, at 1-4 sections under SkylakeX and at 1 section under the
-other three, and wherever n - 1 exceeds the kernel's block of the inner
-dimension (256 neighbors under Haswell and Sandybridge, 128 under Prescott).
+in the same order: at the 6 sections under OpenBLAS's SkylakeX, Haswell,
+Sandybridge and Prescott kernels, except where n - 1 exceeds the kernel's
+block of the inner dimension (256 neighbors under Haswell and Sandybridge,
+128 under Prescott).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,54 +58,35 @@ from fpfusion.geometry import circular_bins, neighbor_pairs, wrap_signed
 from fpfusion.templates import MinutiaeTemplate
 
 
-@dataclass(frozen=True)
-class CylinderConfig:
-    """Cylinder geometry and kernel parameters.
-
-    Defaults follow common cylinder-code conventions: radius 70 px, 16x16
-    base cells, 6 angular sections, spatial std 9.33 px, directional std
-    0.698 rad (~40 degrees).
-    """
-
-    radius: float = 70.0
-    grid: int = 16
-    sections: int = 6
-    sigma_spatial: float = 9.33
-    sigma_direction: float = 0.698
-    min_neighbors: int = 2
-
-    def __post_init__(self):
-        widths = (self.radius, self.sigma_spatial, self.sigma_direction)
-        if not all(math.isfinite(v) and v > 0 for v in widths):
-            raise ValueError("radius and kernel widths must be finite and positive")
-        # the pixel scale within which the squared cell offsets are exact
-        # enough (see the module docstring)
-        if not (1e-6 <= self.radius <= 1e6 and 1e-6 <= self.sigma_spatial <= 1e6):
-            raise ValueError("radius and sigma_spatial must lie in [1e-06, 1e+06] px")
-        if self.grid < 2 or self.sections < 1 or self.min_neighbors < 1:
-            raise ValueError("grid >= 2, sections >= 1, min_neighbors >= 1 required")
-
-    @property
-    def dim(self) -> int:
-        return len(_cell_offsets(self)) * self.sections
-
-    @property
-    def cutoff(self) -> float:
-        # Gaussian tails truncated at 3 sigma beyond the cylinder radius.
-        return self.radius + 3.0 * self.sigma_spatial
+# The method's fixed parameters (Cappelli, Ferrara, Maltoni, "Minutia
+# Cylinder-Code", IEEE TPAMI 32(12), 2010): radius R = 70 px, N_S = 16
+# cells per side, N_D = 6 angular sections, spatial std sigma_S = 9.33 px,
+# directional std sigma_D = 0.698 rad (~40 degrees), and min_M = 2
+# neighbors within the cutoff for a valid cylinder.
+RADIUS = 70.0
+GRID = 16
+SECTIONS = 6
+SIGMA_SPATIAL = 9.33
+SIGMA_DIRECTION = 0.698
+MIN_NEIGHBORS = 2
+# Gaussian tails truncated at 3 sigma beyond the cylinder radius.
+CUTOFF = RADIUS + 3.0 * SIGMA_SPATIAL
 
 
-@lru_cache(maxsize=None)
-def _cell_offsets(cfg: CylinderConfig) -> np.ndarray:
+def _inside_cells() -> np.ndarray:
     """Local-frame centers (cells, 2) of the grid cells inside the radius,
-    in grid order, built once per configuration and read-only."""
-    step = 2.0 * cfg.radius / cfg.grid
-    coords = -cfg.radius + step * (np.arange(cfg.grid) + 0.5)
+    in grid order, read-only."""
+    step = 2.0 * RADIUS / GRID
+    coords = -RADIUS + step * (np.arange(GRID) + 0.5)
     px, py = np.meshgrid(coords, coords, indexing="ij")
     offsets = np.stack([px.ravel(), py.ravel()], axis=1)
-    offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) <= cfg.radius]
+    offsets = offsets[np.hypot(offsets[:, 0], offsets[:, 1]) <= RADIUS]
     offsets.setflags(write=False)
     return offsets
+
+
+CELL_OFFSETS = _inside_cells()
+DIM = len(CELL_OFFSETS) * SECTIONS
 
 
 # Minutiae whose spatial kernels are evaluated in one in-place pass; one
@@ -118,27 +95,25 @@ def _cell_offsets(cfg: CylinderConfig) -> np.ndarray:
 _GROUP = 16
 
 
-def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> DescriptorSet:
+def build_mcc_set(t: MinutiaeTemplate) -> DescriptorSet:
     """One cylinder per minutia, in template order.
 
     Row i is minutia i's flattened cells. It is valid when at least
-    ``min_neighbors`` other minutiae lie within the cutoff and a cell is
+    ``MIN_NEIGHBORS`` other minutiae lie within the cutoff and a cell is
     nonzero; a minutia with no neighbor gets a zero row.
     """
-    cfg = cfg or CylinderConfig()
-    n = len(t)
-    offsets = _cell_offsets(cfg)
-    ox, oy = offsets[:, 0:1], offsets[:, 1:2]
+    n, cells = len(t), len(CELL_OFFSETS)
+    ox, oy = CELL_OFFSETS[:, 0:1], CELL_OFFSETS[:, 1:2]
     xy, thetas = t.positions(), t.thetas()
 
     # Only a neighbor within radius + cutoff of the minutia can reach a
     # cell; the 1 px margin keeps rounding from dropping one.
-    rows, cols, pair_dx, pair_dy, dist, start = neighbor_pairs(xy, cfg.radius + cfg.cutoff + 1.0)
+    rows, cols, pair_dx, pair_dy, dist, start = neighbor_pairs(xy, RADIUS + CUTOFF + 1.0)
     # every neighbor within the cutoff is within reach
-    valid = np.bincount(rows[dist <= cfg.cutoff], minlength=n) >= cfg.min_neighbors
+    valid = np.bincount(rows[dist <= CUTOFF], minlength=n) >= MIN_NEIGHBORS
     # (pairs, sections) directional kernel on the wrapped difference.
     ddir = wrap_signed(thetas[rows] - thetas[cols])
-    directional = circular_bins(ddir, cfg.sections, cfg.sigma_direction)
+    directional = circular_bins(ddir, SECTIONS, SIGMA_DIRECTION)
     # Each pair's offset in its minutia's frame, (u, v) = R^T (dx, dy) with
     # R the frame's rotation: a cell center p_i + R o lies |o - (u, v)| from
     # the neighbor. math.cos and math.sin, not their numpy forms, which may
@@ -147,20 +122,20 @@ def build_mcc_set(t: MinutiaeTemplate, cfg: CylinderConfig | None = None) -> Des
     s = np.array([math.sin(theta) for theta in thetas.tolist()])[rows]
     u = c * pair_dx - s * pair_dy
     v = s * pair_dx + c * pair_dy
-    scale = -0.5 / (cfg.sigma_spatial * cfg.sigma_spatial)
-    cut = cfg.cutoff * cfg.cutoff
+    scale = -0.5 / (SIGMA_SPATIAL * SIGMA_SPATIAL)
+    cut = CUTOFF * CUTOFF
     # Squared distances and spatial kernel of a group, each a contiguous
     # (cells, group pairs) view of one allocation: a column slice of a wider
     # buffer would make numpy's elementwise loops run row by row.
     width = max((start[min(lo + _GROUP, n)] - start[lo] for lo in range(0, n, _GROUP)), default=0)
-    buffer = np.empty(2 * len(offsets) * width)
+    buffer = np.empty(2 * cells * width)
     # after the scratch buffer, which then frees into a hole, not the heap top
-    vectors = np.zeros((n, cfg.dim), dtype=np.float64)
-    cylinders = vectors.reshape(n, len(offsets), cfg.sections)
+    vectors = np.zeros((n, DIM), dtype=np.float64)
+    cylinders = vectors.reshape(n, cells, SECTIONS)
     for glo in range(0, n, _GROUP):
         ghi = min(glo + _GROUP, n)
         a, b = start[glo], start[ghi]
-        q, kernel = buffer[: 2 * len(offsets) * (b - a)].reshape(2, len(offsets), b - a)
+        q, kernel = buffer[: 2 * cells * (b - a)].reshape(2, cells, b - a)
         # q = (ox - u)^2 + (oy - v)^2, then exp(q * (-0.5 / sigma^2))
         np.subtract(ox, u[a:b], out=q)
         np.square(q, out=q)

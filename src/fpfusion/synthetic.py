@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -101,8 +102,6 @@ def generate_finger(
         else:
             rejections += 1
     if len(positions) < target:
-        import warnings
-
         warnings.warn(
             f"{finger_id}: spacing unsatisfiable, generated {len(positions)}/{target} minutiae"
         )

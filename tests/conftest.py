@@ -1,4 +1,10 @@
+import ast
+import contextlib
+import ctypes
+import io
 import math
+import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -9,6 +15,29 @@ from fpfusion.fusion import CHANNELS, match_gallery
 from fpfusion.geometry import angular_difference
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger, perturb_to_latent
 from fpfusion.templates import Minutia, MinutiaeTemplate
+
+
+def blas_core() -> str:
+    """The kernel set ("core") that numpy's bundled OpenBLAS selected when
+    it loaded, or "unknown" where that library or its query is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def simd_found() -> list:
+    """The SIMD extensions numpy dispatches to, ``np.show_runtime()``'s
+    ``found`` list."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        np.show_runtime()
+    found = re.search(r"'found': (\[[^\]]*\])", text.getvalue())
+    return ast.literal_eval(found.group(1)) if found else []
+
 
 def random_template(rng, n=12, extent=300.0, tid="t", min_spacing=10.0):
     """Spaced random template for descriptor/matcher tests."""

@@ -5,17 +5,20 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpfusion
+import fpfusion.mcc as mcc
 from fpfusion.cli import (
     CONFIG_KEYS,
     EXIT_DATA,
@@ -26,7 +29,6 @@ from fpfusion.cli import (
     build_pipeline_config,
     main,
 )
-from fpfusion.mcc import CylinderConfig
 from fpfusion.synthetic import SynthConfig, finger_rng, generate_finger
 from fpfusion.templates import load_template, save_template
 
@@ -171,8 +173,6 @@ def test_identify_writes_ids_with_comma_or_quote_as_csv(template_path, tmp_path,
 
 @pytest.mark.parametrize("flag", ["--emb-a", "--emb-b"])
 def test_match_embedding_dimension_mismatch_is_data_error(template_path, tmp_path, flag, capsys):
-    import numpy as np
-
     from fpfusion.descriptors import DescriptorSet
     from fpfusion.embedding import save_embeddings
     from fpfusion.templates import load_template
@@ -414,7 +414,6 @@ def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, mess
         ("w1=0\nw2=0", "config key w2=0"),
         ("n_rel=-1", "n_rel=-1"),
         # a rejected section names the key that caused it, not its last key
-        ("cyl_radius=-1\ncyl_grid=16", "config key cyl_radius=-1: radius"),
         ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: w1, w2 and delta_theta"),
         ("n_rel=-1\nw1=0.7", "config key n_rel=-1: iterations must be non-negative"),
         ("w_r=1.5", "config key w_r=1.5: relax_weight must lie in [0, 1]"),
@@ -437,12 +436,6 @@ def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line,
 @pytest.mark.parametrize(
     "line",
     [
-        "cyl_radius=nan",
-        "cyl_radius=inf",
-        "cyl_sigma_spatial=inf",
-        "cyl_sigma_direction=nan",
-        "emb_radius=nan",
-        "emb_radius=-5",
         "w1=nan",
         "w2=inf",
         "delta_theta=nan",
@@ -507,24 +500,39 @@ def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsy
     assert not list(tmp_path.rglob("*.mnt"))
 
 
-def test_describe_rejects_non_finite_radius_and_writes_nothing(template_path, tmp_path):
+def test_gen_synth_prints_each_warning_as_one_line(tmp_path, capsys):
+    # a spacing no 500 x 500 px finger can hold leaves each finger short
+    cfg = tmp_path / "sp.cfg"
+    cfg.write_text("min_spacing=400\n")
+    argv = ["gen-synth", "--n-fingers", "3", "--config", str(cfg), "--out", str(tmp_path / "d")]
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("warning: f000") for line in err), err
+    # the format changes, the filters do not: a warning made an error raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="spacing unsatisfiable"):
+            main([*argv[:-1], str(tmp_path / "e")])
+
+
+def test_describe_rejects_non_finite_value_and_writes_nothing(template_path, tmp_path):
+    # describe reads no fusion key, but the one config file it shares with
+    # match is still checked whole
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("cyl_radius=nan\n")
+    cfg.write_text("delta_theta=nan\n")
     out = tmp_path / "rows.csv"
     args = ["describe", str(template_path), "--config", str(cfg), "--out", str(out)]
     assert main(args) == EXIT_DATA
     assert not out.exists()
 
 
-def test_describe_rejects_radius_outside_pixel_range(template_path, tmp_path, capsys):
+def test_describe_rejects_unknown_key_and_writes_nothing(template_path, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("cyl_radius=1e200\n")
+    cfg.write_text("radius=1e200\n")
     out = tmp_path / "rows.csv"
     args = ["describe", str(template_path), "--config", str(cfg), "--out", str(out)]
     assert main(args) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "[1e-06, 1e+06] px" in err
+    assert capsys.readouterr().err == "error: unknown config key 'radius'\n"
     assert not out.exists()
 
 
@@ -545,27 +553,32 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
+# The cylinder and stand-in embedding parameters are fixed, as is the
+# signature width; keys that once set them are unknown.
+REMOVED_KEYS = (
+    "emb_dim",
+    "cyl_radius",
+    "cyl_grid",
+    "cyl_sections",
+    "cyl_sigma_spatial",
+    "cyl_sigma_direction",
+    "cyl_min_neighbors",
+    "emb_radius",
+    "emb_radial_bins",
+    "emb_angular_bins",
+    "emb_direction_bins",
+)
+
+
 def test_config_emb_dim_key_is_data_error(template_path, tmp_path, capsys):
-    # the synthetic signature's width is its bin count; no key sets it
-    cfg = tmp_path / "dim.cfg"
-    cfg.write_text("emb_dim=256\n")
-    args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
-    assert main(args) == EXIT_DATA
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "emb_dim" in captured.err
-
-
-def test_config_emb_bins_set_the_describe_width(template_path, tmp_path, capsys):
-    cfg = tmp_path / "bins.cfg"
-    cfg.write_text("emb_radial_bins=2\n")
-    out = tmp_path / "rows.csv"
-    args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
-    assert main([*args, "--out", str(out)]) == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert len(lines) == 15 + 1  # 15 minutiae
-    # 2 x 8 x 8 bins after the minutia and valid columns
-    assert {len(line.split(",")) for line in lines} == {2 + 128}
+    for key in REMOVED_KEYS:
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key}=8\n")
+        args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
+        assert main(args) == EXIT_DATA, key
+        captured = capsys.readouterr()
+        assert captured.out == "", key
+        assert captured.err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("lines", [["w1=0.2", "w1=0.9"], ["w1=0.9", "w1=0.2"]])
@@ -638,18 +651,18 @@ def test_match_prints_the_identify_score(pair_dir, matcher, capsys):
 
 def test_match_with_embedding_files_scores_like_the_library(pair_dir, tmp_path, capsys):
     from conftest import match_pair
-    from fpfusion.embedding import load_embeddings
+    from fpfusion.descriptors import DescriptorSet
+    from fpfusion.embedding import build_synthetic_embeddings, load_embeddings, save_embeddings
     from fpfusion.templates import load_template
 
     query, gallery = pair_dir
     ta, tb = load_template(query), load_template(gallery / "g.mnt")
-    emb_cfg = tmp_path / "emb.cfg"
-    emb_cfg.write_text("emb_radius=55\n")  # embeddings unlike the default stand-in
     paths = []
-    for src in (query, gallery / "g.mnt"):
-        paths.append(tmp_path / f"{src.stem}.emb")
-        args = ["embed-synth", str(src), "--out", str(paths[-1]), "--config", str(emb_cfg)]
-        assert main(args) == EXIT_OK
+    for t in (ta, tb):
+        # squared values: valid rows stay nonzero, and the cosines move
+        e = build_synthetic_embeddings(t)
+        paths.append(tmp_path / f"{t.id}.emb")
+        save_embeddings(DescriptorSet(e.vectors**2, e.valid), paths[-1])
     emb_a, emb_b = (load_embeddings(p, len(t)) for p, t in zip(paths, (ta, tb)))
     expected = match_pair(ta, tb, emb_a, emb_b)
     for matcher in ("emb", "feature"):
@@ -686,16 +699,6 @@ def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsy
 
 # The (section, field) each config key sets, written out apart from CONFIG_KEYS.
 KEY_FIELDS = {
-    "cyl_radius": ("cylinder", "radius"),
-    "cyl_grid": ("cylinder", "grid"),
-    "cyl_sections": ("cylinder", "sections"),
-    "cyl_sigma_spatial": ("cylinder", "sigma_spatial"),
-    "cyl_sigma_direction": ("cylinder", "sigma_direction"),
-    "cyl_min_neighbors": ("cylinder", "min_neighbors"),
-    "emb_radius": ("embedding", "synth_radius"),
-    "emb_radial_bins": ("embedding", "radial_bins"),
-    "emb_angular_bins": ("embedding", "angular_bins"),
-    "emb_direction_bins": ("embedding", "direction_bins"),
     "w1": ("fusion", "w1"),
     "w2": ("fusion", "w2"),
     "delta_theta": ("fusion", "delta_theta"),
@@ -756,21 +759,6 @@ def test_every_tuning_flag_reaches_its_field(tmp_path, key):
     flag = f"--{key.replace('_', '-')}"
     args = _build_parser().parse_args(["benchmark", "--out", str(tmp_path), flag, repr(value)])
     _assert_only_field_set(build_pipeline_config(args), key, value)
-
-
-@pytest.mark.parametrize(
-    "line", ["emb_radial_bins=0", "emb_angular_bins=-1", "emb_direction_bins=0"]
-)
-def test_config_file_bins_below_one_is_data_error(template_path, tmp_path, line, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    out = tmp_path / "rows.csv"
-    args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
-    assert main([*args, "--out", str(out)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"config key {line}: " in err
-    assert line.partition("=")[0].removeprefix("emb_") in err.partition(": ")[2]
-    assert not out.exists()
 
 
 def _match_outputs(argv, capsys):
@@ -851,7 +839,7 @@ def test_tiny_templates_through_identify(tiny_dir, tmp_path, n, capsys):
 
 
 @pytest.mark.parametrize("n", [0, 1])
-@pytest.mark.parametrize("what,dim", [("mcc", CylinderConfig().dim), ("emb", 256)])
+@pytest.mark.parametrize("what,dim", [("mcc", mcc.DIM), ("emb", 256)])
 def test_tiny_templates_through_describe(tiny_dir, n, what, dim, capsys):
     assert main(["describe", str(tiny_dir / f"z{n}.mnt"), "--what", what]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -918,7 +906,7 @@ HOST_VARIANTS = {
 
 # Runs the frozen benchmark and the frozen describe inputs in one process;
 # argv[1] is the output directory, argv[2] the JSON of the two argvs and the
-# describe keys.
+# describe keys. It first prints the BLAS core and the SIMD extensions it got.
 _HOST_CHILD = """
 import json, sys
 from pathlib import Path
@@ -926,7 +914,10 @@ from pathlib import Path
 import numpy  # a setting this numpy refuses stops its import, before the mark
 
 print("numpy imported", flush=True)
+from conftest import blas_core, simd_found
 from fpfusion.cli import main
+
+print("host:", blas_core(), *simd_found(), flush=True)
 
 out = Path(sys.argv[1])
 bench, synth, described = json.loads(sys.argv[2])
@@ -947,7 +938,8 @@ def _host_run(out: Path, setting: dict) -> subprocess.CompletedProcess:
     host_vars = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
     env = {k: v for k, v in os.environ.items() if k not in host_vars}
     env.update(setting)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = [src, str(Path(__file__).parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     jobs = [FROZEN_RESULTS["argv"], FROZEN_DESCRIBE["argv"], list(FROZEN_DESCRIBE["sha256"])]
     cmd = [sys.executable, "-c", _HOST_CHILD, str(out), json.dumps(jobs)]
     return subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -957,26 +949,38 @@ def _file_bytes(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _host_report(proc: subprocess.CompletedProcess) -> str:
+    """The child's ``host:`` line: its BLAS core and SIMD extensions."""
+    return next(line for line in proc.stdout.splitlines() if line.startswith("host:"))
+
+
 @pytest.fixture(scope="module")
-def default_host_files(tmp_path_factory):
+def default_host(tmp_path_factory):
+    """The default child's output files and host report."""
     out = tmp_path_factory.mktemp("host") / "default"
     proc = _host_run(out, {})
     assert proc.returncode == 0, proc.stderr
-    return _file_bytes(out)
+    return _file_bytes(out), _host_report(proc)
 
 
 @pytest.mark.parametrize("variant", list(HOST_VARIANTS))
-def test_output_bytes_do_not_depend_on_blas_kernel_or_simd(default_host_files, tmp_path, variant):
+def test_output_bytes_do_not_depend_on_blas_kernel_or_simd(default_host, tmp_path, variant):
     """The benchmark and describe files of a child run under another BLAS
-    kernel set or SIMD level equal the default run's, byte for byte."""
+    kernel set or SIMD level equal the default run's, byte for byte. A
+    setting that leaves the child's BLAS core and SIMD extensions as the
+    default child's ran nothing new, and is skipped after the comparison."""
+    default_files, default_report = default_host
     proc = _host_run(tmp_path / variant, HOST_VARIANTS[variant])
     if proc.returncode != 0 and "numpy imported" not in proc.stdout:
         lines = proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"]
         pytest.skip(f"{HOST_VARIANTS[variant]}: this numpy refuses it: {lines[-1]}")
     assert proc.returncode == 0, proc.stderr
     files = _file_bytes(tmp_path / variant)
-    assert files.keys() == default_host_files.keys()
-    assert [name for name in sorted(files) if files[name] != default_host_files[name]] == []
+    assert files.keys() == default_files.keys()
+    assert [name for name in sorted(files) if files[name] != default_files[name]] == []
+    report = _host_report(proc)
+    if report == default_report:
+        pytest.skip(f"{HOST_VARIANTS[variant]} took no effect here: {report}")
 
 
 _MNT_ODD = st.one_of(
@@ -1057,3 +1061,64 @@ def test_any_mnt_file_matches_or_is_one_line_data_error(raw):
         assert code == EXIT_DATA, err.getvalue()
         [line] = err.getvalue().splitlines()
         assert line.startswith(f"error: {path}")
+
+
+# A 5-minutia template, and .emb headers and bodies around its shape: the
+# count right or not, widths up to one no file can hold, lengths short,
+# exact and long, and float32 values at the edges of the format.
+_EMB_TEMPLATE = "0 0 0.1\n20 5 1.0\n10 30 2.0\n40 12 3.0\n25 40 4.0\n"
+_EMB_SPECIAL = [
+    np.nan, np.inf, -np.inf, 1e-45, -1e-40, 3.4e38, -3.4e38, -0.0, 0.0, 1.0, -2.5,
+]
+
+
+@st.composite
+def emb_bytes(draw):
+    """``.emb`` file bytes for the 5-minutia template."""
+    count = draw(_mostly(st.just(5), st.sampled_from([0, 1, 4, 6, 2**32 - 1]), 7))
+    dim = draw(_mostly(st.sampled_from([256, 0, 1, 3]), st.sampled_from([2**31, 2**32 - 1]), 9))
+    rows = min(count, 8)
+    cols = dim if rows * dim <= 4096 else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = rng.normal(size=(rows, cols))
+    for r in range(rows):
+        mode = draw(st.sampled_from(["keep", "keep", "zero", "fill"]))
+        if mode != "keep":
+            values[r] = 0.0 if mode == "zero" else draw(st.sampled_from(_EMB_SPECIAL))
+    for _ in range(draw(st.integers(0, 3)) if values.size else 0):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        values[r, c] = draw(st.sampled_from(_EMB_SPECIAL))
+    raw = b"EMB1" + struct.pack("<II", count, dim) + values.astype("<f4").tobytes()
+    cut = draw(_mostly(st.just("exact"), st.sampled_from(["short", "long"]), 7))
+    if cut == "short":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    elif cut == "long":
+        raw += bytes(draw(st.integers(1, 9)))
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=emb_bytes())
+def test_any_emb_file_matches_or_is_one_line_data_error(raw):
+    """``match`` of a template against itself with any ``.emb`` bytes as
+    both embedding files exits 0 with one line holding a score in [0, 1] and
+    nothing on stderr, or 2 with one ``error:`` line naming the file, and
+    raises nothing, a numeric warning included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mnt, emb = str(Path(tmp) / "a.mnt"), str(Path(tmp) / "a.emb")
+        Path(mnt).write_text(_EMB_TEMPLATE)
+        Path(emb).write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["match", mnt, mnt, "--emb-a", emb, "--emb-b", emb])
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        [line] = out.getvalue().splitlines()
+        score = float(line.removeprefix("score=").split()[0])
+        assert 0.0 <= score <= 1.0, line
+    else:
+        assert code == EXIT_DATA, err.getvalue()
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(f"error: {emb}")

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import HUGE_SPAN_ROWS, seeded_templates
 from fpfusion.descriptors import DescriptorSet
-from fpfusion.embedding import EmbeddingConfig, build_synthetic_embeddings
-from fpfusion.mcc import CylinderConfig, build_mcc_set
+import fpfusion.embedding as embedding
+import fpfusion.mcc as mcc
+from fpfusion.embedding import build_synthetic_embeddings
+from fpfusion.mcc import build_mcc_set
 from fpfusion.templates import Minutia, MinutiaeTemplate
 
 
@@ -44,56 +46,59 @@ def oracle_bins(values, bins, sigma):
     return np.exp(-((np.minimum(d, 2 * PI - d) / LD(sigma)) ** 2) / 2)
 
 
-def cylinder_oracle(t, cfg):
+def cylinder_oracle(t):
     """MCC cylinders: at each inside cell center o of minutia i's frame, the
     sum over neighbors j within the cutoff of o of the spatial Gaussian of
     |o - R_i^T (p_j - p_i)| times the directional weights of the wrapped
-    direction difference; valid with min_neighbors neighbors within the
+    direction difference; valid with MIN_NEIGHBORS neighbors within the
     cutoff of p_i and a nonzero cell."""
     xy, theta = t.positions().astype(LD), t.thetas().astype(LD)
-    step = 2 * LD(cfg.radius) / cfg.grid
-    coords = -LD(cfg.radius) + step * (np.arange(cfg.grid, dtype=LD) + LD(0.5))
+    step = 2 * LD(mcc.RADIUS) / mcc.GRID
+    coords = -LD(mcc.RADIUS) + step * (np.arange(mcc.GRID, dtype=LD) + LD(0.5))
     ox, oy = (a.ravel() for a in np.meshgrid(coords, coords, indexing="ij"))
-    inside = np.hypot(ox, oy) <= cfg.radius
+    inside = np.hypot(ox, oy) <= mcc.RADIUS
     ox, oy = ox[inside, None], oy[inside, None]
-    cutoff = LD(cfg.radius) + 3 * LD(cfg.sigma_spatial)
+    cutoff = LD(mcc.RADIUS) + 3 * LD(mcc.SIGMA_SPATIAL)
     n = len(t)
-    vectors = np.zeros((n, cfg.dim), dtype=LD)
+    vectors = np.zeros((n, mcc.DIM), dtype=LD)
     valid = np.zeros(n, dtype=bool)
     for i in range(n):
         others = np.arange(n) != i
         dx, dy = xy[others, 0] - xy[i, 0], xy[others, 1] - xy[i, 1]
         c, s = np.cos(theta[i]), np.sin(theta[i])
         d = np.hypot(ox - (c * dx - s * dy), oy - (s * dx + c * dy))
-        spatial = np.where(d <= cutoff, np.exp(-((d / LD(cfg.sigma_spatial)) ** 2) / 2), 0)
+        spatial = np.where(d <= cutoff, np.exp(-((d / LD(mcc.SIGMA_SPATIAL)) ** 2) / 2), 0)
         ddir = oracle_wrap(theta[i] - theta[others])
-        values = spatial @ oracle_bins(ddir, cfg.sections, cfg.sigma_direction)
+        values = spatial @ oracle_bins(ddir, mcc.SECTIONS, mcc.SIGMA_DIRECTION)
         vectors[i] = values.ravel()
         near = int((np.hypot(dx, dy) <= cutoff).sum())
-        valid[i] = near >= cfg.min_neighbors and bool(values.any())
+        valid[i] = near >= mcc.MIN_NEIGHBORS and bool(values.any())
     return vectors, valid
 
 
-def embedding_oracle(t, cfg):
+def embedding_oracle(t):
     """Log-polar signatures: for each minutia, the sum over neighbors within
-    synth_radius of the radial x ray-angle x direction soft-bin weights in
+    SYNTH_RADIUS of the radial x ray-angle x direction soft-bin weights in
     its frame, divided by its norm; valid with a neighbor."""
     xy, theta = t.positions().astype(LD), t.thetas().astype(LD)
-    radial_centers = (np.arange(cfg.radial_bins, dtype=LD) + LD(0.5)) / cfg.radial_bins
+    radial_bins, radius = embedding.RADIAL_BINS, embedding.SYNTH_RADIUS
+    radial_centers = (np.arange(radial_bins, dtype=LD) + LD(0.5)) / radial_bins
     n = len(t)
-    vectors = np.zeros((n, cfg.dim), dtype=LD)
+    vectors = np.zeros((n, embedding.DIM), dtype=LD)
     valid = np.zeros(n, dtype=bool)
     for i in range(n):
         dx, dy = xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1]
         dist = np.hypot(dx, dy)
-        near = (dist <= cfg.synth_radius) & (np.arange(n) != i)
+        near = (dist <= radius) & (np.arange(n) != i)
         if not near.any():
             continue
-        r = np.log1p(dist[near]) / np.log1p(LD(cfg.synth_radius))
-        w_r = np.exp(-(((r[:, None] - radial_centers) * (2 * cfg.radial_bins)) ** 2) / 2)
+        r = np.log1p(dist[near]) / np.log1p(LD(radius))
+        w_r = np.exp(-(((r[:, None] - radial_centers) * (2 * radial_bins)) ** 2) / 2)
         ray = oracle_wrap(np.arctan2(-dy[near], dx[near]) - theta[i])
-        w_a = oracle_bins(ray, cfg.angular_bins, PI / cfg.angular_bins)
-        w_d = oracle_bins(oracle_wrap(theta[near] - theta[i]), cfg.direction_bins, PI / cfg.direction_bins)
+        w_a = oracle_bins(ray, embedding.ANGULAR_BINS, PI / embedding.ANGULAR_BINS)
+        w_d = oracle_bins(
+            oracle_wrap(theta[near] - theta[i]), embedding.DIRECTION_BINS, PI / embedding.DIRECTION_BINS
+        )
         hist = np.einsum("kr,ka,kd->rad", w_r, w_a, w_d).ravel()
         vectors[i] = hist / np.sqrt(hist @ hist)
         valid[i] = True
@@ -124,22 +129,14 @@ needs_longdouble = pytest.mark.skipif(
 
 
 @needs_longdouble
-@pytest.mark.parametrize("cfg", [CylinderConfig(), CylinderConfig(radius=50.0, grid=8, sections=4)])
-def test_cylinders_equal_longdouble_oracle_to_rounding(cfg):
+def test_cylinders_equal_longdouble_oracle_to_rounding():
     for t in oracle_templates():
-        d = build_mcc_set(t, cfg)
-        assert_within(d.vectors, d.valid, cylinder_oracle(t, cfg), BOUND)
+        d = build_mcc_set(t)
+        assert_within(d.vectors, d.valid, cylinder_oracle(t), BOUND)
 
 
 @needs_longdouble
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        EmbeddingConfig(),
-        EmbeddingConfig(synth_radius=150.0, radial_bins=3, angular_bins=5, direction_bins=7),
-    ],
-)
-def test_embeddings_equal_longdouble_oracle_to_rounding(cfg):
+def test_embeddings_equal_longdouble_oracle_to_rounding():
     for t in oracle_templates():
-        e = build_synthetic_embeddings(t, cfg)
-        assert_within(e.vectors, e.valid, embedding_oracle(t, cfg), BOUND)
+        e = build_synthetic_embeddings(t)
+        assert_within(e.vectors, e.valid, embedding_oracle(t), BOUND)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import cosine_similarity, random_template, rotate_template
 from fpfusion.descriptors import DescriptorSet
+import fpfusion.embedding as embedding
 from fpfusion.embedding import (
-    EmbeddingConfig,
     EmbeddingFormatError,
     build_synthetic_embeddings,
     load_embeddings,
@@ -57,19 +57,6 @@ def test_determinism(rng):
         build_synthetic_embeddings(t).vectors.tobytes()
         == build_synthetic_embeddings(t).vectors.tobytes()
     )
-
-
-@pytest.mark.parametrize("field", ["radial_bins", "angular_bins", "direction_bins"])
-@pytest.mark.parametrize("value", [0, -1])
-def test_config_rejects_bins_below_one(field, value):
-    with pytest.raises(ValueError, match=field):
-        EmbeddingConfig(**{field: value})
-
-
-@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -5.0])
-def test_config_rejects_radius_not_finite_and_positive(radius):
-    with pytest.raises(ValueError, match="synth_radius"):
-        EmbeddingConfig(synth_radius=radius)
 
 
 def test_file_round_trip(tmp_path, rng):
@@ -191,7 +178,7 @@ def soft_bins(values, bins, sigma):
     return np.exp(-0.5 * (gap / sigma) ** 2)
 
 
-def loop_reference(t, cfg):
+def loop_reference(t):
     """Every signature of ``t`` from soft-bin weights built one minutia at a
     time, each from its own neighbor mask, as vectors and validity. Each
     histogram is the build's own (radial x angular, k) @ (k, direction)
@@ -199,30 +186,32 @@ def loop_reference(t, cfg):
     product by its operands' shapes; the norms are ``np.linalg.norm``'s."""
     n = len(t)
     positions, thetas = t.positions(), t.thetas()
-    sigma_r = 0.5 / cfg.radial_bins
-    sigma_a = 0.5 * (2.0 * math.pi / cfg.angular_bins)
-    sigma_d = 0.5 * (2.0 * math.pi / cfg.direction_bins)
-    radial_centers = (np.arange(cfg.radial_bins) + 0.5) / cfg.radial_bins
-    log_scale = math.log1p(cfg.synth_radius)
-    cells = cfg.radial_bins * cfg.angular_bins
-    hist = np.zeros((n, cfg.dim))
+    radial_bins, angular_bins = embedding.RADIAL_BINS, embedding.ANGULAR_BINS
+    direction_bins, radius = embedding.DIRECTION_BINS, embedding.SYNTH_RADIUS
+    sigma_r = 0.5 / radial_bins
+    sigma_a = 0.5 * (2.0 * math.pi / angular_bins)
+    sigma_d = 0.5 * (2.0 * math.pi / direction_bins)
+    radial_centers = (np.arange(radial_bins) + 0.5) / radial_bins
+    log_scale = math.log1p(radius)
+    cells = radial_bins * angular_bins
+    hist = np.zeros((n, embedding.DIM))
     valid = np.zeros(n, dtype=bool)
     for i in range(n):
         dx = positions[:, 0] - positions[i, 0]
         dy = positions[:, 1] - positions[i, 1]
         dist = np.hypot(dx, dy)
-        mask = (dist <= cfg.synth_radius) & (np.arange(n) != i)
+        mask = (dist <= radius) & (np.arange(n) != i)
         r = np.log1p(dist[mask]) / log_scale
         ray = np.arctan2(-dy[mask], dx[mask]) - thetas[i]
         ddir = wrap_signed(thetas[mask] - thetas[i])
         w_r = np.exp(-0.5 * ((r[:, None] - radial_centers[None, :]) / sigma_r) ** 2)
-        w_a = soft_bins(wrap_signed(ray), cfg.angular_bins, sigma_a)
-        w_d = soft_bins(ddir, cfg.direction_bins, sigma_d)
+        w_a = soft_bins(wrap_signed(ray), angular_bins, sigma_a)
+        w_d = soft_bins(ddir, direction_bins, sigma_d)
         w_ra = (w_r[:, :, None] * w_a[:, None, :]).reshape(len(r), cells)
         hist[i] = np.matmul(np.ascontiguousarray(w_ra.T), w_d).ravel()
         valid[i] = mask.any()
     norms = np.linalg.norm(hist, axis=1)
-    vectors = np.zeros((n, cfg.dim))
+    vectors = np.zeros((n, embedding.DIM))
     vectors[valid] = hist[valid] / norms[valid, None]
     return vectors, valid
 
@@ -247,41 +236,27 @@ def templates_near_radius(draw, radius):
     return MinutiaeTemplate("h", tuple(minutiae))
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        EmbeddingConfig(),
-        EmbeddingConfig(synth_radius=150.0, radial_bins=3, angular_bins=5, direction_bins=7),
-    ],
-)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_build_equals_loop_reference_exactly(cfg, data):
-    t = data.draw(templates_near_radius(cfg.synth_radius))
-    e = build_synthetic_embeddings(t, cfg)
-    vectors, valid = loop_reference(t, cfg)
+def test_build_equals_loop_reference_exactly(data):
+    t = data.draw(templates_near_radius(embedding.SYNTH_RADIUS))
+    e = build_synthetic_embeddings(t)
+    vectors, valid = loop_reference(t)
     assert np.array_equal(e.vectors, vectors)
     assert np.array_equal(e.valid, valid)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        EmbeddingConfig(),
-        EmbeddingConfig(synth_radius=150.0, radial_bins=3, angular_bins=5, direction_bins=7),
-    ],
-)
 @pytest.mark.parametrize("n_cluster", [0, 1, 6])
-def test_isolated_minutiae_equal_loop_reference_exactly(cfg, n_cluster):
+def test_isolated_minutiae_equal_loop_reference_exactly(n_cluster):
     # a minutia with no neighbor within the radius has a zero histogram and
     # norm; the normalizing divide skips it and leaves its zero row
     rng = np.random.default_rng(n_cluster)
     cluster = random_template(rng, n=n_cluster, extent=80.0, min_spacing=4.0).minutiae
-    step = 3.0 * cfg.synth_radius
+    step = 3.0 * embedding.SYNTH_RADIUS
     lone = tuple(Minutia(200.0 + k * step, -step, 0.5 * k) for k in range(4))
     t = MinutiaeTemplate("lone", lone[:2] + cluster + lone[2:])
-    e = build_synthetic_embeddings(t, cfg)
-    vectors, valid = loop_reference(t, cfg)
+    e = build_synthetic_embeddings(t)
+    vectors, valid = loop_reference(t)
     assert np.array_equal(e.vectors, vectors)
     assert np.array_equal(e.valid, valid)
     assert valid.sum() == (n_cluster if n_cluster > 1 else 0)

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fpfusion.fusion as fusion
+import fpfusion.mcc as mcc
 from conftest import (
     far_apart_pair,
     live_rows,
@@ -23,7 +24,7 @@ from fpfusion.descriptors import DescriptorSet
 from fpfusion.embedding import build_synthetic_embeddings
 from fpfusion.evaluation import Gallery, IdentificationResult, fuse_ranks, identify_all
 from fpfusion.fusion import CHANNELS, FusionConfig
-from fpfusion.mcc import CylinderConfig, build_mcc_set
+from fpfusion.mcc import build_mcc_set
 from fpfusion.relaxation import (
     PAIR_SLOTS,
     compatibilities,
@@ -242,7 +243,7 @@ class TestMatchAllChannels:
 
 
 class TestDimensionCheck:
-    @pytest.mark.parametrize("field,ch,dim", [("mcc", "mcc", CylinderConfig().dim), ("embedding", "emb", 256)])
+    @pytest.mark.parametrize("field,ch,dim", [("mcc", "mcc", mcc.DIM), ("embedding", "emb", 256)])
     def test_mismatched_entry_is_rejected_before_any_similarity(
         self, rng, monkeypatch, field, ch, dim
     ):
@@ -274,7 +275,7 @@ class TestDimensionCheck:
             embedding=DescriptorSet(entry.embedding.vectors[:, :50], entry.embedding.valid),
         )
         message = "mcc descriptors of gallery entry 'g' have dimension 100, the query's have "
-        with pytest.raises(ValueError, match=f"^{message}{CylinderConfig().dim}$"):
+        with pytest.raises(ValueError, match=f"^{message}{mcc.DIM}$"):
             fusion.match_gallery(query, [entry])
 
 
