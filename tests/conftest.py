@@ -10,6 +10,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import fpfusion.embedding as embedding
+import fpfusion.mcc as mcc
 from fpfusion.evaluation import Gallery
 from fpfusion.fusion import CHANNELS, match_gallery
 from fpfusion.geometry import angular_difference
@@ -96,6 +98,47 @@ def seeded_templates():
     fingers = [generate_finger(finger_rng(default, k), default) for k in range(4)]
     latents = [perturb_to_latent(f, np.random.default_rng([3, k]))[0] for k, f in enumerate(fingers)]
     return fingers + latents + [generate_finger(finger_rng(dense, 0), dense)]
+
+
+# The descriptor builders read their geometry from module constants when
+# called. Each list holds the fixed geometry ({}) and a second one whose
+# sizes differ from it in every dimension, so a builder that assumed one of
+# the fixed sizes instead of its constant would fail against its reference.
+CYLINDER_SHAPES = [{}, {"RADIUS": 50.0, "GRID": 8, "SECTIONS": 4}]
+EMBEDDING_SHAPES = [
+    {},
+    {"SYNTH_RADIUS": 150.0, "RADIAL_BINS": 3, "ANGULAR_BINS": 5, "DIRECTION_BINS": 7},
+]
+
+
+@contextlib.contextmanager
+def cylinder_shape(shape):
+    """``mcc``'s constants set to ``shape`` and the derived ones with them,
+    each by the module's own expression; ``{}`` changes nothing."""
+    with pytest.MonkeyPatch.context() as patch:
+        if shape:
+            for name, value in shape.items():
+                patch.setattr(mcc, name, value)
+            patch.setattr(mcc, "CUTOFF", mcc.RADIUS + 3.0 * mcc.SIGMA_SPATIAL)
+            patch.setattr(mcc, "CELL_OFFSETS", mcc._inside_cells())
+            patch.setattr(mcc, "DIM", len(mcc.CELL_OFFSETS) * mcc.SECTIONS)
+        yield
+
+
+@contextlib.contextmanager
+def embedding_shape(shape):
+    """``embedding``'s stand-in constants set to ``shape`` and ``DIM`` with
+    them; ``{}`` changes nothing."""
+    with pytest.MonkeyPatch.context() as patch:
+        if shape:
+            for name, value in shape.items():
+                patch.setattr(embedding, name, value)
+            patch.setattr(
+                embedding,
+                "DIM",
+                embedding.RADIAL_BINS * embedding.ANGULAR_BINS * embedding.DIRECTION_BINS,
+            )
+        yield
 
 
 # Six minutiae spanning ~1e200 px: a finite span, but offsets whose squares

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import HUGE_SPAN_ROWS, seeded_templates
+from conftest import (
+    CYLINDER_SHAPES,
+    EMBEDDING_SHAPES,
+    HUGE_SPAN_ROWS,
+    cylinder_shape,
+    embedding_shape,
+    seeded_templates,
+)
 from fpfusion.descriptors import DescriptorSet
 import fpfusion.embedding as embedding
 import fpfusion.mcc as mcc
@@ -129,14 +136,18 @@ needs_longdouble = pytest.mark.skipif(
 
 
 @needs_longdouble
-def test_cylinders_equal_longdouble_oracle_to_rounding():
-    for t in oracle_templates():
-        d = build_mcc_set(t)
-        assert_within(d.vectors, d.valid, cylinder_oracle(t), BOUND)
+@pytest.mark.parametrize("cfg", CYLINDER_SHAPES)
+def test_cylinders_equal_longdouble_oracle_to_rounding(cfg):
+    with cylinder_shape(cfg):
+        for t in oracle_templates():
+            d = build_mcc_set(t)
+            assert_within(d.vectors, d.valid, cylinder_oracle(t), BOUND)
 
 
 @needs_longdouble
-def test_embeddings_equal_longdouble_oracle_to_rounding():
-    for t in oracle_templates():
-        e = build_synthetic_embeddings(t)
-        assert_within(e.vectors, e.valid, embedding_oracle(t), BOUND)
+@pytest.mark.parametrize("cfg", EMBEDDING_SHAPES)
+def test_embeddings_equal_longdouble_oracle_to_rounding(cfg):
+    with embedding_shape(cfg):
+        for t in oracle_templates():
+            e = build_synthetic_embeddings(t)
+            assert_within(e.vectors, e.valid, embedding_oracle(t), BOUND)

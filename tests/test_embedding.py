@@ -5,7 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine_similarity, random_template, rotate_template
+from conftest import (
+    EMBEDDING_SHAPES,
+    cosine_similarity,
+    embedding_shape,
+    random_template,
+    rotate_template,
+)
 from fpfusion.descriptors import DescriptorSet
 import fpfusion.embedding as embedding
 from fpfusion.embedding import (
@@ -236,27 +242,31 @@ def templates_near_radius(draw, radius):
     return MinutiaeTemplate("h", tuple(minutiae))
 
 
+@pytest.mark.parametrize("cfg", EMBEDDING_SHAPES)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_build_equals_loop_reference_exactly(data):
-    t = data.draw(templates_near_radius(embedding.SYNTH_RADIUS))
-    e = build_synthetic_embeddings(t)
-    vectors, valid = loop_reference(t)
+def test_build_equals_loop_reference_exactly(cfg, data):
+    with embedding_shape(cfg):
+        t = data.draw(templates_near_radius(embedding.SYNTH_RADIUS))
+        e = build_synthetic_embeddings(t)
+        vectors, valid = loop_reference(t)
     assert np.array_equal(e.vectors, vectors)
     assert np.array_equal(e.valid, valid)
 
 
+@pytest.mark.parametrize("cfg", EMBEDDING_SHAPES)
 @pytest.mark.parametrize("n_cluster", [0, 1, 6])
-def test_isolated_minutiae_equal_loop_reference_exactly(n_cluster):
+def test_isolated_minutiae_equal_loop_reference_exactly(cfg, n_cluster):
     # a minutia with no neighbor within the radius has a zero histogram and
     # norm; the normalizing divide skips it and leaves its zero row
     rng = np.random.default_rng(n_cluster)
     cluster = random_template(rng, n=n_cluster, extent=80.0, min_spacing=4.0).minutiae
-    step = 3.0 * embedding.SYNTH_RADIUS
-    lone = tuple(Minutia(200.0 + k * step, -step, 0.5 * k) for k in range(4))
-    t = MinutiaeTemplate("lone", lone[:2] + cluster + lone[2:])
-    e = build_synthetic_embeddings(t)
-    vectors, valid = loop_reference(t)
+    with embedding_shape(cfg):
+        step = 3.0 * embedding.SYNTH_RADIUS
+        lone = tuple(Minutia(200.0 + k * step, -step, 0.5 * k) for k in range(4))
+        t = MinutiaeTemplate("lone", lone[:2] + cluster + lone[2:])
+        e = build_synthetic_embeddings(t)
+        vectors, valid = loop_reference(t)
     assert np.array_equal(e.vectors, vectors)
     assert np.array_equal(e.valid, valid)
     assert valid.sum() == (n_cluster if n_cluster > 1 else 0)
