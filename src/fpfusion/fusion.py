@@ -84,7 +84,7 @@ class FusionConfig:
 @dataclass(frozen=True)
 class GalleryEntry:
     """A template with one descriptor row per minutia in each set, held as
-    unit rows (see ``descriptors.unit_rows``), so similarity is one matmul."""
+    unit rows (see ``descriptors.unit_rows``), so similarity is one product."""
 
     template: MinutiaeTemplate
     mcc: DescriptorSet
@@ -131,10 +131,13 @@ _BUDGET = 1 << 18
 # multi-block call). A multi-block call has an even number of blocks when
 # it has that many entries, so a query that needs three passes runs four
 # smaller ones, two per lane, and no lane idles while the other scores a
-# last block. numpy's ufunc loops and BLAS release the GIL, so the helper's
-# block runs beside the caller's. Two matches the two cores the engine was
-# measured on, and pinned to one core it was no slower; more lanes would
-# multiply the memory in flight.
+# last block. The lanes overlap only where numpy releases the GIL: np.dot
+# around its BLAS call, a 2-d np.matmul only above ~500 output elements
+# (11 x 46 products scaled on two threads, 11 x 45 ones did not), and ufunc
+# loops likewise only over larger arrays; so the similarity products are
+# np.dot calls. Two matches the two cores the engine was measured on;
+# pinned to one core, two lanes were 2-5% slower than one at the latent
+# median (three pairs). More lanes would multiply the memory in flight.
 def _new_helper():
     """Create the helper lane; again in a forked child, which inherits the
     executor but not its thread."""
@@ -196,8 +199,11 @@ def _select_block(query: GalleryEntry, block: list, slot: np.ndarray, theta_b, c
     size, width = slot.shape
     turned = angle_gate(ta.thetas(), theta_b, cfg.delta_theta)
     work = np.zeros((3, size, len(ta), width))
-    gated_mcc = block_cosines(query.mcc, [e.mcc for e in block], slot, work[0]) | turned
-    gated_emb = block_cosines(query.embedding, [e.embedding for e in block], slot, work[1])
+    scratch = work[2].reshape(-1)  # overwritten by _fused_matrix below
+    gated_mcc = block_cosines(query.mcc, [e.mcc for e in block], slot, work[0], scratch) | turned
+    gated_emb = block_cosines(
+        query.embedding, [e.embedding for e in block], slot, work[1], scratch
+    )
     gated_fused = _fused_matrix(work, gated_mcc, gated_emb, cfg)
     for k, gated in enumerate((gated_mcc, gated_emb, gated_fused)):
         np.copyto(work[k], -np.inf, where=gated)

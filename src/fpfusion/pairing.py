@@ -39,17 +39,23 @@ def pad_rows(slot: np.ndarray, parts: list) -> np.ndarray:
 
 
 def block_cosines(
-    q: DescriptorSet, gallery: list, slot: np.ndarray, out: np.ndarray
+    q: DescriptorSet, gallery: list, slot: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Cosines of one query against a block of gallery descriptor sets.
 
-    Both sides hold unit rows, so entry b is one matmul, written into
+    Both sides hold unit rows, so entry b is one product, written into
     ``out[b, :, :len(gallery[b])]`` of the zeroed (B, r, width) ``out`` and
-    clipped into [-1, 1]. Returns the (B, r, width) gate of invalid
-    descriptors, which is True on padding.
+    clipped into [-1, 1]. The products are ``np.dot`` calls, which release
+    the GIL around BLAS whatever their size (a small ``np.matmul`` holds
+    it), into the flat float64 ``scratch`` of at least r * slot.sum()
+    elements, whose contents are overwritten. Returns the (B, r, width)
+    gate of invalid descriptors, which is True on padding.
     """
-    for b, g in enumerate(gallery):
-        np.matmul(q.vectors, g.vectors.T, out=out[b, :, : len(g)])
+    r, at = len(q), 0
+    for g in gallery:  # np.dot needs a C-contiguous out: entries packed back to back
+        np.dot(q.vectors, g.vectors.T, out=scratch[at : at + r * len(g)].reshape(r, len(g)))
+        at += r * len(g)
+    out[np.broadcast_to(slot[:, None, :], out.shape)] = scratch[:at]  # C order = packing order
     np.clip(out, -1.0, 1.0, out=out)
     valid = pad_rows(slot, [g.valid for g in gallery])
     return ~q.valid[None, :, None] | ~valid[:, None, :]

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpfusion
+import fpfusion.fusion as fusion
 import fpfusion.mcc as mcc
 from fpfusion.cli import (
     CONFIG_KEYS,
@@ -537,16 +538,22 @@ def test_describe_rejects_unknown_key_and_writes_nothing(template_path, tmp_path
 
 
 def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
-    """One and two BLAS threads write byte-identical results and summary."""
+    """One and two BLAS threads write byte-identical results and summary,
+    with both scoring lanes calling BLAS at once."""
     src = str(Path(fpfusion.__file__).resolve().parents[1])
     outs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}"
-        cmd = [sys.executable, "-m", "fpfusion.cli", "benchmark", "--n-fingers", "8"]
+        cmd = [sys.executable, "-m", "fpfusion.cli", "benchmark", "--n-fingers", "60"]
         subprocess.run([*cmd, "--out", str(out)], env=env, check=True, capture_output=True)
         outs[threads] = out
+    # some query takes more than one block, so the helper lane scored too
+    gallery = [load_template(p) for p in (outs["1"] / "data" / "gallery").glob("*.mnt")]
+    width = max(len(t) for t in gallery)
+    queries = [load_template(p) for p in (outs["1"] / "data" / "queries").glob("*.mnt")]
+    assert any(fusion._entries_per_block(len(q), width) < len(gallery) for q in queries)
     names = sorted(p.name for p in outs["1"].glob("results_*.csv")) + ["summary.csv"]
     assert len(names) == 5
     for name in names:

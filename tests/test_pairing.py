@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cosine_similarity, padded
@@ -87,27 +87,32 @@ class TestSimScore:
         counts = np.array([len(g) for g in block])
         slot = np.arange(counts.max()) < counts[:, None]
         values = np.zeros((len(block), len(q), slot.shape[1]))
-        return values, block_cosines(q, block, slot, values)
+        return values, block_cosines(q, block, slot, values, np.empty(values.size))
 
     @settings(max_examples=100, deadline=None)
     @given(
-        counts=st.lists(st.integers(0, 9), min_size=1, max_size=5),
-        rows=st.integers(0, 7),
+        # products on both sides of the 500 output elements above which a
+        # 2-d np.matmul releases the GIL: 11 x 45 = 495, 11 x 46 = 506
+        counts=st.lists(st.integers(0, 50), min_size=1, max_size=5),
+        rows=st.integers(0, 12),
         # small widths and the embedding and cylinder widths
         dim=st.one_of(st.integers(1, 40), st.sampled_from([256, 1248])),
         extra=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(counts=[1], rows=1, dim=1248, extra=0, seed=0)
+    @example(counts=[45, 1, 46], rows=11, dim=1248, extra=2, seed=1)
     def test_entry_slices_equal_their_own_product(self, counts, rows, dim, extra, seed):
         """Each entry's slice holds exactly the bits of its own clipped
-        product, whatever the widths of the block; padding stays 0."""
+        product, whatever the widths of the block and whatever the scratch
+        held; padding stays 0."""
         rng = np.random.default_rng(seed)
         q = DescriptorSet(rng.normal(size=(rows, dim)), rng.uniform(size=rows) < 0.8)
         block = [DescriptorSet(rng.normal(size=(n, dim)), rng.uniform(size=n) < 0.8) for n in counts]
         width = max(counts) + extra  # wider than every entry when extra > 0
         slot = np.arange(width) < np.array(counts)[:, None]
         out = np.zeros((len(block), rows, width))
-        block_cosines(q, block, slot, out)
+        block_cosines(q, block, slot, out, np.full(out.size, np.nan))
         for b, g in enumerate(block):
             expected = np.clip(q.vectors @ g.vectors.T, -1.0, 1.0)
             assert out[b, :, : len(g)].tobytes() == expected.tobytes()
