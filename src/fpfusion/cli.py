@@ -46,28 +46,25 @@ class PipelineConfig:
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
 
 
-# config-file key -> (sub-config attribute, field name, type)
+# config-file key -> (sub-config attribute, type); each key names its field
 CONFIG_KEYS = {
-    "w1": ("fusion", "w1", float),
-    "w2": ("fusion", "w2", float),
-    "delta_theta": ("fusion", "delta_theta", float),
-    "w_r": ("fusion", "relax_weight", float),
-    "n_rel": ("fusion", "relax_iterations", int),
-    "dist_scale": ("fusion", "distance_scale", float),
-    "seed": ("synth", "seed", int),
-    "n_fingers": ("synth", "n_fingers", int),
-    "min_minutiae": ("synth", "min_minutiae", int),
-    "max_minutiae": ("synth", "max_minutiae", int),
-    "min_spacing": ("synth", "min_spacing", float),
-    "rotation_max": ("perturb", "rotation_max", float),
-    "translation_max": ("perturb", "translation_max", float),
-    "position_jitter": ("perturb", "position_jitter", float),
-    "angle_jitter": ("perturb", "angle_jitter", float),
-    "keep_min": ("perturb", "keep_min", float),
-    "keep_max": ("perturb", "keep_max", float),
-    "spurious_mean": ("perturb", "spurious_mean", float),
-    "crop_radius_min": ("perturb", "crop_radius_min", float),
-    "crop_radius_max": ("perturb", "crop_radius_max", float),
+    "w1": ("fusion", float),
+    "w2": ("fusion", float),
+    "delta_theta": ("fusion", float),
+    "seed": ("synth", int),
+    "n_fingers": ("synth", int),
+    "min_minutiae": ("synth", int),
+    "max_minutiae": ("synth", int),
+    "min_spacing": ("synth", float),
+    "rotation_max": ("perturb", float),
+    "translation_max": ("perturb", float),
+    "position_jitter": ("perturb", float),
+    "angle_jitter": ("perturb", float),
+    "keep_min": ("perturb", float),
+    "keep_max": ("perturb", float),
+    "spurious_mean": ("perturb", float),
+    "crop_radius_min": ("perturb", float),
+    "crop_radius_max": ("perturb", float),
 }
 
 
@@ -89,27 +86,26 @@ def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig
     for key, raw in pairs.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        path, attr, cast = CONFIG_KEYS[key]
+        path, cast = CONFIG_KEYS[key]
         try:
-            value = cast(raw)
+            sections.setdefault(path, {})[key] = cast(raw)
         except ValueError:
             raise ValueError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
-        sections.setdefault(path, {})[key] = (attr, value)
     for path, keyed in sections.items():
         section = getattr(cfg, path)
         try:
-            cfg = replace(cfg, **{path: replace(section, **dict(keyed.values()))})
+            cfg = replace(cfg, **{path: replace(section, **keyed)})
         except ValueError as exc:
             raise reject(_blamed(section, keyed, str(exc)), exc) from exc
     return cfg
 
 
-def _blamed(section, keyed: dict[str, tuple], message: str) -> str:
-    """The first key of ``keyed`` (key -> (field, value), in key order) whose
-    prefix of fields ``section`` rejects with ``message``; else the last key."""
+def _blamed(section, keyed: dict[str, object], message: str) -> str:
+    """The first key of ``keyed`` (key -> value, in key order) whose prefix
+    of fields ``section`` rejects with ``message``; else the last key."""
     fields = {}
-    for key, (attr, value) in keyed.items():
-        fields[attr] = value
+    for key, value in keyed.items():
+        fields[key] = value
         try:
             replace(section, **fields)
         except ValueError as exc:
@@ -154,19 +150,17 @@ def build_pipeline_config(args) -> PipelineConfig:
 def _config_epilog() -> str:
     lines = ["config file keys (key=value, one per line; flags override):"]
     defaults = PipelineConfig()
-    for key, (path, attr, _) in CONFIG_KEYS.items():
-        lines.append(f"  {key} (default {getattr(getattr(defaults, path), attr)})")
+    for key, (path, _) in CONFIG_KEYS.items():
+        lines.append(f"  {key} (default {getattr(getattr(defaults, path), key)})")
     return "\n".join(lines)
 
 
 # Tuning flags, each setting the config key of its name.
 _FLAG_HELP = {
-    "seed": "RNG seed for synthetic data",
+    "seed": "non-negative RNG seed for synthetic data",
     "w1": "cylinder-channel weight in score fusion",
     "w2": "embedding-channel weight in score fusion",
     "delta_theta": "angle gate (radians)",
-    "n_rel": "relaxation iterations",
-    "w_r": "relaxation mixing weight",
     "n_fingers": "synthetic gallery size",
 }
 
@@ -175,7 +169,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
     """``--config`` plus the tuning flags of the named config sections."""
     p.add_argument("--config", help="key=value config file")
     for key, help_text in _FLAG_HELP.items():
-        path, _, cast = CONFIG_KEYS[key]
+        path, cast = CONFIG_KEYS[key]
         if path in sections:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast, help=help_text)
 

@@ -47,6 +47,8 @@ from fpfusion.pairing import (
 )
 from fpfusion.relaxation import (
     PAIR_SLOTS,
+    RELAX_ITERATIONS,
+    RELAX_WEIGHT,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -59,26 +61,17 @@ CHANNELS = ("mcc", "emb", "feature", "score")
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Weights, angle gate and relaxation settings: the one config of matching."""
+    """Fusion weights and angle gate: the one config of matching."""
 
     w1: float = 0.5  # cylinder-channel weight in score fusion
     w2: float = 0.5  # embedding-channel weight in score fusion
     delta_theta: float = math.pi / 4
-    relax_weight: float = 0.5  # share of its own score a pair keeps per relaxation iteration
-    relax_iterations: int = 5
-    distance_scale: float = 100.0  # divides the distance discrepancy before its sigmoid
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.w1, self.w2, self.delta_theta)):
             raise ValueError("w1, w2 and delta_theta must be finite")
         if self.w1 < 0 or self.w2 < 0 or self.w1 + self.w2 <= 0:
             raise ValueError("fusion weights must be non-negative with positive sum")
-        if not 0.0 <= self.relax_weight <= 1.0:
-            raise ValueError("relax_weight must lie in [0, 1]")
-        if self.relax_iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if not (math.isfinite(self.distance_scale) and self.distance_scale > 0):
-            raise ValueError("distance_scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -255,13 +248,12 @@ def _match_block(query: GalleryEntry, side_a: tuple, block: list, cfg: FusionCon
     rho_u = compatibilities(
         tuple(np.take(m, u_rows[:, :, None] * r + u_rows[:, None, :]) for m in side_a),
         side_geometry(np.take(xy_b.reshape(-1, 2), col, axis=0), np.take(theta_b, col)),
-        cfg.distance_scale,
     )
     start = ((lst % size) * big + union_at) * big
     rho = np.take(rho_u, start[:, None] + np.take(pos, lst, axis=0))
     del rho_u, pos  # not read by relaxation; lowers the peak
 
-    relaxed = relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)
+    relaxed = relax_scores(rho, gamma, n, RELAX_WEIGHT, RELAX_ITERATIONS)
     n_p = np.tile(compute_n_p(len(ta), counts), 4)
     return tuple(a.reshape(4, size) for a in top_scores(relaxed, n, n_p))
 

@@ -3,9 +3,10 @@
 Each pair's score is iteratively mixed with the compatibility-weighted
 mean of all other pairs' scores; geometrically inconsistent pairs decay
 while mutually consistent ones persist. The final score averages the top
-pairs after relaxation. The compatibility sigmoids are fixed constants of
-the method; the mixing weight, the iteration count and the distance scale
-are ``fusion.FusionConfig`` fields, passed to the kernels as numbers.
+pairs after relaxation. The compatibility sigmoids, the distance scale,
+the mixing weight and the iteration count are fixed constants; the last
+two are MCC's w_R and n_rel (Cappelli, Ferrara and Maltoni, "Minutia
+Cylinder-Code", 2010), which the matcher passes to ``relax_scores``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ from fpfusion.pairing import MAX_PAIRS_SCORE, MAX_PAIRS_SELECT
 PAIR_SLOTS = 2 * MAX_PAIRS_SELECT
 
 # Centres and slopes of the compatibility sigmoids of the distance,
-# direction-difference and radial-angle discrepancies. The distance
-# discrepancy is divided by the distance scale first, so mu[0] = 0.0416 is
-# ~4.16 px at distance scale 100.
+# direction-difference and radial-angle discrepancies (the distance one
+# divided by DISTANCE_SCALE first: mu[0] = 0.0416 is ~4.16 px). A pair keeps
+# RELAX_WEIGHT (w_R) of its own score in each of RELAX_ITERATIONS (n_rel).
 _MU = (0.0416, 0.7853, 0.2094)
 _TAU = (-30.0, -9.0, -16.8)
+DISTANCE_SCALE = 100.0
+RELAX_WEIGHT = 0.5
+RELAX_ITERATIONS = 5
 
 
 def side_geometry(xy: np.ndarray, theta: np.ndarray) -> tuple:
@@ -44,18 +48,18 @@ def side_geometry(xy: np.ndarray, theta: np.ndarray) -> tuple:
     return np.hypot(dx, dy), turn, radial
 
 
-def compatibilities(side_a: tuple, side_b: tuple, distance_scale: float) -> np.ndarray:
+def compatibilities(side_a: tuple, side_b: tuple) -> np.ndarray:
     """Compatibilities of pair lists from their two sides' ``side_geometry``.
 
     Entry (p, q) compares pairs p and q of a list: the discrepancies of
-    their A-side and B-side distance (divided by ``distance_scale``),
+    their A-side and B-side distance (divided by ``DISTANCE_SCALE``),
     direction difference and radial angle pass through the three sigmoids.
     The diagonal is unused.
 
     Both sides' direction differences and radial angles lie in [0, pi], so
     the absolute difference of two is their circular distance, exactly.
     """
-    d1 = np.abs(side_a[0] - side_b[0]) / distance_scale
+    d1 = np.abs(side_a[0] - side_b[0]) / DISTANCE_SCALE
     d2 = np.abs(side_a[1] - side_b[1])
     d3 = np.abs(side_a[2] - side_b[2])
     out = 1.0

@@ -30,6 +30,8 @@ class SynthConfig:
     min_spacing: float = 12.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_fingers < 1 or not 1 <= self.min_minutiae <= self.max_minutiae:
             raise ValueError("n_fingers >= 1 and 1 <= min_minutiae <= max_minutiae required")
         if not (math.isfinite(self.min_spacing) and self.min_spacing >= 0):

@@ -69,26 +69,22 @@ def test_criterion_2_relaxation_oracle():
         ta = random_template(rng, n=max(n, 2), extent=400.0, tid="a")
         tb = random_template(rng, n=max(n, 2), extent=400.0, tid="b")
         gamma0 = rng.uniform(0, 1, size=n)
-        cfg = FusionConfig(
-            relax_weight=float(rng.uniform(0, 1)), relax_iterations=int(rng.integers(1, 6))
-        )
+        w, iterations = float(rng.uniform(0, 1)), int(rng.integers(1, 6))
         # the pair list (i, i), i < n, relaxed as the live rows of one
         # PAIR_SLOTS-wide list
         rho = compatibilities(
             side_geometry(ta.positions()[:n], ta.thetas()[:n]),
             side_geometry(tb.positions()[:n], tb.thetas()[:n]),
-            cfg.distance_scale,
         )
         rho_p = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), np.array([n]))
         gamma_p = padded(gamma0, (PAIR_SLOTS,))
-        out = relax_scores(rho_p, gamma_p, np.array([n]), cfg.relax_weight, cfg.relax_iterations)
+        out = relax_scores(rho_p, gamma_p, np.array([n]), w, iterations)
         # straight-line reference
         if n == 1:
             expected = [float(gamma0[0])]
         else:
             gamma = list(gamma0)
-            w = cfg.relax_weight
-            for _ in range(cfg.relax_iterations):
+            for _ in range(iterations):
                 new = []
                 for t in range(n):
                     acc = sum(rho[t][k] * gamma[k] for k in range(n) if k != t)

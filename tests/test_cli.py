@@ -399,9 +399,9 @@ def test_positions_whose_span_overflows_are_data_error(template_path, tmp_path, 
     "flags,message",
     [
         (["--w1", "0", "--w2", "0"], "--w2 0.0: fusion weights"),
-        (["--n-rel", "-1"], "--n-rel -1: iterations must be non-negative"),
-        # the fusion section's first rejected prefix ends at --w2, not --n-rel
-        (["--w1", "0", "--w2", "0", "--n-rel", "3"], "--w2 0.0: fusion weights"),
+        (["--w1", "-1"], "--w1 -1.0: fusion weights"),
+        # the fusion section's first rejected prefix ends at --w2, not --delta-theta
+        (["--w1", "0", "--w2", "0", "--delta-theta", "0.5"], "--w2 0.0: fusion weights"),
     ],
 )
 def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, message, capsys):
@@ -413,14 +413,11 @@ def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, mess
     "line,message",
     [
         ("w1=0\nw2=0", "config key w2=0"),
-        ("n_rel=-1", "n_rel=-1"),
         # a rejected section names the key that caused it, not its last key
         ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: w1, w2 and delta_theta"),
-        ("n_rel=-1\nw1=0.7", "config key n_rel=-1: iterations must be non-negative"),
-        ("w_r=1.5", "config key w_r=1.5: relax_weight must lie in [0, 1]"),
         # values that do not parse, and a line that is not key=value
         ("w1=abc", "config key w1: cannot parse 'abc' as float"),
-        ("n_rel=2.5", "config key n_rel: cannot parse '2.5' as int"),
+        ("seed=2.5", "config key seed: cannot parse '2.5' as int"),
         ("w1 0.7", "bad.cfg:1: expected key=value, got 'w1 0.7'"),
     ],
 )
@@ -440,10 +437,6 @@ def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line,
         "w1=nan",
         "w2=inf",
         "delta_theta=nan",
-        "dist_scale=nan",
-        "dist_scale=inf",
-        "dist_scale=0",
-        "dist_scale=-100",
     ],
 )
 def test_config_file_value_not_finite_is_data_error(template_path, tmp_path, line, capsys):
@@ -487,6 +480,7 @@ def test_flag_value_not_finite_is_usage_error(template_path, flags, message, cap
         "keep_max=1.5",
         "position_jitter=-1",
         "angle_jitter=-1",
+        "seed=-1",
     ],
 )
 def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsys):
@@ -498,7 +492,14 @@ def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsy
     prefix = f"config key {line}: "
     assert prefix in captured.err
     assert line.partition("=")[0] in captured.err.partition(prefix)[2]
-    assert not list(tmp_path.rglob("*.mnt"))
+    assert not (tmp_path / "data").exists()
+
+
+def test_gen_synth_rejects_negative_seed_flag_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --seed -1: seed must be non-negative\n"
+    assert not out.exists()
 
 
 def test_gen_synth_prints_each_warning_as_one_line(tmp_path, capsys):
@@ -560,8 +561,9 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
-# The cylinder and stand-in embedding parameters are fixed, as is the
-# signature width; keys that once set them are unknown.
+# The cylinder and stand-in embedding parameters are fixed, as are the
+# signature width and the relaxation parameters; keys that once set them
+# are unknown.
 REMOVED_KEYS = (
     "emb_dim",
     "cyl_radius",
@@ -574,10 +576,13 @@ REMOVED_KEYS = (
     "emb_radial_bins",
     "emb_angular_bins",
     "emb_direction_bins",
+    "w_r",
+    "n_rel",
+    "dist_scale",
 )
 
 
-def test_config_emb_dim_key_is_data_error(template_path, tmp_path, capsys):
+def test_removed_config_keys_are_unknown(template_path, tmp_path, capsys):
     for key in REMOVED_KEYS:
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key}=8\n")
@@ -586,6 +591,12 @@ def test_config_emb_dim_key_is_data_error(template_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", key
         assert captured.err == f"error: unknown config key {key!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--w-r", "--n-rel"])
+def test_removed_relaxation_flags_are_usage_errors(template_path, flag, capsys):
+    assert main(["match", str(template_path), str(template_path), flag, "2"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines", [["w1=0.2", "w1=0.9"], ["w1=0.9", "w1=0.2"]])
@@ -649,7 +660,7 @@ def pair_dir(tmp_path):
 @pytest.mark.parametrize("matcher", ["mcc", "emb", "feature", "score"])
 def test_match_prints_the_identify_score(pair_dir, matcher, capsys):
     query, gallery = pair_dir
-    tuning = ["--matcher", matcher, "--w1", "0.7", "--n-rel", "3"]
+    tuning = ["--matcher", matcher, "--w1", "0.7", "--delta-theta", "0.5"]
     assert main(["identify", str(query), str(gallery), *tuning]) == EXIT_OK
     top = capsys.readouterr().out.split()[-1]
     assert main(["match", str(query), str(gallery / "g.mnt"), *tuning]) == EXIT_OK
@@ -688,7 +699,7 @@ def test_match_with_embedding_files_scores_like_the_library(pair_dir, tmp_path, 
     [
         ["describe", "{t}", "--w1", "0.5"],
         ["embed-synth", "{t}", "--out", "{d}/x.emb", "--seed", "1"],
-        ["gen-synth", "--out", "{d}/d", "--n-rel", "2"],
+        ["gen-synth", "--out", "{d}/d", "--w1", "2"],
     ],
 )
 def test_flags_of_unread_config_sections_are_rejected(template_path, tmp_path, argv, capsys):
@@ -704,36 +715,33 @@ def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsy
     assert main(["describe", str(template_path), "--config", str(cfg)]) == EXIT_OK
 
 
-# The (section, field) each config key sets, written out apart from CONFIG_KEYS.
-KEY_FIELDS = {
-    "w1": ("fusion", "w1"),
-    "w2": ("fusion", "w2"),
-    "delta_theta": ("fusion", "delta_theta"),
-    "w_r": ("fusion", "relax_weight"),
-    "n_rel": ("fusion", "relax_iterations"),
-    "dist_scale": ("fusion", "distance_scale"),
-    "seed": ("synth", "seed"),
-    "n_fingers": ("synth", "n_fingers"),
-    "min_minutiae": ("synth", "min_minutiae"),
-    "max_minutiae": ("synth", "max_minutiae"),
-    "min_spacing": ("synth", "min_spacing"),
-    "rotation_max": ("perturb", "rotation_max"),
-    "translation_max": ("perturb", "translation_max"),
-    "position_jitter": ("perturb", "position_jitter"),
-    "angle_jitter": ("perturb", "angle_jitter"),
-    "keep_min": ("perturb", "keep_min"),
-    "keep_max": ("perturb", "keep_max"),
-    "spurious_mean": ("perturb", "spurious_mean"),
-    "crop_radius_min": ("perturb", "crop_radius_min"),
-    "crop_radius_max": ("perturb", "crop_radius_max"),
+# The section whose field of the same name each config key sets, written
+# out apart from CONFIG_KEYS.
+KEY_SECTIONS = {
+    "w1": "fusion",
+    "w2": "fusion",
+    "delta_theta": "fusion",
+    "seed": "synth",
+    "n_fingers": "synth",
+    "min_minutiae": "synth",
+    "max_minutiae": "synth",
+    "min_spacing": "synth",
+    "rotation_max": "perturb",
+    "translation_max": "perturb",
+    "position_jitter": "perturb",
+    "angle_jitter": "perturb",
+    "keep_min": "perturb",
+    "keep_max": "perturb",
+    "spurious_mean": "perturb",
+    "crop_radius_min": "perturb",
+    "crop_radius_max": "perturb",
 }
 
 
 def _next_value(key):
     """A valid non-default value of a key's field: the next float above its
     default, or its default + 1."""
-    section, name = KEY_FIELDS[key]
-    default = getattr(getattr(PipelineConfig(), section), name)
+    default = getattr(getattr(PipelineConfig(), KEY_SECTIONS[key]), key)
     return default + 1 if type(default) is int else math.nextafter(default, math.inf)
 
 
@@ -745,7 +753,7 @@ def _assert_only_field_set(cfg: PipelineConfig, key, value):
         got, default = getattr(cfg, section.name), getattr(defaults, section.name)
         for f in dataclasses.fields(default):
             want = getattr(default, f.name)
-            if (section.name, f.name) == KEY_FIELDS[key]:
+            if (section.name, f.name) == (KEY_SECTIONS[key], key):
                 want = value
             held = getattr(got, f.name)
             assert held == want and type(held) is type(want), (key, section.name, f.name)
@@ -760,7 +768,7 @@ def test_every_config_key_reaches_its_field(template_path, tmp_path, key):
     _assert_only_field_set(build_pipeline_config(args), key, value)
 
 
-@pytest.mark.parametrize("key", ["seed", "w1", "w2", "delta_theta", "n_rel", "w_r", "n_fingers"])
+@pytest.mark.parametrize("key", ["seed", "w1", "w2", "delta_theta", "n_fingers"])
 def test_every_tuning_flag_reaches_its_field(tmp_path, key):
     value = _next_value(key)
     flag = f"--{key.replace('_', '-')}"

@@ -27,6 +27,8 @@ from fpfusion.fusion import CHANNELS, FusionConfig
 from fpfusion.mcc import build_mcc_set
 from fpfusion.relaxation import (
     PAIR_SLOTS,
+    RELAX_ITERATIONS,
+    RELAX_WEIGHT,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -61,13 +63,12 @@ class TestMatchSingle:
         result = channel("mcc", ta, ta, mcc, mcc)
         # independent expectation: self-pairs all score 1, relaxed by Eq-style
         # recurrence with the self-geometry compatibility matrix
-        cfg = FusionConfig()
         side = side_geometry(ta.positions(), ta.thetas())
         n = np.array([10])
-        rho = compatibilities(side, side, cfg.distance_scale)
+        rho = compatibilities(side, side)
         rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
         gamma = padded(np.ones(10), (PAIR_SLOTS,))
-        relaxed = relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)
+        relaxed = relax_scores(rho, gamma, n, RELAX_WEIGHT, RELAX_ITERATIONS)
         expected = top_scores(relaxed, n, np.array([8]))[0][0]
         assert result.score == pytest.approx(expected, abs=1e-6)
 
@@ -169,16 +170,14 @@ class TestFeatureFusion:
         # six genuine pairs (i, i) at 0.8, then the spoilers (6, 7), (7, 6) at 0.9
         rows, cols = np.arange(8), np.array([0, 1, 2, 3, 4, 5, 7, 6])
         gamma = [0.8] * 6 + [0.9] * 2
-        cfg = FusionConfig()
         rho = compatibilities(
             side_geometry(ta.positions()[rows], ta.thetas()[rows]),
             side_geometry(tb.positions()[cols], tb.thetas()[cols]),
-            cfg.distance_scale,
         )
         n = np.array([8])
         rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
         gamma = padded(gamma, (PAIR_SLOTS,))
-        relaxed = relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)[0]
+        relaxed = relax_scores(rho, gamma, n, RELAX_WEIGHT, RELAX_ITERATIONS)[0]
         assert relaxed[:6].min() > relaxed[6:8].max()
 
 
@@ -219,11 +218,6 @@ class TestScoreFusion:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             FusionConfig(w1=0.0, w2=0.0)
-
-    @pytest.mark.parametrize("weight", [-0.1, 1.5, float("nan")])
-    def test_relax_weight_outside_unit_interval_rejected(self, weight):
-        with pytest.raises(ValueError, match=r"^relax_weight must lie in \[0, 1\]$"):
-            FusionConfig(relax_weight=weight)
 
     @pytest.mark.parametrize("field", ["w1", "w2", "delta_theta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -18,11 +18,12 @@ from conftest import (
     sigmoid_product,
     two_pass_side_geometry,
 )
-from fpfusion.fusion import FusionConfig
 from fpfusion.geometry import angular_difference
 from fpfusion.pairing import MAX_PAIRS_SCORE
 from fpfusion.relaxation import (
     PAIR_SLOTS,
+    RELAX_ITERATIONS,
+    RELAX_WEIGHT,
     compatibilities,
     relax_scores,
     side_geometry,
@@ -42,12 +43,6 @@ def relax_oracle(gamma0, rho, w, iterations):
             new.append(w * gamma[t] + (1 - w) * acc / (n - 1))
         gamma = new
     return gamma
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -100.0])
-def test_distance_scale_must_be_finite_and_positive(value):
-    with pytest.raises(ValueError, match="distance_scale"):
-        FusionConfig(distance_scale=value)
 
 
 class TestCompatibility:
@@ -95,12 +90,10 @@ class TestCompatibility:
     def test_matrix_matches_scalar(self, rng):
         ta = random_template(rng, n=5, tid="a")
         tb = random_template(rng, n=5, tid="b")
-        cfg = FusionConfig()
         # the pair list (i, i) for every minutia
         rho = compatibilities(
             side_geometry(ta.positions(), ta.thetas()),
             side_geometry(tb.positions(), tb.thetas()),
-            cfg.distance_scale,
         )
         for t_idx in range(5):
             for k_idx in range(5):
@@ -118,7 +111,6 @@ class TestCompatibility:
         rho = compatibilities(
             side_geometry(ta.positions(), ta.thetas()),
             side_geometry(tb.positions(), tb.thetas()),
-            FusionConfig().distance_scale,
         )
         off = ~np.eye(8, dtype=bool)
         assert ((rho[off] > 0) & (rho[off] < 1)).all()
@@ -151,13 +143,12 @@ def pair_sides(draw):
 def test_compatibilities_equal_the_circular_difference_form(sides):
     """Both sides' angles lie in [0, pi], so the plain difference gives the
     bits of the circular one."""
-    cfg = FusionConfig()
     side_a, side_b = (side_geometry(xy, theta) for xy, theta in sides)
-    d1 = np.abs(side_a[0] - side_b[0]) / cfg.distance_scale
+    d1 = np.abs(side_a[0] - side_b[0]) / 100.0
     d2 = np.abs(angular_difference(side_a[1], side_b[1]))
     d3 = np.abs(angular_difference(side_a[2], side_b[2]))
     expected = sigmoid_product(d1, d2, d3)
-    got = compatibilities(side_a, side_b, cfg.distance_scale)
+    got = compatibilities(side_a, side_b)
     assert got.tobytes() == np.asarray(expected).tobytes()
     assert got.shape == np.shape(expected)
 
@@ -203,18 +194,17 @@ def test_one_pass_geometry_equals_two_pass_reference(sides):
     """``side_geometry`` forms each offset once; its distance, direction
     difference and radial angle, and the compatibilities built from them,
     keep the bits of the two-pass form and the separate sigmoid product."""
-    cfg = FusionConfig()
     got = [side_geometry(xy, theta) for xy, theta in sides]
     want = [two_pass_side_geometry(xy, theta) for xy, theta in sides]
     for g, w in zip(got, want):
         for a, b in zip(g, w):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-    d1 = np.abs(want[0][0] - want[1][0]) / cfg.distance_scale
+    d1 = np.abs(want[0][0] - want[1][0]) / 100.0
     d2 = np.abs(want[0][1] - want[1][1])
     d3 = np.abs(want[0][2] - want[1][2])
     expected = sigmoid_product(d1, d2, d3)
-    rho = compatibilities(got[0], got[1], cfg.distance_scale)
+    rho = compatibilities(got[0], got[1])
     assert rho.shape == np.shape(expected)
     assert rho.tobytes() == np.asarray(expected).tobytes()
 
@@ -236,25 +226,22 @@ class TestRelax:
     PAIR_SLOTS."""
 
     @staticmethod
-    def relaxed(rho, gamma, cfg=None):
-        cfg = cfg or FusionConfig()
+    def relaxed(rho, gamma, weight=RELAX_WEIGHT, iterations=RELAX_ITERATIONS):
         n = np.array([len(gamma)])
         rho = live_rows(padded(rho, (PAIR_SLOTS, PAIR_SLOTS)), n)
         gamma = padded(gamma, (PAIR_SLOTS,))
-        return relax_scores(rho, gamma, n, cfg.relax_weight, cfg.relax_iterations)[0, : n[0]]
+        return relax_scores(rho, gamma, n, weight, iterations)[0, : n[0]]
 
     def test_two_pair_hand_example(self):
         # rho = 1 everywhere off-diagonal, gamma0 = (0.8, 0.6), one iteration
-        cfg = FusionConfig(relax_weight=0.5, relax_iterations=1)
-        assert self.relaxed(np.ones((2, 2)), [0.8, 0.6], cfg) == pytest.approx([0.7, 0.7])
+        assert self.relaxed(np.ones((2, 2)), [0.8, 0.6], 0.5, 1) == pytest.approx([0.7, 0.7])
 
     def test_fixed_point_all_equal(self):
         out = self.relaxed(np.ones((3, 3)), [0.4, 0.4, 0.4])
         assert out == pytest.approx([0.4, 0.4, 0.4])
 
     def test_zero_rho_geometric_decay(self):
-        cfg = FusionConfig(relax_weight=0.5, relax_iterations=5)
-        out = self.relaxed(np.zeros((2, 2)), [0.8, 0.6], cfg)
+        out = self.relaxed(np.zeros((2, 2)), [0.8, 0.6], 0.5, 5)
         assert out == pytest.approx([0.8 * 0.5**5, 0.6 * 0.5**5])
 
     def test_single_pair_bypasses(self):
@@ -266,16 +253,13 @@ class TestRelax:
             ta = random_template(rng, n=n, tid="a")
             tb = random_template(rng, n=n, tid="b")
             scores = rng.uniform(0, 1, size=n)
-            cfg = FusionConfig(
-                relax_weight=float(rng.uniform(0, 1)), relax_iterations=int(rng.integers(1, 7))
-            )
+            weight, iterations = float(rng.uniform(0, 1)), int(rng.integers(1, 7))
             rho = compatibilities(
                 side_geometry(ta.positions(), ta.thetas()),
                 side_geometry(tb.positions(), tb.thetas()),
-                cfg.distance_scale,
             )
-            expected = relax_oracle(scores, rho, cfg.relax_weight, cfg.relax_iterations)
-            got = list(self.relaxed(rho, scores, cfg))
+            expected = relax_oracle(scores, rho, weight, iterations)
+            got = list(self.relaxed(rho, scores, weight, iterations))
             assert got == pytest.approx(expected, abs=1e-12)
             assert all(0.0 <= g <= 1.0 for g in got)
 
@@ -284,30 +268,25 @@ class TestRelax:
         ta = random_template(rng, n=n, tid="a")
         tb = random_template(rng, n=n, tid="b")
         scores = np.array(rng.uniform(0, 1, size=n))
-        cfg = FusionConfig()
 
         def relaxed_by_pair(order):
             rho = compatibilities(
                 side_geometry(ta.positions()[order], ta.thetas()[order]),
                 side_geometry(tb.positions()[order], tb.thetas()[order]),
-                cfg.distance_scale,
             )
-            return dict(zip(order.tolist(), self.relaxed(rho, scores[order], cfg)))
+            return dict(zip(order.tolist(), self.relaxed(rho, scores[order])))
 
         fwd = relaxed_by_pair(np.arange(n))
         rev = relaxed_by_pair(np.arange(n)[::-1])
         assert fwd == pytest.approx(rev)
 
     def test_consistent_geometry_beats_shuffled(self, rng):
-        cfg = FusionConfig()
-
         def mean_relaxed(ta, tb, cols):
             rho = compatibilities(
                 side_geometry(ta.positions(), ta.thetas()),
                 side_geometry(tb.positions()[cols], tb.thetas()[cols]),
-                cfg.distance_scale,
             )
-            return np.mean(self.relaxed(rho, [0.8] * 8, cfg))
+            return np.mean(self.relaxed(rho, [0.8] * 8))
 
         wins = 0
         for trial in range(100):
