@@ -1,10 +1,11 @@
 """Command-line frontend: match, identify, benchmark, gen-synth, describe, embed-synth.
 
-Configuration precedence is flags > config file > defaults. A command takes
-the flags of the config sections it reads; the key=value config file (``#``
-comments allowed) may set any known key. Exit codes: 0 success, 1 usage
-error (``UsageError``), 2 data error (any ``OSError`` or ``ValueError``,
-such as a malformed file or a path that cannot be read or written).
+Four values are settable, each as a ``key=value`` line of a config file
+(``#`` comments allowed) and as a flag of the commands that read it: ``w1``,
+``delta_theta``, ``seed`` and ``n_fingers``. Flags override the file, which
+overrides defaults; the first rejected key or flag is named. Exit codes: 0
+success, 1 usage error (``UsageError``), 2 data error (any ``OSError`` or
+``ValueError``, such as a malformed file or a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fpfusion.evaluation import (
 )
 from fpfusion.fusion import CHANNELS, FusionConfig, match_gallery
 from fpfusion.mcc import build_mcc_set
-from fpfusion.synthetic import PerturbConfig, SynthConfig, write_dataset
+from fpfusion.synthetic import SynthConfig, write_dataset
 from fpfusion.templates import load_template
 
 EXIT_OK = 0
@@ -39,32 +40,19 @@ EXIT_DATA = 2
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Union of every stage's parameters, as one flat key space."""
+    """The sections that config keys set, as one flat key space."""
 
     fusion: FusionConfig = field(default_factory=FusionConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    perturb: PerturbConfig = field(default_factory=PerturbConfig)
 
 
-# config-file key -> (sub-config attribute, type); each key names its field
+# config key -> (section, type, flag help); each key names its field and is
+# also the flag --<key with dashes>
 CONFIG_KEYS = {
-    "w1": ("fusion", float),
-    "w2": ("fusion", float),
-    "delta_theta": ("fusion", float),
-    "seed": ("synth", int),
-    "n_fingers": ("synth", int),
-    "min_minutiae": ("synth", int),
-    "max_minutiae": ("synth", int),
-    "min_spacing": ("synth", float),
-    "rotation_max": ("perturb", float),
-    "translation_max": ("perturb", float),
-    "position_jitter": ("perturb", float),
-    "angle_jitter": ("perturb", float),
-    "keep_min": ("perturb", float),
-    "keep_max": ("perturb", float),
-    "spurious_mean": ("perturb", float),
-    "crop_radius_min": ("perturb", float),
-    "crop_radius_max": ("perturb", float),
+    "w1": ("fusion", float, "cylinder-channel weight in score fusion, in [0, 1]"),
+    "delta_theta": ("fusion", float, "angle gate (radians)"),
+    "seed": ("synth", int, "non-negative RNG seed for synthetic data"),
+    "n_fingers": ("synth", int, "synthetic gallery size"),
 }
 
 
@@ -73,45 +61,21 @@ class UsageError(Exception):
 
 
 def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig:
-    """Set config keys from text values, building each section they touch once.
-
-    All keys are parsed before any section is built, so a valid combination
-    passes in any key order. A section its constructor rejects raises
-    ``reject(key, exc)`` under the key that caused it: the section is
-    rebuilt from its keys' growing prefixes, in their order, and the first
-    key at which a prefix is rejected with the same message is named; the
-    last key if none is.
-    """
-    sections: dict[str, dict[str, tuple]] = {}
+    """Set config keys from text values, one at a time in their order; the
+    first key whose section rejects it raises ``reject(key, exc)``."""
     for key, raw in pairs.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        path, cast = CONFIG_KEYS[key]
+        path, cast, _ = CONFIG_KEYS[key]
         try:
-            sections.setdefault(path, {})[key] = cast(raw)
+            value = cast(raw)
         except ValueError:
             raise ValueError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
-    for path, keyed in sections.items():
-        section = getattr(cfg, path)
         try:
-            cfg = replace(cfg, **{path: replace(section, **keyed)})
+            cfg = replace(cfg, **{path: replace(getattr(cfg, path), **{key: value})})
         except ValueError as exc:
-            raise reject(_blamed(section, keyed, str(exc)), exc) from exc
+            raise reject(key, exc) from exc
     return cfg
-
-
-def _blamed(section, keyed: dict[str, object], message: str) -> str:
-    """The first key of ``keyed`` (key -> value, in key order) whose prefix
-    of fields ``section`` rejects with ``message``; else the last key."""
-    fields = {}
-    for key, value in keyed.items():
-        fields[key] = value
-        try:
-            replace(section, **fields)
-        except ValueError as exc:
-            if str(exc) == message:
-                return key
-    return key
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -150,26 +114,15 @@ def build_pipeline_config(args) -> PipelineConfig:
 def _config_epilog() -> str:
     lines = ["config file keys (key=value, one per line; flags override):"]
     defaults = PipelineConfig()
-    for key, (path, _) in CONFIG_KEYS.items():
+    for key, (path, _, _) in CONFIG_KEYS.items():
         lines.append(f"  {key} (default {getattr(getattr(defaults, path), key)})")
     return "\n".join(lines)
-
-
-# Tuning flags, each setting the config key of its name.
-_FLAG_HELP = {
-    "seed": "non-negative RNG seed for synthetic data",
-    "w1": "cylinder-channel weight in score fusion",
-    "w2": "embedding-channel weight in score fusion",
-    "delta_theta": "angle gate (radians)",
-    "n_fingers": "synthetic gallery size",
-}
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
     """``--config`` plus the tuning flags of the named config sections."""
     p.add_argument("--config", help="key=value config file")
-    for key, help_text in _FLAG_HELP.items():
-        path, cast = CONFIG_KEYS[key]
+    for key, (path, cast, help_text) in CONFIG_KEYS.items():
         if path in sections:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast, help=help_text)
 
@@ -288,7 +241,7 @@ def cmd_benchmark(args, cfg: PipelineConfig) -> int:
     outputs += [f"cmc_{name}.csv" for name in (*CHANNELS, "rank")] + ["summary.csv"]
     for name in outputs:
         _check_output(out_dir / name)
-    gallery_templates, queries, truth = write_dataset(out_dir / "data", cfg.synth, cfg.perturb)
+    gallery_templates, queries, truth = write_dataset(out_dir / "data", cfg.synth)
 
     gallery = Gallery()
     for t in gallery_templates:
@@ -322,7 +275,7 @@ def cmd_benchmark(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_gen_synth(args, cfg: PipelineConfig) -> int:
-    write_dataset(args.out, cfg.synth, cfg.perturb)
+    write_dataset(args.out, cfg.synth)
     print(f"wrote {cfg.synth.n_fingers} fingers to {args.out}")
     return EXIT_OK
 

@@ -61,17 +61,16 @@ CHANNELS = ("mcc", "emb", "feature", "score")
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Fusion weights and angle gate: the one config of matching."""
+    """Fusion weight and angle gate: the one config of matching."""
 
-    w1: float = 0.5  # cylinder-channel weight in score fusion
-    w2: float = 0.5  # embedding-channel weight in score fusion
+    w1: float = 0.5  # cylinder-channel weight in score fusion; emb weighs 1 - w1
     delta_theta: float = math.pi / 4
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.w1, self.w2, self.delta_theta)):
-            raise ValueError("w1, w2 and delta_theta must be finite")
-        if self.w1 < 0 or self.w2 < 0 or self.w1 + self.w2 <= 0:
-            raise ValueError("fusion weights must be non-negative with positive sum")
+        if not 0 <= self.w1 <= 1:  # NaN fails too
+            raise ValueError("fusion weights w1 and 1 - w1 must be finite and in [0, 1]")
+        if not math.isfinite(self.delta_theta):
+            raise ValueError("delta_theta must be finite")
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,24 @@ class GalleryEntry:
 
 
 def _fused_matrix(work: np.ndarray, gated_mcc, gated_emb, cfg: FusionConfig) -> np.ndarray:
-    """Write the weighted sum of the channel matrices ``work[0]`` (mcc) and
-    ``work[1]`` (emb) into ``work[2]``; return its gate.
+    """Write the sum of the channel matrices ``work[0]`` (mcc) and
+    ``work[1]`` (emb), weighted ``w1`` and ``1 - w1``, into ``work[2]``;
+    return its gate.
 
     A gated entry contributes 0 for its channel; the fused entry is gated
     only when every positively-weighted channel gates it, so embedding
     information survives where the angle gate fires while a zero-weight
-    channel drops out entirely (w1=1, w2=0 reproduces the single-channel
-    pipeline exactly).
+    channel drops out entirely (w1=1 reproduces the cylinder channel and
+    w1=0 the embedding channel exactly). The weights sum to 1, so fused
+    entries stay in [-1, 1].
     """
+    w2 = 1.0 - cfg.w1
     fused = np.multiply(work[0], cfg.w1, out=work[2])
     np.copyto(fused, 0.0, where=gated_mcc)
-    scaled = np.multiply(work[1], cfg.w2)
+    scaled = np.multiply(work[1], w2)
     np.copyto(scaled, 0.0, where=gated_emb)
     fused += scaled
-    return (gated_mcc | (cfg.w1 == 0)) & (gated_emb | (cfg.w2 == 0))
+    return (gated_mcc | (cfg.w1 == 0)) & (gated_emb | (w2 == 0))
 
 
 # Elements of the padded stacks of one pass. An entry costs its three

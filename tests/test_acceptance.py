@@ -169,9 +169,9 @@ def test_criterion_5_fusion_degeneracies():
         tb = random_template(rng, n=int(rng.integers(6, 14)), extent=250.0, tid="b")
         emb_a, emb_b = build_synthetic_embeddings(ta), build_synthetic_embeddings(tb)
 
-        out = match_pair(ta, tb, emb_a, emb_b, FusionConfig(w1=1.0, w2=0.0))
+        out = match_pair(ta, tb, emb_a, emb_b, FusionConfig(w1=1.0))
         ok &= abs(out["score"].score - out["mcc"].score) <= 1e-12
-        out = match_pair(ta, tb, emb_a, emb_b, FusionConfig(w1=0.0, w2=1.0))
+        out = match_pair(ta, tb, emb_a, emb_b, FusionConfig(w1=0.0))
         ok &= abs(out["score"].score - out["emb"].score) <= 1e-12
         dead = DescriptorSet(emb_a.vectors, np.zeros(len(emb_a), dtype=bool))
         out = match_pair(ta, tb, dead, emb_b)

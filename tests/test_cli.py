@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpfusion
+import fpfusion.cli as cli
 import fpfusion.fusion as fusion
 import fpfusion.mcc as mcc
 from fpfusion.cli import (
@@ -101,7 +102,7 @@ def test_score_fusion_w1_only_equals_mcc(template_path, tmp_path, capsys):
     other_path = tmp_path / "t1.mnt"
     save_template(other, other_path)
     args = [str(template_path), str(other_path)]
-    assert main(["match", *args, "--matcher", "score", "--w1", "1", "--w2", "0"]) == EXIT_OK
+    assert main(["match", *args, "--matcher", "score", "--w1", "1"]) == EXIT_OK
     fused_out = capsys.readouterr().out
     assert main(["match", *args, "--matcher", "mcc"]) == EXIT_OK
     assert capsys.readouterr().out == fused_out
@@ -114,7 +115,7 @@ def test_usage_error():
 
 def test_config_file_and_unknown_key(template_path, tmp_path, capsys):
     good = tmp_path / "good.cfg"
-    good.write_text("w1=0.7\nw2=0.3\n# comment\n")
+    good.write_text("w1=0.7\ndelta_theta=0.5\n# comment\n")
     assert main(["match", str(template_path), str(template_path), "--config", str(good)]) == EXIT_OK
     capsys.readouterr()
     bad = tmp_path / "bad.cfg"
@@ -398,23 +399,26 @@ def test_positions_whose_span_overflows_are_data_error(template_path, tmp_path, 
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (["--w1", "0", "--w2", "0"], "--w2 0.0: fusion weights"),
+        # a weight that once overflowed the fused matrix
+        (["--w1", "1e308", "--matcher", "score"], "--w1 1e+308: fusion weights"),
         (["--w1", "-1"], "--w1 -1.0: fusion weights"),
-        # the fusion section's first rejected prefix ends at --w2, not --delta-theta
-        (["--w1", "0", "--w2", "0", "--delta-theta", "0.5"], "--w2 0.0: fusion weights"),
+        (["--delta-theta", "0.5", "--w1", "-0.1"], "--w1 -0.1: fusion weights"),
     ],
 )
 def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, message, capsys):
     assert main(["match", str(template_path), str(template_path), *flags]) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(
     "line,message",
     [
-        ("w1=0\nw2=0", "config key w2=0"),
-        # a rejected section names the key that caused it, not its last key
-        ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: w1, w2 and delta_theta"),
+        ("w1=2", "config key w1=2: fusion weights w1 and 1 - w1"),
+        # keys are set in their order, and the first one rejected is named
+        ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: delta_theta must be finite"),
+        ("w1=0.7\ndelta_theta=inf\nseed=-1", "config key delta_theta=inf: delta_theta"),
         # values that do not parse, and a line that is not key=value
         ("w1=abc", "config key w1: cannot parse 'abc' as float"),
         ("seed=2.5", "config key seed: cannot parse '2.5' as int"),
@@ -435,7 +439,7 @@ def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line,
     "line",
     [
         "w1=nan",
-        "w2=inf",
+        "w1=inf",
         "delta_theta=nan",
     ],
 )
@@ -453,7 +457,7 @@ def test_config_file_value_not_finite_is_data_error(template_path, tmp_path, lin
     "flags,message",
     [
         (["--w1", "nan", "--matcher", "score"], "--w1 nan: "),
-        (["--w2", "inf"], "--w2 inf: "),
+        (["--w1", "inf"], "--w1 inf: "),
         (["--delta-theta", "nan"], "--delta-theta nan: "),
     ],
 )
@@ -484,14 +488,19 @@ def test_flag_value_not_finite_is_usage_error(template_path, flags, message, cap
     ],
 )
 def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsys):
+    # seed is a key; the shape and perturbation keys are not, so they are
+    # rejected as unknown, whatever their value
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     args = ["gen-synth", "--out", str(tmp_path / "data"), "--n-fingers", "2"]
     assert main([*args, "--config", str(cfg)]) == EXIT_DATA
     captured = capsys.readouterr()
-    prefix = f"config key {line}: "
-    assert prefix in captured.err
-    assert line.partition("=")[0] in captured.err.partition(prefix)[2]
+    key = line.partition("=")[0]
+    if key in CONFIG_KEYS:
+        prefix = f"error: config key {line}: "
+        assert captured.err.startswith(prefix) and key in captured.err.partition(prefix)[2]
+    else:
+        assert captured.err == f"error: unknown config key {key!r}\n"
     assert not (tmp_path / "data").exists()
 
 
@@ -502,11 +511,35 @@ def test_gen_synth_rejects_negative_seed_flag_and_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
-def test_gen_synth_prints_each_warning_as_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("command,data", [("gen-synth", ""), ("benchmark", "data")])
+def test_dataset_over_a_larger_one_is_data_error_and_writes_nothing(
+    tmp_path, command, data, capsys
+):
+    # identify and benchmark read a gallery directory whole, so fingers a
+    # smaller dataset would leave beside its truth.csv would be enrolled too
+    out = tmp_path / "d"
+    args = [command, "--out", str(out), "--seed", "1"]
+    assert main([*args, "--n-fingers", "3"]) == EXIT_OK
+    before = _tree(out)
+    capsys.readouterr()
+    assert main([*args, "--n-fingers", "2"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    stale = out / data / "gallery" / "f0002.mnt"
+    assert err.startswith(f"error: {stale}: ") and err.count("\n") == 1
+    assert _tree(out) == before
+    assert main([*args, "--n-fingers", "3"]) == EXIT_OK  # the same dataset again
+    assert _tree(out) == before
+
+
+def test_gen_synth_prints_each_warning_as_one_line(tmp_path, monkeypatch, capsys):
     # a spacing no 500 x 500 px finger can hold leaves each finger short
-    cfg = tmp_path / "sp.cfg"
-    cfg.write_text("min_spacing=400\n")
-    argv = ["gen-synth", "--n-fingers", "3", "--config", str(cfg), "--out", str(tmp_path / "d")]
+    write = cli.write_dataset
+
+    def spaced(out, synth):
+        return write(out, dataclasses.replace(synth, min_spacing=400.0))
+
+    monkeypatch.setattr(cli, "write_dataset", spaced)
+    argv = ["gen-synth", "--n-fingers", "3", "--out", str(tmp_path / "d")]
     assert main(argv) == EXIT_OK
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("warning: f000") for line in err), err
@@ -562,8 +595,9 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
 
 
 # The cylinder and stand-in embedding parameters are fixed, as are the
-# signature width and the relaxation parameters; keys that once set them
-# are unknown.
+# signature width and the relaxation parameters; the embedding channel's
+# fusion weight is 1 - w1; the synthetic shape and perturbation parameters
+# are set in the library only. Keys that once set them are unknown.
 REMOVED_KEYS = (
     "emb_dim",
     "cyl_radius",
@@ -579,6 +613,19 @@ REMOVED_KEYS = (
     "w_r",
     "n_rel",
     "dist_scale",
+    "w2",
+    "min_minutiae",
+    "max_minutiae",
+    "min_spacing",
+    "rotation_max",
+    "translation_max",
+    "position_jitter",
+    "angle_jitter",
+    "keep_min",
+    "keep_max",
+    "spurious_mean",
+    "crop_radius_min",
+    "crop_radius_max",
 )
 
 
@@ -593,7 +640,8 @@ def test_removed_config_keys_are_unknown(template_path, tmp_path, capsys):
         assert captured.err == f"error: unknown config key {key!r}\n"
 
 
-@pytest.mark.parametrize("flag", ["--w-r", "--n-rel"])
+# the former relaxation flags, and --w2 (the embedding channel weighs 1 - w1)
+@pytest.mark.parametrize("flag", ["--w-r", "--n-rel", "--w2"])
 def test_removed_relaxation_flags_are_usage_errors(template_path, flag, capsys):
     assert main(["match", str(template_path), str(template_path), flag, "2"]) == EXIT_USAGE
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
@@ -603,7 +651,7 @@ def test_removed_relaxation_flags_are_usage_errors(template_path, flag, capsys):
 def test_config_file_repeated_key_is_data_error(template_path, tmp_path, lines, capsys):
     # the last line would otherwise win, so the score would depend on key order
     cfg = tmp_path / "repeat.cfg"
-    cfg.write_text("\n".join([lines[0], "# comment", "w2=0.5", lines[1]]) + "\n")
+    cfg.write_text("\n".join([lines[0], "# comment", "delta_theta=0.5", lines[1]]) + "\n")
     args = ["match", str(template_path), str(template_path), "--matcher", "score"]
     assert main([*args, "--config", str(cfg)]) == EXIT_DATA
     captured = capsys.readouterr()
@@ -611,15 +659,33 @@ def test_config_file_repeated_key_is_data_error(template_path, tmp_path, lines, 
     assert captured.err == f"error: {cfg}:4: key w1 repeats line 1\n"
 
 
-@pytest.mark.parametrize(
-    "lines", [["min_minutiae=70", "max_minutiae=80"], ["keep_min=0.9", "keep_max=0.95"]]
-)
+def _tree(root):
+    """Every file under ``root``, relative path -> bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("lines", [["seed=3", "n_fingers=2"], ["seed=3", "w1=0.3", "n_fingers=2"]])
 def test_config_key_order_does_not_matter_for_gen_synth(tmp_path, lines, capsys):
+    trees = []
     for k, order in enumerate((lines, lines[::-1])):
         cfg = tmp_path / f"order{k}.cfg"
         cfg.write_text("\n".join(order) + "\n")
-        args = ["gen-synth", "--out", str(tmp_path / f"d{k}"), "--n-fingers", "2"]
-        assert main([*args, "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / f"d{k}"
+        assert main(["gen-synth", "--out", str(out), "--config", str(cfg)]) == EXIT_OK
+        trees.append(_tree(out))
+    assert trees[0] == trees[1] and len(trees[0]) == 5  # 2 + 2 templates, truth.csv
+
+
+def test_flags_override_the_config_file_in_any_order(pair_dir, tmp_path, capsys):
+    query, gallery = pair_dir
+    cfg = tmp_path / "w1.cfg"
+    cfg.write_text("w1=0.3\n")
+    pair = ["match", str(query), str(gallery / "g.mnt")]
+    argv = [*pair, "--config", str(cfg)]
+    flags = ["--w1", "0.6", "--delta-theta", "0.5"]
+    outputs = [_match_outputs([*argv, *order], capsys) for order in (flags, flags[2:] + flags[:2])]
+    assert outputs[0] == outputs[1] == _match_outputs([*pair, *flags], capsys)
+    assert outputs[0][3] != _match_outputs(argv, capsys)[3]  # the file's w1 scores differently
 
 
 @pytest.mark.parametrize("k_max", ["0", "-3"])
@@ -717,25 +783,7 @@ def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsy
 
 # The section whose field of the same name each config key sets, written
 # out apart from CONFIG_KEYS.
-KEY_SECTIONS = {
-    "w1": "fusion",
-    "w2": "fusion",
-    "delta_theta": "fusion",
-    "seed": "synth",
-    "n_fingers": "synth",
-    "min_minutiae": "synth",
-    "max_minutiae": "synth",
-    "min_spacing": "synth",
-    "rotation_max": "perturb",
-    "translation_max": "perturb",
-    "position_jitter": "perturb",
-    "angle_jitter": "perturb",
-    "keep_min": "perturb",
-    "keep_max": "perturb",
-    "spurious_mean": "perturb",
-    "crop_radius_min": "perturb",
-    "crop_radius_max": "perturb",
-}
+KEY_SECTIONS = {"w1": "fusion", "delta_theta": "fusion", "seed": "synth", "n_fingers": "synth"}
 
 
 def _next_value(key):
@@ -768,7 +816,7 @@ def test_every_config_key_reaches_its_field(template_path, tmp_path, key):
     _assert_only_field_set(build_pipeline_config(args), key, value)
 
 
-@pytest.mark.parametrize("key", ["seed", "w1", "w2", "delta_theta", "n_fingers"])
+@pytest.mark.parametrize("key", ["seed", "w1", "delta_theta", "n_fingers"])
 def test_every_tuning_flag_reaches_its_field(tmp_path, key):
     value = _next_value(key)
     flag = f"--{key.replace('_', '-')}"
@@ -1137,3 +1185,70 @@ def test_any_emb_file_matches_or_is_one_line_data_error(raw):
         assert code == EXIT_DATA, err.getvalue()
         [line] = err.getvalue().splitlines()
         assert line.startswith(f"error: {emb}")
+
+
+# --config lines: the four keys, removed and unknown ones, values at the ends
+# of the float range, non-finite, non-numeric and blank, comments, lines
+# that are not key=value; a key drawn twice repeats.
+_CFG_KEY = _mostly(st.sampled_from(list(CONFIG_KEYS)), st.sampled_from(REMOVED_KEYS + ("",)), 8)
+_CFG_VALUE = st.one_of(
+    st.sampled_from(
+        ["0", "1", "0.5", "-0.0", "-0", "2", "-1", "1e308", "-1e308", "5e-324", "-5e-324",
+         "nan", "-nan", "inf", "-Infinity", "1e309", "0x10", "1_0", "2.5", "abc", ""]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=4),
+)
+_CFG_LINE = _mostly(
+    st.tuples(_CFG_KEY, _CFG_VALUE).map("=".join),
+    st.sampled_from(["# comment", "#w1=2", "", "  \t", "w1 0.7", "=", "w1==0.5"]),
+    8,
+)
+
+
+@st.composite
+def config_bytes(draw):
+    """``--config`` file bytes: up to 6 lines, LF or CRLF, maybe a
+    byte-order mark and maybe one byte that is not UTF-8."""
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(draw(st.lists(_CFG_LINE, max_size=6)))
+    raw = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=config_bytes(), command=st.sampled_from(["match", "describe"]))
+def test_any_config_file_runs_or_is_one_line_data_error(raw, command):
+    """``match --matcher score`` and ``describe`` (which reads no key but
+    checks the whole file) with any ``--config`` file exit 0, or 2 with one
+    ``error:`` line naming the file or the key and nothing written, and
+    raise nothing, a numeric warning included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mnt, cfg, rows = (str(Path(tmp) / name) for name in ("a.mnt", "a.cfg", "a.csv"))
+        Path(mnt).write_text(_EMB_TEMPLATE)
+        Path(cfg).write_bytes(raw)
+        argv = {
+            "match": ["match", mnt, mnt, "--matcher", "score"],
+            "describe": ["describe", mnt, "--what", "emb", "--out", rows],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", cfg])
+        written = Path(rows).exists()
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        if command == "match":
+            [line] = out.getvalue().splitlines()
+            assert 0.0 <= float(line.removeprefix("score=").split()[0]) <= 1.0, line
+        else:
+            assert written
+    else:
+        assert code == EXIT_DATA, err.getvalue()
+        [line] = err.getvalue().splitlines()
+        named = (f"error: {cfg}:", "error: config key ", "error: unknown config key ")
+        assert line.startswith(named), line
+        assert out.getvalue() == "" and not written

@@ -279,8 +279,8 @@ FROZEN_IDENTIFICATION_CASES = {
         ),
         FusionConfig(),
     ),
-    "w1=1,w2=0": (SynthConfig(seed=42, n_fingers=30), PerturbConfig(), FusionConfig(w1=1.0, w2=0.0)),
-    "w1=0,w2=1": (SynthConfig(seed=42, n_fingers=30), PerturbConfig(), FusionConfig(w1=0.0, w2=1.0)),
+    "w1=1,w2=0": (SynthConfig(seed=42, n_fingers=30), PerturbConfig(), FusionConfig(w1=1.0)),
+    "w1=0,w2=1": (SynthConfig(seed=42, n_fingers=30), PerturbConfig(), FusionConfig(w1=0.0)),
 }
 FROZEN_IDENTIFICATION = json.loads(
     (Path(__file__).parent / "data" / "identification_results.json").read_text()

@@ -184,14 +184,15 @@ class TestFeatureFusion:
 class TestScoreFusion:
     def test_w1_degenerate_to_mcc(self, rng):
         ta, tb, mcc_a, mcc_b, emb_a, emb_b = descriptor_pair(rng)
-        cfg = FusionConfig(w1=1.0, w2=0.0)
+        cfg = FusionConfig(w1=1.0)
         results = match_pair(ta, tb, emb_a, emb_b, cfg)
         fused, single = results["score"], results["mcc"]
         assert fused.score == pytest.approx(single.score, abs=1e-12)
 
     def test_w2_degenerate_to_emb(self, rng):
+        # the embedding channel weighs w2 = 1 - w1
         ta, tb, mcc_a, mcc_b, emb_a, emb_b = descriptor_pair(rng)
-        cfg = FusionConfig(w1=0.0, w2=1.0)
+        cfg = FusionConfig(w1=0.0)
         results = match_pair(ta, tb, emb_a, emb_b, cfg)
         fused, single = results["score"], results["emb"]
         assert fused.score == pytest.approx(single.score, abs=1e-12)
@@ -216,10 +217,13 @@ class TestScoreFusion:
         assert both[0, 0]
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            FusionConfig(w1=0.0, w2=0.0)
+        for w1 in (-0.1, 1.1, 1e308, -5e-324):
+            with pytest.raises(ValueError, match=r"w1 and 1 - w1 must be finite and in \[0, 1\]"):
+                FusionConfig(w1=w1)
+        for w1 in (0.0, -0.0, 5e-324, 1.0):
+            assert FusionConfig(w1=w1).w1 == w1
 
-    @pytest.mark.parametrize("field", ["w1", "w2", "delta_theta"])
+    @pytest.mark.parametrize("field", ["w1", "delta_theta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
