@@ -1,11 +1,11 @@
 """Command-line frontend: match, identify, benchmark, gen-synth, describe, embed-synth.
 
-Four values are settable, each as a ``key=value`` line of a config file
-(``#`` comments allowed) and as a flag of the commands that read it: ``w1``,
-``delta_theta``, ``seed`` and ``n_fingers``. Flags override the file, which
-overrides defaults; the first rejected key or flag is named. Exit codes: 0
-success, 1 usage error (``UsageError``), 2 data error (any ``OSError`` or
-``ValueError``, such as a malformed file or a path that cannot be read or written).
+Four values are settable, each by the flag of its name on the commands that
+read it: ``--w1``, ``--delta-theta``, ``--seed`` and ``--n-fingers``; the
+first rejected flag, in that order, is named. Exit codes: 0 success, 1 usage
+error (an argument argparse rejects, or a ``UsageError``), 2 data error (any
+``OSError`` or ``ValueError``, such as a malformed file or a path that cannot
+be read or written). Every error prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ EXIT_DATA = 2
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The sections that config keys set, as one flat key space."""
+    """The sections that the tuning flags set."""
 
     fusion: FusionConfig = field(default_factory=FusionConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
 
-# config key -> (section, type, flag help); each key names its field and is
-# also the flag --<key with dashes>
-CONFIG_KEYS = {
+# tuning flag --<key with dashes> -> (section, type, help); each key names its field
+TUNING_FLAGS = {
     "w1": ("fusion", float, "cylinder-channel weight in score fusion, in [0, 1]"),
     "delta_theta": ("fusion", float, "angle gate (radians)"),
     "seed": ("synth", int, "non-negative RNG seed for synthetic data"),
@@ -60,71 +59,35 @@ class UsageError(Exception):
     """A command-line flag value that a configuration rejects (exit 1)."""
 
 
-def _apply(cfg: PipelineConfig, pairs: dict[str, str], reject) -> PipelineConfig:
-    """Set config keys from text values, one at a time in their order; the
-    first key whose section rejects it raises ``reject(key, exc)``."""
-    for key, raw in pairs.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        path, cast, _ = CONFIG_KEYS[key]
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ValueError(f"config key {key}: cannot parse {raw!r} as {cast.__name__}")
+def build_pipeline_config(args) -> PipelineConfig:
+    """The defaults with each given tuning flag set in turn; the first value
+    that its section rejects raises ``UsageError`` naming the flag."""
+    cfg = PipelineConfig()
+    for key, (path, _, _) in TUNING_FLAGS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            continue
         try:
             cfg = replace(cfg, **{path: replace(getattr(cfg, path), **{key: value})})
         except ValueError as exc:
-            raise reject(key, exc) from exc
+            raise UsageError(f"--{key.replace('_', '-')} {value}: {exc}") from exc
     return cfg
 
 
-def load_config_file(path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    pairs, first = {}, {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in first:
-            raise ValueError(f"{path}:{lineno}: key {key} repeats line {first[key]}")
-        first[key] = lineno
-        pairs[key] = value.strip()
-    return pairs
-
-
-def build_pipeline_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        pairs = load_config_file(args.config)
-        cfg = _apply(cfg, pairs, lambda k, exc: ValueError(f"config key {k}={pairs[k]}: {exc}"))
-    # flags override the file; a rejected value is reported under the flag's name
-    flags = {k: str(getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k, None) is not None}
-    return _apply(
-        cfg, flags, lambda k, exc: UsageError(f"--{k.replace('_', '-')} {flags[k]}: {exc}")
-    )
-
-
-def _config_epilog() -> str:
-    lines = ["config file keys (key=value, one per line; flags override):"]
+def _add_tuning_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """The tuning flags of the named sections, each with its default."""
     defaults = PipelineConfig()
-    for key, (path, _, _) in CONFIG_KEYS.items():
-        lines.append(f"  {key} (default {getattr(getattr(defaults, path), key)})")
-    return "\n".join(lines)
-
-
-def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
-    """``--config`` plus the tuning flags of the named config sections."""
-    p.add_argument("--config", help="key=value config file")
-    for key, (path, cast, help_text) in CONFIG_KEYS.items():
+    for key, (path, cast, help_text) in TUNING_FLAGS.items():
         if path in sections:
+            help_text += f" (default {getattr(getattr(defaults, path), key)})"
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=cast, help=help_text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints a rejected argument as one ``error:`` line, as every other error is."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
 
 
 def _positive_int(text: str) -> int:
@@ -135,11 +98,9 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpfusion",
         description="Fingerprint identification by fused local-descriptor matching",
-        epilog=_config_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -149,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher", choices=CHANNELS, default="feature")
     p.add_argument("--emb-a", help="embedding file for template A (default: synthetic)")
     p.add_argument("--emb-b", help="embedding file for template B (default: synthetic)")
-    _add_config_flags(p, "fusion")
+    _add_tuning_flags(p, "fusion")
 
     p = sub.add_parser("identify", help="rank a gallery directory for one query")
     p.add_argument("query")
@@ -157,27 +118,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matcher", choices=CHANNELS, default="feature")
     p.add_argument("--mate", help="true mate id; prints its rank")
     p.add_argument("--out", help="results CSV path")
-    _add_config_flags(p, "fusion")
+    _add_tuning_flags(p, "fusion")
 
     p = sub.add_parser("benchmark", help="seeded synthetic identification benchmark")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--k-max", type=_positive_int, default=10, help="CMC depth (at least 1)")
-    _add_config_flags(p, "fusion", "synth")
+    _add_tuning_flags(p, "fusion", "synth")
 
     p = sub.add_parser("gen-synth", help="emit a synthetic gallery+queries dataset")
     p.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p, "synth")
+    _add_tuning_flags(p, "synth")
 
     p = sub.add_parser("describe", help="dump descriptors of a template as CSV")
     p.add_argument("template")
     p.add_argument("--what", choices=("mcc", "emb"), default="mcc")
     p.add_argument("--out", help="CSV path (default: stdout)")
-    _add_config_flags(p)
 
     p = sub.add_parser("embed-synth", help="write synthetic embeddings as a binary file")
     p.add_argument("template")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
     return parser
 
 

@@ -9,7 +9,9 @@ rigid transform, per-minutia jitter and spurious minutiae.
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -189,16 +191,22 @@ def generate_gallery(cfg: SynthConfig) -> list[MinutiaeTemplate]:
 def write_dataset(
     out_dir, cfg: SynthConfig, perturb_cfg: PerturbConfig | None = None
 ) -> tuple[list[MinutiaeTemplate], list[MinutiaeTemplate], dict[str, str]]:
-    """Emit gallery/<id>.mnt, queries/<id>.mnt and truth.csv under out_dir; a
-    ``.mnt`` file there that this dataset would not write (say, of a larger
-    one) raises ``ValueError`` before any file is written."""
+    """Emit gallery/<id>.mnt, queries/<id>.mnt and truth.csv under out_dir.
+    Before any file is written, a ``.mnt`` file there that this dataset would
+    not write (say, of a larger one) raises ``ValueError``, and a directory
+    where it would write a file raises ``IsADirectoryError``."""
     perturb_cfg = perturb_cfg or PerturbConfig()
     out_dir = Path(out_dir)
+    targets = [out_dir / "truth.csv"]
     for sub, prefix in (("gallery", "f"), ("queries", "q")):
         ours = {f"{prefix}{i:04d}.mnt" for i in range(cfg.n_fingers)}
         for path in sorted((out_dir / sub).glob("*.mnt")):
             if path.name not in ours:
                 raise ValueError(f"{path}: not part of this dataset; write to another directory")
+            targets.append(path)
+    for path in targets:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     (out_dir / "gallery").mkdir(parents=True, exist_ok=True)
     (out_dir / "queries").mkdir(parents=True, exist_ok=True)
     gallery = generate_gallery(cfg)

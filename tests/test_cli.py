@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fpfusion
@@ -22,7 +22,6 @@ import fpfusion.cli as cli
 import fpfusion.fusion as fusion
 import fpfusion.mcc as mcc
 from fpfusion.cli import (
-    CONFIG_KEYS,
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
@@ -111,17 +110,6 @@ def test_score_fusion_w1_only_equals_mcc(template_path, tmp_path, capsys):
 def test_usage_error():
     assert main(["match"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
-
-
-def test_config_file_and_unknown_key(template_path, tmp_path, capsys):
-    good = tmp_path / "good.cfg"
-    good.write_text("w1=0.7\ndelta_theta=0.5\n# comment\n")
-    assert main(["match", str(template_path), str(template_path), "--config", str(good)]) == EXIT_OK
-    capsys.readouterr()
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus_key=1\n")
-    assert main(["match", str(template_path), str(template_path), "--config", str(bad)]) == EXIT_DATA
-    assert "bogus_key" in capsys.readouterr().err
 
 
 def test_gen_synth_and_identify(tmp_path, capsys):
@@ -219,19 +207,17 @@ def test_identify_duplicate_gallery_ids_name_both_files(template_path, tmp_path,
     )
 
 
-@pytest.mark.parametrize("command", ["match", "identify", "config"])
+@pytest.mark.parametrize("command", ["match", "identify"])
 def test_file_not_utf8_is_data_error_naming_it(template_path, tmp_path, command, capsys):
-    # one byte that is not UTF-8, in a query, a gallery file or a config file
+    # one byte that is not UTF-8, in a query or a gallery file
     bad = tmp_path / "g" / "bad.mnt" if command == "identify" else tmp_path / "bad.mnt"
     bad.parent.mkdir(exist_ok=True)
     bad.write_bytes(b"0 0 0.1\n\xff 5 1.0\n")
     if command == "identify":
         (tmp_path / "g" / "t0.mnt").write_bytes(template_path.read_bytes())
         argv = ["identify", str(template_path), str(bad.parent)]
-    elif command == "match":
-        argv = ["match", str(template_path), str(bad)]
     else:
-        argv = ["match", str(template_path), str(template_path), "--config", str(bad)]
+        argv = ["match", str(template_path), str(bad)]
     assert main(argv) == EXIT_DATA
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {bad}: ")
@@ -254,19 +240,11 @@ def test_template_with_byte_order_mark_loads_as_without(template_path, tmp_path,
     assert capsys.readouterr() == (expected, "")
 
 
-def test_config_file_with_byte_order_mark_sets_its_first_key(template_path, tmp_path):
-    cfg = tmp_path / "marked.cfg"
-    cfg.write_text("w1=0.7\n", encoding="utf-8-sig")
-    args = _build_parser().parse_args(["describe", str(template_path), "--config", str(cfg)])
-    assert build_pipeline_config(args).fusion.w1 == 0.7
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["describe", "{dir}"],
         ["match", "{a}", "{file}/x.mnt"],
-        ["describe", "{a}", "--config", "{dir}"],
         ["describe", "{a}", "--out", "{dir}"],
         ["embed-synth", "{a}", "--out", "{dir}"],
         ["identify", "{a}", "{gallery}", "--out", "{dir}"],
@@ -413,52 +391,12 @@ def test_flag_value_rejected_by_config_is_usage_error(template_path, flags, mess
 
 
 @pytest.mark.parametrize(
-    "line,message",
-    [
-        ("w1=2", "config key w1=2: fusion weights w1 and 1 - w1"),
-        # keys are set in their order, and the first one rejected is named
-        ("delta_theta=nan\nw1=0.7", "config key delta_theta=nan: delta_theta must be finite"),
-        ("w1=0.7\ndelta_theta=inf\nseed=-1", "config key delta_theta=inf: delta_theta"),
-        # values that do not parse, and a line that is not key=value
-        ("w1=abc", "config key w1: cannot parse 'abc' as float"),
-        ("seed=2.5", "config key seed: cannot parse '2.5' as int"),
-        ("w1 0.7", "bad.cfg:1: expected key=value, got 'w1 0.7'"),
-    ],
-)
-def test_config_file_value_rejected_is_data_error(template_path, tmp_path, line, message, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    args = ["match", str(template_path), str(template_path), "--config", str(cfg)]
-    assert main(args) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "w1=nan",
-        "w1=inf",
-        "delta_theta=nan",
-    ],
-)
-def test_config_file_value_not_finite_is_data_error(template_path, tmp_path, line, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    args = ["match", str(template_path), str(template_path), "--config", str(cfg)]
-    assert main(args) == EXIT_DATA
-    captured = capsys.readouterr()
-    assert f"config key {line}: " in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
     "flags,message",
     [
         (["--w1", "nan", "--matcher", "score"], "--w1 nan: "),
         (["--w1", "inf"], "--w1 inf: "),
         (["--delta-theta", "nan"], "--delta-theta nan: "),
+        (["--delta-theta", "inf"], "--delta-theta inf: "),
     ],
 )
 def test_flag_value_not_finite_is_usage_error(template_path, flags, message, capsys):
@@ -469,39 +407,37 @@ def test_flag_value_not_finite_is_usage_error(template_path, flags, message, cap
 
 
 @pytest.mark.parametrize(
-    "line",
+    "argv,message",
     [
-        "rotation_max=nan",
-        "translation_max=inf",
-        "crop_radius_min=nan",
-        "rotation_max=-1",
-        "crop_radius_min=300",
-        "spurious_mean=nan",
-        "min_spacing=nan",
-        "min_spacing=-1",
-        "min_minutiae=0",
-        "keep_min=0",
-        "keep_max=1.5",
-        "position_jitter=-1",
-        "angle_jitter=-1",
-        "seed=-1",
+        (["match", "{t}", "{t}", "--w1", "abc"], "argument --w1: invalid float value: 'abc'"),
+        (
+            ["gen-synth", "--out", "{d}", "--seed", "2.5"],
+            "argument --seed: invalid int value: '2.5'",
+        ),
+        (
+            ["benchmark", "--out", "{d}", "--n-fingers", ""],
+            "argument --n-fingers: invalid int value: ''",
+        ),
     ],
 )
-def test_gen_synth_rejects_config_value_and_writes_nothing(tmp_path, line, capsys):
-    # seed is a key; the shape and perturbation keys are not, so they are
-    # rejected as unknown, whatever their value
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    args = ["gen-synth", "--out", str(tmp_path / "data"), "--n-fingers", "2"]
-    assert main([*args, "--config", str(cfg)]) == EXIT_DATA
-    captured = capsys.readouterr()
-    key = line.partition("=")[0]
-    if key in CONFIG_KEYS:
-        prefix = f"error: config key {line}: "
-        assert captured.err.startswith(prefix) and key in captured.err.partition(prefix)[2]
-    else:
-        assert captured.err == f"error: unknown config key {key!r}\n"
-    assert not (tmp_path / "data").exists()
+def test_flag_value_that_does_not_parse_is_one_line_usage_error(
+    template_path, tmp_path, argv, message, capsys
+):
+    out = tmp_path / "out"
+    assert main([a.format(t=template_path, d=out) for a in argv]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: fpfusion {argv[0]}: {message}\n")
+    assert not out.exists()
+
+
+def test_first_rejected_flag_in_table_order_is_named(tmp_path, capsys):
+    # w1, delta_theta, seed, n_fingers, whatever their order on the command line
+    out = tmp_path / "out"
+    argv = ["benchmark", "--out", str(out), "--n-fingers", "0", "--seed", "-1"]
+    assert main([*argv, "--delta-theta", "inf"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --delta-theta inf: delta_theta must be finite\n"
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --seed -1: seed must be non-negative\n"
+    assert not out.exists()
 
 
 def test_gen_synth_rejects_negative_seed_flag_and_writes_nothing(tmp_path, capsys):
@@ -531,6 +467,19 @@ def test_dataset_over_a_larger_one_is_data_error_and_writes_nothing(
     assert _tree(out) == before
 
 
+@pytest.mark.parametrize("blocked", ["truth.csv", "gallery/f0001.mnt", "queries/q0002.mnt"])
+@pytest.mark.parametrize("command,data", [("gen-synth", ""), ("benchmark", "data")])
+def test_dataset_over_a_directory_it_would_write_is_data_error_and_writes_nothing(
+    tmp_path, command, data, blocked, capsys
+):
+    out = tmp_path / "d"
+    (out / data / blocked).mkdir(parents=True)
+    assert main([command, "--out", str(out), "--n-fingers", "3"]) == EXIT_DATA
+    err = f"error: [Errno 21] Is a directory: '{out / data / blocked}'\n"
+    assert capsys.readouterr() == ("", err)
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_gen_synth_prints_each_warning_as_one_line(tmp_path, monkeypatch, capsys):
     # a spacing no 500 x 500 px finger can hold leaves each finger short
     write = cli.write_dataset
@@ -548,27 +497,6 @@ def test_gen_synth_prints_each_warning_as_one_line(tmp_path, monkeypatch, capsys
         warnings.simplefilter("error", UserWarning)
         with pytest.raises(UserWarning, match="spacing unsatisfiable"):
             main([*argv[:-1], str(tmp_path / "e")])
-
-
-def test_describe_rejects_non_finite_value_and_writes_nothing(template_path, tmp_path):
-    # describe reads no fusion key, but the one config file it shares with
-    # match is still checked whole
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("delta_theta=nan\n")
-    out = tmp_path / "rows.csv"
-    args = ["describe", str(template_path), "--config", str(cfg), "--out", str(out)]
-    assert main(args) == EXIT_DATA
-    assert not out.exists()
-
-
-def test_describe_rejects_unknown_key_and_writes_nothing(template_path, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("radius=1e200\n")
-    out = tmp_path / "rows.csv"
-    args = ["describe", str(template_path), "--config", str(cfg), "--out", str(out)]
-    assert main(args) == EXIT_DATA
-    assert capsys.readouterr().err == "error: unknown config key 'radius'\n"
-    assert not out.exists()
 
 
 def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
@@ -594,98 +522,17 @@ def test_benchmark_bytes_independent_of_blas_threads(tmp_path):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
-# The cylinder and stand-in embedding parameters are fixed, as are the
-# signature width and the relaxation parameters; the embedding channel's
-# fusion weight is 1 - w1; the synthetic shape and perturbation parameters
-# are set in the library only. Keys that once set them are unknown.
-REMOVED_KEYS = (
-    "emb_dim",
-    "cyl_radius",
-    "cyl_grid",
-    "cyl_sections",
-    "cyl_sigma_spatial",
-    "cyl_sigma_direction",
-    "cyl_min_neighbors",
-    "emb_radius",
-    "emb_radial_bins",
-    "emb_angular_bins",
-    "emb_direction_bins",
-    "w_r",
-    "n_rel",
-    "dist_scale",
-    "w2",
-    "min_minutiae",
-    "max_minutiae",
-    "min_spacing",
-    "rotation_max",
-    "translation_max",
-    "position_jitter",
-    "angle_jitter",
-    "keep_min",
-    "keep_max",
-    "spurious_mean",
-    "crop_radius_min",
-    "crop_radius_max",
-)
-
-
-def test_removed_config_keys_are_unknown(template_path, tmp_path, capsys):
-    for key in REMOVED_KEYS:
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text(f"{key}=8\n")
-        args = ["describe", str(template_path), "--what", "emb", "--config", str(cfg)]
-        assert main(args) == EXIT_DATA, key
-        captured = capsys.readouterr()
-        assert captured.out == "", key
-        assert captured.err == f"error: unknown config key {key!r}\n"
-
-
 # the former relaxation flags, and --w2 (the embedding channel weighs 1 - w1)
 @pytest.mark.parametrize("flag", ["--w-r", "--n-rel", "--w2"])
 def test_removed_relaxation_flags_are_usage_errors(template_path, flag, capsys):
     assert main(["match", str(template_path), str(template_path), flag, "2"]) == EXIT_USAGE
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("lines", [["w1=0.2", "w1=0.9"], ["w1=0.9", "w1=0.2"]])
-def test_config_file_repeated_key_is_data_error(template_path, tmp_path, lines, capsys):
-    # the last line would otherwise win, so the score would depend on key order
-    cfg = tmp_path / "repeat.cfg"
-    cfg.write_text("\n".join([lines[0], "# comment", "delta_theta=0.5", lines[1]]) + "\n")
-    args = ["match", str(template_path), str(template_path), "--matcher", "score"]
-    assert main([*args, "--config", str(cfg)]) == EXIT_DATA
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {cfg}:4: key w1 repeats line 1\n"
+    # one line, without argparse's usage lines
+    assert capsys.readouterr() == ("", f"error: fpfusion: unrecognized arguments: {flag} 2\n")
 
 
 def _tree(root):
     """Every file under ``root``, relative path -> bytes."""
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
-@pytest.mark.parametrize("lines", [["seed=3", "n_fingers=2"], ["seed=3", "w1=0.3", "n_fingers=2"]])
-def test_config_key_order_does_not_matter_for_gen_synth(tmp_path, lines, capsys):
-    trees = []
-    for k, order in enumerate((lines, lines[::-1])):
-        cfg = tmp_path / f"order{k}.cfg"
-        cfg.write_text("\n".join(order) + "\n")
-        out = tmp_path / f"d{k}"
-        assert main(["gen-synth", "--out", str(out), "--config", str(cfg)]) == EXIT_OK
-        trees.append(_tree(out))
-    assert trees[0] == trees[1] and len(trees[0]) == 5  # 2 + 2 templates, truth.csv
-
-
-def test_flags_override_the_config_file_in_any_order(pair_dir, tmp_path, capsys):
-    query, gallery = pair_dir
-    cfg = tmp_path / "w1.cfg"
-    cfg.write_text("w1=0.3\n")
-    pair = ["match", str(query), str(gallery / "g.mnt")]
-    argv = [*pair, "--config", str(cfg)]
-    flags = ["--w1", "0.6", "--delta-theta", "0.5"]
-    outputs = [_match_outputs([*argv, *order], capsys) for order in (flags, flags[2:] + flags[:2])]
-    assert outputs[0] == outputs[1] == _match_outputs([*pair, *flags], capsys)
-    assert outputs[0][3] != _match_outputs(argv, capsys)[3]  # the file's w1 scores differently
 
 
 @pytest.mark.parametrize("k_max", ["0", "-3"])
@@ -775,14 +622,8 @@ def test_flags_of_unread_config_sections_are_rejected(template_path, tmp_path, a
     assert not any(p.name in ("x.emb", "d") for p in tmp_path.iterdir())
 
 
-def test_config_file_sets_any_key_for_any_command(template_path, tmp_path, capsys):
-    cfg = tmp_path / "fusion.cfg"
-    cfg.write_text("w1=0.7\n")
-    assert main(["describe", str(template_path), "--config", str(cfg)]) == EXIT_OK
-
-
-# The section whose field of the same name each config key sets, written
-# out apart from CONFIG_KEYS.
+# The section whose field of the same name each tuning flag sets, written
+# out apart from cli.TUNING_FLAGS.
 KEY_SECTIONS = {"w1": "fusion", "delta_theta": "fusion", "seed": "synth", "n_fingers": "synth"}
 
 
@@ -807,21 +648,24 @@ def _assert_only_field_set(cfg: PipelineConfig, key, value):
             assert held == want and type(held) is type(want), (key, section.name, f.name)
 
 
-@pytest.mark.parametrize("key", list(CONFIG_KEYS))
-def test_every_config_key_reaches_its_field(template_path, tmp_path, key):
-    value = _next_value(key)
-    cfg = tmp_path / "one.cfg"
-    cfg.write_text(f"{key}={value!r}\n")
-    args = _build_parser().parse_args(["describe", str(template_path), "--config", str(cfg)])
-    _assert_only_field_set(build_pipeline_config(args), key, value)
-
-
 @pytest.mark.parametrize("key", ["seed", "w1", "delta_theta", "n_fingers"])
 def test_every_tuning_flag_reaches_its_field(tmp_path, key):
     value = _next_value(key)
     flag = f"--{key.replace('_', '-')}"
     args = _build_parser().parse_args(["benchmark", "--out", str(tmp_path), flag, repr(value)])
     _assert_only_field_set(build_pipeline_config(args), key, value)
+
+
+def test_each_tuning_flag_moves_the_score_in_any_order(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(data), "--seed", "3"]) == EXIT_OK
+    pair = ["match", str(data / "queries" / "q0000.mnt"), str(data / "gallery" / "f0000.mnt")]
+    default = _match_outputs(pair, capsys)
+    for flag in (["--w1", "0.9"], ["--delta-theta", "0.1"]):
+        assert _match_outputs([*pair, *flag], capsys)[3] != default[3], flag
+    flags = ["--w1", "0.9", "--delta-theta", "0.1"]
+    outputs = [_match_outputs([*pair, *order], capsys) for order in (flags, flags[2:] + flags[:2])]
+    assert outputs[0] == outputs[1]
 
 
 def _match_outputs(argv, capsys):
@@ -1187,68 +1031,111 @@ def test_any_emb_file_matches_or_is_one_line_data_error(raw):
         assert line.startswith(f"error: {emb}")
 
 
-# --config lines: the four keys, removed and unknown ones, values at the ends
-# of the float range, non-finite, non-numeric and blank, comments, lines
-# that are not key=value; a key drawn twice repeats.
-_CFG_KEY = _mostly(st.sampled_from(list(CONFIG_KEYS)), st.sampled_from(REMOVED_KEYS + ("",)), 8)
-_CFG_VALUE = st.one_of(
-    st.sampled_from(
-        ["0", "1", "0.5", "-0.0", "-0", "2", "-1", "1e308", "-1e308", "5e-324", "-5e-324",
-         "nan", "-nan", "inf", "-Infinity", "1e309", "0x10", "1_0", "2.5", "abc", ""]
+def _command_argv(command, root: Path) -> list[str]:
+    """``command`` with arguments it runs with: it reads a 5-minutia template
+    (and, for ``identify``, a gallery of it) written under ``root``, and
+    writes its outputs there."""
+    mnt, gallery = root / "a.mnt", root / "g"
+    mnt.write_text(_EMB_TEMPLATE)
+    gallery.mkdir()
+    (gallery / "a.mnt").write_text(_EMB_TEMPLATE)
+    args = {
+        "match": [mnt, mnt],
+        "identify": [mnt, gallery, "--out", root / "results.csv"],
+        "benchmark": ["--out", root / "bench"],
+        "gen-synth": ["--out", root / "data"],
+        "describe": [mnt, "--out", root / "rows.csv"],
+        "embed-synth": [mnt, "--out", root / "a.emb"],
+    }[command]
+    return [command, *map(str, args)]
+
+
+def _listing(root: Path) -> list[str]:
+    """Every file and directory under ``root``, as relative paths."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+# The tuning flags each command takes and their defaults, written out apart
+# from the parser.
+COMMAND_TUNING = {
+    "match": {"--w1": 0.5, "--delta-theta": math.pi / 4},
+    "identify": {"--w1": 0.5, "--delta-theta": math.pi / 4},
+    "benchmark": {"--w1": 0.5, "--delta-theta": math.pi / 4, "--seed": 0, "--n-fingers": 1},
+    "gen-synth": {"--seed": 0, "--n-fingers": 1},
+    "describe": {},
+    "embed-synth": {},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_TUNING))
+def test_config_file_flag_is_unrecognized_and_writes_nothing(command, tmp_path, capsys):
+    # the four values are set by their flags only
+    argv = _command_argv(command, tmp_path)
+    before = _listing(tmp_path)
+    assert main([*argv, "--config", "x"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: fpfusion: unrecognized arguments: --config x\n")
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", list(COMMAND_TUNING))
+def test_help_shows_the_default_of_each_tuning_flag(command, capsys):
+    assert main([command, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())  # help wraps where it likes
+    for flag, default in COMMAND_TUNING[command].items():
+        metavar = flag[2:].replace("-", "_").upper()
+        assert f"{flag} {metavar} " in text, flag
+        assert f"(default {default!r})" in text.partition(f"{flag} {metavar} ")[2], flag
+    assert text.count("(default ") == len(COMMAND_TUNING[command])
+
+
+_ODD_VALUES = [
+    "1e308", "-1e308", "5e-324", "-0.0", "-0", str(2**63), str(-(2**63)), "nan", "-nan",
+    "inf", "-Infinity", "1e309", "", "abc", "0x10", "2.5",
+]
+_FLAG_VALUES = {
+    "--w1": st.one_of(st.sampled_from(_ODD_VALUES), st.floats().map(repr)),
+    "--delta-theta": st.one_of(st.sampled_from(_ODD_VALUES), st.floats().map(repr)),
+    "--seed": st.one_of(st.sampled_from(_ODD_VALUES), st.integers(0, 2**64).map(str)),
+    # a valid gallery size is 1-3, so a benchmark example runs in well under a
+    # second; the odd sizes are those the parser or SynthConfig rejects
+    "--n-fingers": st.one_of(
+        st.integers(1, 3).map(str),
+        st.sampled_from([v for v in _ODD_VALUES if v != str(2**63)] + ["0", "-1"]),
     ),
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=4),
+    # removed flags: each is an unrecognized argument, whatever its value
+    "--config": st.sampled_from(["x", *_ODD_VALUES]),
+    "--w2": st.sampled_from(["0.5", *_ODD_VALUES]),
+    "--n-rel": st.sampled_from(["2", *_ODD_VALUES]),
+}
+# one flag as two arguments, or as one --flag=value argument (a value such as
+# -1e308 reaches its type only so)
+_FLAG_ARGS = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+    lambda flag: st.tuples(_FLAG_VALUES[flag], st.booleans()).map(
+        lambda v: [f"{flag}={v[0]}"] if v[1] else [flag, v[0]]
+    )
 )
-_CFG_LINE = _mostly(
-    st.tuples(_CFG_KEY, _CFG_VALUE).map("=".join),
-    st.sampled_from(["# comment", "#w1=2", "", "  \t", "w1 0.7", "=", "w1==0.5"]),
-    8,
-)
 
 
-@st.composite
-def config_bytes(draw):
-    """``--config`` file bytes: up to 6 lines, LF or CRLF, maybe a
-    byte-order mark and maybe one byte that is not UTF-8."""
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(draw(st.lists(_CFG_LINE, max_size=6)))
-    raw = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
-    if draw(st.booleans()):
-        at = draw(st.integers(0, len(raw)))
-        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + raw[at:]
-    return raw
-
-
-@settings(max_examples=200, deadline=None)
-@given(raw=config_bytes(), command=st.sampled_from(["match", "describe"]))
-def test_any_config_file_runs_or_is_one_line_data_error(raw, command):
-    """``match --matcher score`` and ``describe`` (which reads no key but
-    checks the whole file) with any ``--config`` file exit 0, or 2 with one
-    ``error:`` line naming the file or the key and nothing written, and
-    raise nothing, a numeric warning included."""
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(list(COMMAND_TUNING)), flags=st.lists(_FLAG_ARGS, max_size=4))
+@example(command="match", flags=[["--n-rel", "2"]])  # once printed argparse's usage lines too
+def test_any_tuning_flags_run_or_are_one_line_error(command, flags):
+    """Any command with up to four tuning, removed or unknown flags, each
+    maybe repeated, at extreme, non-finite, non-numeric or empty values,
+    exits 0, or 1 or 2 with one ``error:`` line and nothing written, and
+    raises nothing, a numeric warning included."""
     with tempfile.TemporaryDirectory() as tmp:
-        mnt, cfg, rows = (str(Path(tmp) / name) for name in ("a.mnt", "a.cfg", "a.csv"))
-        Path(mnt).write_text(_EMB_TEMPLATE)
-        Path(cfg).write_bytes(raw)
-        argv = {
-            "match": ["match", mnt, mnt, "--matcher", "score"],
-            "describe": ["describe", mnt, "--what", "emb", "--out", rows],
-        }[command]
+        root = Path(tmp)
+        argv = _command_argv(command, root) + [a for flag in flags for a in flag]
+        before = _listing(root)
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*argv, "--config", cfg])
-        written = Path(rows).exists()
-    if code == EXIT_OK:
-        assert err.getvalue() == ""
-        if command == "match":
-            [line] = out.getvalue().splitlines()
-            assert 0.0 <= float(line.removeprefix("score=").split()[0]) <= 1.0, line
-        else:
-            assert written
-    else:
-        assert code == EXIT_DATA, err.getvalue()
+                code = main(argv)
+        after = _listing(root)
+    if code != EXIT_OK:
+        assert code in (EXIT_USAGE, EXIT_DATA), code
         [line] = err.getvalue().splitlines()
-        named = (f"error: {cfg}:", "error: config key ", "error: unknown config key ")
-        assert line.startswith(named), line
-        assert out.getvalue() == "" and not written
+        assert "error:" in line
+        assert after == before
